@@ -401,7 +401,13 @@ def _profile_summary(profile: Profile) -> dict:
 
 
 def _error_entry(exc: Exception) -> dict:
-    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    """Error record for a failed block, with the solver's evidence if any."""
+    entry = {"type": type(exc).__name__, "message": str(exc)}
+    for key in ("residual", "iterations"):
+        value = getattr(exc, key, None)
+        if value is not None:
+            entry[key] = value
+    return {"error": entry}
 
 
 def _epsilon_block(
@@ -427,9 +433,7 @@ def _epsilon_block(
             if epsilon == 0.0:
                 profile = base
             else:
-                profile = continue_profile(
-                    limit, params, pair, z, grid=base.grid, tol=config.tol
-                )
+                profile = continue_profile(base, params, pair, z, tol=config.tol)
             block["profile"] = _profile_summary(profile)
         except KgError as exc:
             block["profile"] = _error_entry(exc)
@@ -637,6 +641,19 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
 # front end
 
 
+def _write_shift_csv(out: Path, rows: list) -> None:
+    """shift_convergence.csv: lambda_j / eps^2 beside the predicted c_j."""
+    if not rows:
+        return
+    npred = (max(len(r) for r in rows) - 1) // 2
+    header = (
+        ["epsilon"]
+        + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
+        + [f"c{j + 1}" for j in range(npred)]
+    )
+    kio.write_csv(out / "shift_convergence.csv", header, rows)
+
+
 def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
     out = Path(out_dir)
     trajectories = report.pop("_trajectories", {})
@@ -648,15 +665,7 @@ def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
             ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
             conv["slope_scaled"],
         )
-    if conv.get("shifts"):
-        width = max(len(r) for r in conv["shifts"])
-        npred = (width - 1) // 2
-        header = (
-            ["epsilon"]
-            + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
-            + [f"c{j + 1}" for j in range(npred)]
-        )
-        kio.write_csv(out / "shift_convergence.csv", header, conv["shifts"])
+    _write_shift_csv(out, conv.get("shifts", []))
     for eps, rec in trajectories.items():
         kio.trajectory_to_csv(rec, out / f"trajectory_eps_{eps:g}.csv")
 
@@ -750,16 +759,7 @@ def _cmd_report(args) -> int:
         ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
         conv.get("slope_scaled", []),
     )
-    rows = conv.get("shifts", [])
-    if rows:
-        width = max(len(r) for r in rows)
-        npred = (width - 1) // 2
-        header = (
-            ["epsilon"]
-            + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
-            + [f"c{j + 1}" for j in range(npred)]
-        )
-        kio.write_csv(out / "shift_convergence.csv", header, rows)
+    _write_shift_csv(out, conv.get("shifts", []))
     print(f"csv tables -> {out}")
     return 0
 

@@ -6,8 +6,10 @@ Limit problem (constant coefficient c = Z(x0) > 0):
     -lap psi + c psi = psi^p,   psi > 0, psi -> 0
 
 solved by a stabilized fixed-point iteration (integral-normalized, the
-classic globally convergent scheme for this equation) followed by a
-Newton polish. In one dimension the closed form
+classic globally convergent scheme for this equation). On
+finite-difference grids the damped Newton iteration that also drives
+the continuation below takes it to tolerance. In one dimension the
+closed form
 
     psi(y) = ((p+1) c / 2)^(1/(p-1)) sech(sqrt(c)(p-1) y / 2)^(2/(p-1))
 
@@ -139,34 +141,6 @@ def _petviashvili(apply_A, solve_A, weights, psi, p, tol, max_iter=400):
     return psi, res, max_iter
 
 
-def _newton_polish(A, weights, psi, p, tol, max_iter=40, post=None):
-    """Newton on F(psi) = A psi - psi^p, sparse LU per step.
-
-    The limit operator carries the translation near-kernel, so iterates
-    are re-projected by `post` (evenness for the limit state) and the
-    best iterate is kept: kernel noise makes raw residuals non-monotone.
-    """
-    best_psi, best_res = psi, np.inf
-    for _ in range(max_iter):
-        f = A @ psi - _nonlin(psi, p)
-        res = float(np.sqrt(np.sum(weights * f**2)))
-        if res < best_res:
-            best_psi, best_res = psi, res
-        if res < tol:
-            return psi, res
-        J = (A - sp.diags_array(p * np.abs(psi) ** (p - 1.0))).tocsc()
-        try:
-            delta = splu(J).solve(-f)
-        except RuntimeError as exc:
-            raise SingularOperator(f"Newton system singular: {exc}") from exc
-        psi = psi + delta
-        if post is not None:
-            psi = post(psi)
-    if best_res < 10.0 * tol:
-        return best_psi, best_res
-    raise NoConvergence("Newton polish did not converge", residual=best_res)
-
-
 def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     A = (grids.neg_laplacian(grid) + c * sp.eye_array(grid.n_interior())).tocsc()
     lu = splu(A)
@@ -177,11 +151,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     else:
         psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
     psi, res, _ = _petviashvili(lambda v: A @ v, lu.solve, w, psi0, p, max(tol, 1e-9))
-    post = None
-    if grid.geometry == "line":
-        post = lambda v: 0.5 * (v + v[::-1])  # limit state is even
-    psi, res = _newton_polish(A, w, psi, p, tol, post=post)
-    return psi, res
+    return _newton(grid, np.full(grid.n_interior(), c), p, psi, w, tol)
 
 
 def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
@@ -192,10 +162,8 @@ def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
     too coarse for the finite-difference stencil to hit the requested
     pointwise accuracy.
     """
-    m = grid.n - 2
-    k = np.arange(1, m + 1)
+    k = np.arange(1, grid.n - 1)
     mu = (np.pi * k / (2.0 * grid.extent)) ** 2
-    norm = 2.0 * (m + 1)
 
     def apply_A(v):
         return scipy.fft.idst(scipy.fft.dst(v, type=1) * (mu + c), type=1)
@@ -203,7 +171,6 @@ def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
     def solve_A(v):
         return scipy.fft.idst(scipy.fft.dst(v, type=1) / (mu + c), type=1)
 
-    _ = norm  # scipy's dst/idst pair is already inverse-consistent
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
     psi, res, _ = _petviashvili(apply_A, solve_A, w, psi0, p, tol, max_iter=2000)
@@ -287,7 +254,7 @@ def _even_projector(grid: Grid, z_int: np.ndarray):
     return post
 
 
-def _newton_fixed_epsilon(
+def _newton(
     grid: Grid,
     z_int: np.ndarray,
     p: float,
@@ -295,15 +262,20 @@ def _newton_fixed_epsilon(
     weights: np.ndarray,
     tol: float,
     max_iter: int = 30,
-    post=None,
 ):
-    """Newton for -lap phi + z phi - phi^p = 0 at fixed coefficients.
+    """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
 
-    The Jacobian is refactored only when progress slows (matters for box
-    grids where the LU is the dominant cost).
+    Every finite-difference solve runs through here: the limit state
+    (constant z = c), each continuation step in epsilon and the omega
+    re-solves. The Jacobian is refactored only when the residual falls
+    by less than a factor 4 per step (on box grids the LU dominates the
+    cost); each step is halved until the weighted residual decreases;
+    iterates of even line problems are reflection-averaged. A residual
+    within 10 tol is accepted where the line search or the iteration
+    budget runs out, that being the roundoff floor. Returns (psi, res).
     """
-    A = grids.neg_laplacian(grid)
-    Az = (A + sp.diags_array(z_int)).tocsc()
+    post = _even_projector(grid, z_int)
+    Az = (grids.neg_laplacian(grid) + sp.diags_array(z_int)).tocsc()
 
     def residual(v):
         return Az @ v - _nonlin(v, p)
@@ -314,7 +286,7 @@ def _newton_fixed_epsilon(
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if res < tol:
             return psi, res
         if lu is None or res > 0.25 * res_prev:
@@ -322,7 +294,7 @@ def _newton_fixed_epsilon(
             try:
                 lu = splu(J)
             except RuntimeError as exc:
-                raise SingularOperator(f"continuation Jacobian singular: {exc}") from exc
+                raise SingularOperator(f"Newton Jacobian singular: {exc}") from exc
         delta = lu.solve(-f)
         lam = 1.0
         for _ in range(25):
@@ -339,10 +311,10 @@ def _newton_fixed_epsilon(
             # Line search exhausted: at the roundoff floor of the residual.
             if res < 10.0 * tol:
                 return psi, res
-            raise NoConvergence("Newton line search stalled", residual=res)
+            raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
     if res < 10.0 * tol:
         return psi, res
-    raise NoConvergence("fixed-epsilon Newton did not converge", residual=res)
+    raise NoConvergence("Newton did not converge", residual=res, iterations=max_iter)
 
 
 def continue_profile(
@@ -382,9 +354,7 @@ def continue_profile(
 
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
-    psi, res = _newton_fixed_epsilon(
-        grid, z0_int, params.p, psi, w, tol, post=_even_projector(grid, z0_int)
-    )
+    psi, res = _newton(grid, z0_int, params.p, psi, w, tol)
 
     if target == 0.0:
         values = grids.insert_interior(grid, psi)
@@ -409,15 +379,14 @@ def continue_profile(
             grid, _z_on_grid(params, pair, grid, center, eps_try)
         )
         try:
-            psi_new, res = _newton_fixed_epsilon(
-                grid, z_int, params.p, psi, w, tol, post=_even_projector(grid, z_int)
-            )
-        except (NoConvergence, SingularOperator):
+            psi_new, res = _newton(grid, z_int, params.p, psi, w, tol)
+        except (NoConvergence, SingularOperator) as exc:
             step *= 0.5
             if step < min_step:
                 raise NoConvergence(
-                    f"continuation stalled at epsilon = {eps_now:.4g}", residual=res
-                )
+                    f"continuation stalled at epsilon = {eps_now:.4g}",
+                    residual=getattr(exc, "residual", None),
+                ) from exc
             continue
         if np.min(psi_new) < -1e-8 * np.max(np.abs(psi_new)):
             raise LostPositivity(f"profile changed sign at epsilon = {eps_try:.4g}")
@@ -457,9 +426,7 @@ def resolve_at_omega(
         grid, _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     )
     psi = grids.extract_interior(grid, profile.values)
-    psi, res = _newton_fixed_epsilon(
-        grid, z_int, params.p, psi, w, tol, post=_even_projector(grid, z_int)
-    )
+    psi, res = _newton(grid, z_int, params.p, psi, w, tol)
     values = grids.insert_interior(grid, psi)
     return Profile(
         grid=grid,

@@ -165,16 +165,6 @@ def neg_laplacian(grid: Grid):
     ).tocsr()
 
 
-def neg_laplacian_tridiag(grid: Grid):
-    """(main, upper, lower) diagonals of the interior operator, 1d only."""
-    A = neg_laplacian(grid)
-    m = A.shape[0]
-    main = A.diagonal()
-    up = A.diagonal(1)
-    lo = A.diagonal(-1)
-    return main, up, lo, m
-
-
 def extract_interior(grid: Grid, field: np.ndarray) -> np.ndarray:
     return field[grid.interior()].ravel()
 
@@ -187,12 +177,6 @@ def insert_interior(grid: Grid, vec: np.ndarray) -> np.ndarray:
         m = grid.n - 2
         out[grid.interior()] = vec.reshape((m,) * grid.dimension)
     return out
-
-
-def apply_neg_laplacian(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """-lap on a full-shape field (zero boundary), returns full shape."""
-    A = neg_laplacian(grid)
-    return insert_interior(grid, A @ extract_interior(grid, field))
 
 
 def gradient(grid: Grid, field: np.ndarray) -> list[np.ndarray]:
@@ -210,22 +194,6 @@ def gradient(grid: Grid, field: np.ndarray) -> list[np.ndarray]:
     if grid.geometry == "line":
         return [np.gradient(field, h)]
     return [np.gradient(field, h, axis=a) for a in range(grid.dimension)]
-
-
-def dirichlet_form(grid: Grid, field: np.ndarray) -> float:
-    """sum of |forward differences|^2 scaled to approximate int |grad u|^2.
-
-    This is the exact quadratic form of `neg_laplacian`, which makes it
-    the right gradient energy for discrete conservation checks.
-    """
-    h = grid.h
-    if grid.geometry == "radial":
-        raise ValueError("dirichlet_form is defined for line/box grids")
-    total = 0.0
-    for a in range(grid.dimension):
-        d = np.diff(field, axis=a)
-        total += np.sum(np.abs(d) ** 2)
-    return float(total) * h ** (grid.dimension - 2)
 
 
 def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.ndarray) -> np.ndarray:

@@ -102,11 +102,6 @@ class PotentialSpec:
                 hess += np.broadcast_to(a, base + (d, d))
         return val, grad, hess
 
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        _, _, h = self.evaluate(x)
-        return np.trace(h, axis1=-2, axis2=-1)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Model parameters: dimension, nonlinearity power, mass, frequency,
@@ -176,16 +171,10 @@ def resolve_potentials(params: ProblemParams, spec_V: PotentialSpec | None, spec
     return PotentialPair(spec_V or zero, spec_W or zero, mode="general")
 
 
-def eval_potentials(pair: PotentialPair, x: np.ndarray):
-    """(V, grad V, hess V, W, grad W, hess W) at x."""
-    v, gv, hv = pair.V(x)
-    w, gw, hw = pair.W(x)
-    return v, gv, hv, w, gw, hw
-
-
 def eval_Z(params: ProblemParams, pair: PotentialPair, x: np.ndarray):
     """Effective potential and derivatives: (Z, grad Z, hess Z)."""
-    v, gv, hv, w, gw, hw = eval_potentials(pair, x)
+    v, gv, hv = pair.V(x)
+    w, gw, hw = pair.W(x)
     om = params.omega
     z = params.m - om**2 - 2.0 * om * v - w
     gz = -2.0 * om * gv - gw
@@ -208,9 +197,6 @@ class EffectiveZ:
 
     def hessian_negatives(self) -> int:
         return int(np.sum(np.asarray(self.hess_eigs) < 0.0))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.x0, dtype=float)
 
 
 def effective_z_at(params: ProblemParams, pair: PotentialPair, x: np.ndarray) -> EffectiveZ:

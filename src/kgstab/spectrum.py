@@ -50,15 +50,8 @@ class LinearizedOperator:
     diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on interior nodes
     epsilon: float
 
-    @property
-    def symmetric(self) -> bool:
-        return True
-
     def matrix(self) -> sp.csr_array:
         return (grids.neg_laplacian(self.grid) + sp.diags_array(self.diagonal)).tocsr()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix() @ vec
 
 
 @dataclass(frozen=True)

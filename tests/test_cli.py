@@ -3,13 +3,14 @@ import json
 import pytest
 
 from kgstab.cli import (
+    _error_entry,
     emit_config,
     main,
     parse_scenario,
     parse_scenario_dict,
     run_scenario,
 )
-from kgstab.errors import ModeConflict, SchemaError
+from kgstab.errors import GridTooSmall, ModeConflict, NoConvergence, SchemaError
 
 
 BASE = {
@@ -233,3 +234,20 @@ def test_tol_and_seed_overrides(tmp_path):
     cfg2 = _apply_overrides(cfg, Args)
     assert cfg2.tol == 1e-8
     assert cfg2.dynamics.seed == 42
+
+
+def test_error_entry_keeps_solver_evidence():
+    entry = _error_entry(NoConvergence("stalled", residual=3e-7, iterations=12))
+    assert entry == {
+        "error": {
+            "type": "NoConvergence",
+            "message": "stalled",
+            "residual": 3e-7,
+            "iterations": 12,
+        }
+    }
+    partial = _error_entry(NoConvergence("no residual", iterations=4))
+    assert partial["error"]["iterations"] == 4
+    assert "residual" not in partial["error"]
+    plain = _error_entry(GridTooSmall("domain too small"))
+    assert plain == {"error": {"type": "GridTooSmall", "message": "domain too small"}}

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from kgstab import grids
 from kgstab.elliptic import (
+    _newton,
     compute_R_omega,
     compute_T_lambda,
     continue_profile,
@@ -11,7 +12,7 @@ from kgstab.elliptic import (
     resolve_at_omega,
     solve_limit_ground_state,
 )
-from kgstab.errors import GridTooSmall
+from kgstab.errors import GridTooSmall, NoConvergence
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
@@ -64,6 +65,39 @@ def test_townes_mass_is_c_invariant():
         vals.append(prof.mass())
     assert vals[0] == pytest.approx(vals[1], rel=1e-5)
     assert vals[1] == pytest.approx(11.7009, rel=1e-3)  # Townes mass
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fd_limit_converges_positive_and_decays(dim, p, c):
+    extent = 24.0 / np.sqrt(c)
+    if dim == 1:
+        g = Grid(1, "line", extent, 2401)
+    else:
+        g = Grid(dim, "radial", extent, 1201)
+    prof = solve_limit_ground_state(c, p, g, tol=1e-10, method="fd")
+    assert prof.residual <= 1e-10
+    interior = grids.extract_interior(g, prof.values)
+    assert np.all(interior > 0.0)
+    peak = prof.values.max()
+    assert prof.peak == pytest.approx((0.0,) * dim, abs=1e-12)
+    # last interior node (the line state is even, so both of its ends)
+    assert prof.values[-2] < 1e-5 * peak
+    if dim == 1:
+        # reflection-averaged Newton iterates: even to the last bit
+        assert np.array_equal(prof.values, prof.values[::-1])
+
+
+def test_newton_failure_carries_residual_and_iterations():
+    g = Grid(1, "line", 15.0, 1501)
+    w = grids.extract_interior(g, g.weights())
+    psi = grids.extract_interior(g, sech_exact(1.0, g.axis))
+    # a zero tolerance is unreachable: the line search stalls at roundoff
+    with pytest.raises(NoConvergence) as info:
+        _newton(g, np.ones(g.n_interior()), 3.0, psi, w, tol=0.0)
+    assert 0 < info.value.iterations < 30
+    assert 0.0 < info.value.residual < 1e-10
 
 
 def test_decay_check_raises_on_small_domain():
