@@ -20,7 +20,9 @@ from .dynamics import (
     stable_dt,
 )
 from .elliptic import (
+    LinearizedOperator,
     Profile,
+    assemble_L,
     compute_R_omega,
     compute_T_lambda,
     continue_profile,
@@ -55,9 +57,7 @@ from .potentials import (
     resolve_potentials,
 )
 from .spectrum import (
-    LinearizedOperator,
     SpectrumReport,
-    assemble_L,
     build_spectrum_report,
     eig_low,
     gss_classify,

@@ -20,15 +20,24 @@ A scenario is a JSON file:
     }
 
 Potential terms are `gaussian` (amplitude, center, width) or `quadratic`
-(matrix, center).  Epsilons are deduplicated and sorted descending so
-each continuation re-marches from the limit state toward harder targets
-last.  The pipeline per scenario: locate the concentration point, check
-the standing assumptions, solve the limit state, then per epsilon run
-the enabled analyses; failures inside one block are recorded in place of
+(matrix, center).  Unknown keys are rejected with a JSON pointer to the
+key.  Each part of the schema is defined once (the key tuples, the term
+classes and `_DYNAMICS_FIELDS`, whose defaults are those of
+`DynamicsOptions`), and both `parse_scenario_dict` and `emit_config`
+read it.  Epsilons are deduplicated and sorted descending so each
+continuation re-marches from the limit state toward harder targets
+last.  Automatic grids have a desk-scale size cap; a dynamics run that
+would need more nodes (in 2d, practically every one) records a
+GridTooSmall error in its block, and "/dynamics/grid" must be pinned.
+The pipeline per scenario: locate the concentration point, check the
+standing assumptions, solve the limit state, then per epsilon run the
+enabled analyses; failures inside one block are recorded in place of
 its results and turn the exit status nonzero without aborting the rest.
 
 Subcommands: analyze, evolve (dynamics only), sweep (requires a top
-level "omegas" list), report (re-export a written report).  The physics
+level "omegas" list; every point is parsed before the first runs),
+report (re-export a written report).  All read their file through one
+loader, so invalid JSON is a config error at "/".  The physics
 verdict never sets the exit status; only computational failure does.
 """
 
@@ -39,7 +48,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +58,7 @@ from . import io as kio
 from . import spectrum as spx
 from . import stability as st
 from .elliptic import Profile, continue_profile, solve_limit_ground_state
-from .errors import KgError, SchemaError
+from .errors import GridTooSmall, KgError, SchemaError
 from .grids import Grid
 from .potentials import (
     EffectiveZ,
@@ -95,7 +104,40 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# the scenario schema: one definition per part, read by parse and emit
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_PARAM_KEYS = ("dimension", "p", "m", "omega", "mode")
+_SCENARIO_KEYS = (
+    *_PARAM_KEYS, "potentials", "epsilons", "analyses", "dynamics", "grid",
+    "critical_guess", "tol", "domega", "out",
+)
+_GRID_KEYS = ("geometry", "extent", "n")
+_TERM_TYPES = {"gaussian": GaussianTerm, "quadratic": QuadraticTerm}
+_NUMBER = (_is_number, "expected a number")
+# key -> (check, message); the defaults are those of DynamicsOptions
+_DYNAMICS_FIELDS = {
+    "delta": _NUMBER,
+    "kind": (
+        lambda v: v in ("radial-bump", "random-smooth", "none"),
+        "expected radial-bump | random-smooth | none",
+    ),
+    "seed": (_is_int, "expected an integer"),
+    "T_over_epsilon": _NUMBER,
+    "dt_factor": _NUMBER,
+    "order": (lambda v: _is_int(v) and v in (2, 4), "expected 2 or 4"),
+    "record_every": (lambda v: _is_int(v) and v > 0, "expected a positive integer"),
+    "tube_stay": _NUMBER,
+    "tube_exit": _NUMBER,
+}
 
 
 def _expect(cond: bool, ptr: str, msg: str) -> None:
@@ -103,168 +145,128 @@ def _expect(cond: bool, ptr: str, msg: str) -> None:
         raise SchemaError(ptr, msg)
 
 
+def _reject_unknown(raw: dict, known, ptr: str) -> None:
+    for key in raw:
+        _expect(key in known, f"{ptr}/{key}", f"unknown key (valid: {', '.join(known)})")
+
+
 def _number(raw: dict, key: str, ptr: str, default=None, required: bool = False):
     if key not in raw:
         _expect(not required, f"{ptr}/{key}", "missing required field")
         return default
-    val = raw[key]
-    _expect(
-        isinstance(val, (int, float)) and not isinstance(val, bool),
-        f"{ptr}/{key}",
-        "expected a number",
-    )
-    return float(val)
+    _expect(_is_number(raw[key]), f"{ptr}/{key}", "expected a number")
+    return float(raw[key])
 
 
 def _vector(val, dim: int, ptr: str) -> tuple:
-    _expect(
-        isinstance(val, list) and len(val) == dim,
-        ptr,
-        f"expected a length-{dim} array",
-    )
+    _expect(isinstance(val, list) and len(val) == dim, ptr, f"expected a length-{dim} array")
     for i, x in enumerate(val):
-        _expect(
-            isinstance(x, (int, float)) and not isinstance(x, bool),
-            f"{ptr}/{i}",
-            "expected a number",
-        )
+        _expect(_is_number(x), f"{ptr}/{i}", "expected a number")
     return tuple(float(x) for x in val)
+
+
+def _parse_term(t, dim: int, tp: str):
+    _expect(isinstance(t, dict), tp, "expected a term object")
+    kind = t.get("type")
+    known = isinstance(kind, str) and kind in _TERM_TYPES
+    _expect(known, f"{tp}/type", "expected 'gaussian' or 'quadratic'")
+    cls = _TERM_TYPES[kind]
+    _reject_unknown(t, ("type", *(f.name for f in fields(cls))), tp)
+    center = _vector(t.get("center", [0.0] * dim), dim, f"{tp}/center")
+    if cls is GaussianTerm:
+        amp = _number(t, "amplitude", tp, required=True)
+        args = (amp, center, _number(t, "width", tp, default=1.0))
+    else:
+        m = t.get("matrix")
+        _expect(isinstance(m, list) and len(m) == dim, f"{tp}/matrix", f"expected a {dim}x{dim} matrix")
+        args = (tuple(_vector(r, dim, f"{tp}/matrix/{j}") for j, r in enumerate(m)), center)
+    try:
+        return cls(*args)
+    except SchemaError as exc:
+        # the term reports "/potential/<field>"; splice into this term's pointer
+        raise SchemaError(tp + exc.path.removeprefix("/potential"), exc.reason) from None
 
 
 def _parse_terms(raw, dim: int, ptr: str) -> tuple:
     if raw is None:
         return ()
     _expect(isinstance(raw, list), ptr, "expected an array of potential terms")
-    terms = []
-    for i, t in enumerate(raw):
-        tp = f"{ptr}/{i}"
-        _expect(isinstance(t, dict), tp, "expected a term object")
-        kind = t.get("type")
-        if kind == "gaussian":
-            amp = _number(t, "amplitude", tp, required=True)
-            width = _number(t, "width", tp, default=1.0)
-            center = _vector(t.get("center", [0.0] * dim), dim, f"{tp}/center")
-            _expect(width > 0.0, f"{tp}/width", "width must be positive")
-            terms.append(GaussianTerm(amp, center, width))
-        elif kind == "quadratic":
-            m = t.get("matrix")
-            _expect(isinstance(m, list) and len(m) == dim, f"{tp}/matrix", f"expected a {dim}x{dim} matrix")
-            rows = tuple(_vector(r, dim, f"{tp}/matrix/{j}") for j, r in enumerate(m))
-            center = _vector(t.get("center", [0.0] * dim), dim, f"{tp}/center")
-            try:
-                terms.append(QuadraticTerm(rows, center))
-            except SchemaError as exc:
-                raise SchemaError(f"{tp}/matrix", exc.reason) from None
-        else:
-            raise SchemaError(f"{tp}/type", "expected 'gaussian' or 'quadratic'")
-    return tuple(terms)
+    return tuple(_parse_term(t, dim, f"{ptr}/{i}") for i, t in enumerate(raw))
 
 
 def _parse_grid(raw, dim: int, ptr: str) -> Grid | None:
     if raw is None:
         return None
     _expect(isinstance(raw, dict), ptr, "expected a grid object")
+    _reject_unknown(raw, _GRID_KEYS, ptr)
     geometry = raw.get("geometry", "line" if dim == 1 else "box")
     extent = _number(raw, "extent", ptr, required=True)
-    n = raw.get("n")
-    _expect(isinstance(n, int) and not isinstance(n, bool), f"{ptr}/n", "expected an integer")
+    _expect(_is_int(raw.get("n")), f"{ptr}/n", "expected an integer")
     try:
-        return Grid(dim, geometry, extent, n)
+        return Grid(dim, geometry, extent, raw["n"])
     except SchemaError as exc:
         # Grid reports "/grid/<field>"; splice into this config's pointer
         tail = exc.path.removeprefix("/grid")
         raise SchemaError(f"{ptr}{tail}", exc.reason) from None
 
 
+def _parse_dynamics(raw, dim: int) -> DynamicsOptions:
+    _expect(isinstance(raw, dict), "/dynamics", "expected an object")
+    _reject_unknown(raw, (*_DYNAMICS_FIELDS, "grid"), "/dynamics")
+    values = {}
+    for key, (check, msg) in _DYNAMICS_FIELDS.items():
+        if key in raw:
+            _expect(check(raw[key]), f"/dynamics/{key}", msg)
+            values[key] = float(raw[key]) if check is _is_number else raw[key]
+    return DynamicsOptions(**values, grid=_parse_grid(raw.get("grid"), dim, "/dynamics/grid"))
+
+
 def parse_scenario_dict(raw: dict) -> ScenarioConfig:
     _expect(isinstance(raw, dict), "", "config root must be an object")
+    _reject_unknown(raw, _SCENARIO_KEYS, "")
     dim = raw.get("dimension")
-    _expect(isinstance(dim, int) and not isinstance(dim, bool), "/dimension", "expected an integer")
+    _expect(_is_int(dim), "/dimension", "expected an integer")
     p = _number(raw, "p", "", required=True)
     m = _number(raw, "m", "", required=True)
     omega = _number(raw, "omega", "", required=True)
     mode = raw.get("mode", "general")
 
     eps_raw = raw.get("epsilons")
-    _expect(
-        isinstance(eps_raw, list) and len(eps_raw) > 0,
-        "/epsilons",
-        "expected a nonempty array",
-    )
+    nonempty = isinstance(eps_raw, list) and len(eps_raw) > 0
+    _expect(nonempty, "/epsilons", "expected a nonempty array")
     for i, e in enumerate(eps_raw):
-        _expect(
-            isinstance(e, (int, float)) and not isinstance(e, bool) and e >= 0.0,
-            f"/epsilons/{i}",
-            "expected a number >= 0",
-        )
+        _expect(_is_number(e) and e >= 0.0, f"/epsilons/{i}", "expected a number >= 0")
     epsilons = tuple(sorted({float(e) for e in eps_raw}, reverse=True))
 
     try:
-        params = ProblemParams(
-            dimension=dim, p=p, m=m, omega=omega, epsilon=epsilons[0], mode=mode
-        )
+        params = ProblemParams(dim, p, m, omega, epsilons[0], mode)
     except SchemaError as exc:
         raise SchemaError(exc.path.removeprefix("/params"), exc.reason) from None
 
     pots = raw.get("potentials", {})
     _expect(isinstance(pots, dict), "/potentials", "expected an object")
+    _reject_unknown(pots, ("V", "W"), "/potentials")
     v_terms = _parse_terms(pots.get("V"), dim, "/potentials/V")
     w_terms = _parse_terms(pots.get("W"), dim, "/potentials/W")
     spec_v = PotentialSpec(dimension=dim, terms=v_terms) if v_terms else None
     spec_w = PotentialSpec(dimension=dim, terms=w_terms) if w_terms else None
     pair = resolve_potentials(params, spec_v, spec_w)
 
-    analyses_raw = raw.get(
-        "analyses",
-        {"slope_numeric": True, "slope_asymptotic": True, "spectrum": True},
-    )
+    analyses_raw = raw.get("analyses", dict.fromkeys(ANALYSES[:3], True))
     _expect(isinstance(analyses_raw, dict), "/analyses", "expected an object")
-    for key in analyses_raw:
-        _expect(key in ANALYSES, f"/analyses/{key}", f"unknown analysis (valid: {', '.join(ANALYSES)})")
+    _reject_unknown(analyses_raw, ANALYSES, "/analyses")
     enabled = tuple(a for a in ANALYSES if analyses_raw.get(a, False))
     _expect(len(enabled) > 0, "/analyses", "at least one analysis must be enabled")
     if dim == 3:
-        _expect(
-            enabled == ("slope_asymptotic",),
-            "/analyses",
-            "dimension 3 supports only slope_asymptotic at desk scale",
-        )
-    if "dynamics" in enabled:
-        _expect(dim <= 2, "/analyses/dynamics", "time evolution runs in dimension 1 or 2")
-
+        msg = "dimension 3 supports only slope_asymptotic at desk scale"
+        _expect(enabled == ("slope_asymptotic",), "/analyses", msg)
     dyn_opts = None
     if "dynamics" in enabled:
-        draw = raw.get("dynamics", {})
-        _expect(isinstance(draw, dict), "/dynamics", "expected an object")
-        kind = draw.get("kind", "radial-bump")
-        _expect(
-            kind in ("radial-bump", "random-smooth", "none"),
-            "/dynamics/kind",
-            "expected radial-bump | random-smooth | none",
-        )
-        seed = draw.get("seed", 0)
-        _expect(isinstance(seed, int) and not isinstance(seed, bool), "/dynamics/seed", "expected an integer")
-        order = draw.get("order", 2)
-        _expect(order in (2, 4), "/dynamics/order", "expected 2 or 4")
-        rec = draw.get("record_every", 20)
-        _expect(isinstance(rec, int) and rec > 0, "/dynamics/record_every", "expected a positive integer")
-        dyn_opts = DynamicsOptions(
-            delta=_number(draw, "delta", "/dynamics", default=1e-3),
-            kind=kind,
-            seed=seed,
-            T_over_epsilon=_number(draw, "T_over_epsilon", "/dynamics", default=100.0),
-            dt_factor=_number(draw, "dt_factor", "/dynamics", default=0.2),
-            order=order,
-            record_every=rec,
-            tube_stay=_number(draw, "tube_stay", "/dynamics", default=10.0),
-            tube_exit=_number(draw, "tube_exit", "/dynamics", default=100.0),
-            grid=_parse_grid(draw.get("grid"), dim, "/dynamics/grid"),
-        )
+        _expect(dim <= 2, "/analyses/dynamics", "time evolution runs in dimension 1 or 2")
+        dyn_opts = _parse_dynamics(raw.get("dynamics", {}), dim)
 
     guess = raw.get("critical_guess")
-    critical_guess = (
-        _vector(guess, dim, "/critical_guess") if guess is not None else (0.0,) * dim
-    )
+    critical_guess = (0.0,) * dim if guess is None else _vector(guess, dim, "/critical_guess")
     tol = _number(raw, "tol", "", default=1e-10)
     domega = _number(raw, "domega", "", default=None)
     out = raw.get("out")
@@ -284,46 +286,35 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
     )
 
 
-def parse_scenario(path) -> ScenarioConfig:
+def _load_json(path):
+    """The parsed JSON file; malformed JSON is a schema error at the root."""
     try:
         with open(path) as f:
-            raw = json.load(f)
+            return json.load(f)
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"invalid JSON: {exc}") from None
-    return parse_scenario_dict(raw)
+
+
+def parse_scenario(path) -> ScenarioConfig:
+    return parse_scenario_dict(_load_json(path))
 
 
 def emit_config(config: ScenarioConfig) -> dict:
     """Canonical dict form; parse_scenario_dict(emit_config(c)) == c."""
+    term_types = {cls: name for name, cls in _TERM_TYPES.items()}
 
     def term_dict(t):
-        if isinstance(t, GaussianTerm):
-            return {
-                "type": "gaussian",
-                "amplitude": t.amplitude,
-                "center": list(t.center),
-                "width": t.width,
-            }
-        return {
-            "type": "quadratic",
-            "matrix": [list(r) for r in t.matrix],
-            "center": list(t.center),
-        }
+        return {"type": term_types[type(t)], **kio.to_jsonable(t)}
 
     def grid_dict(g):
-        return None if g is None else {"geometry": g.geometry, "extent": g.extent, "n": g.n}
+        return {k: getattr(g, k) for k in _GRID_KEYS}
 
     out: dict = {
-        "dimension": config.params.dimension,
-        "p": config.params.p,
-        "m": config.params.m,
-        "omega": config.params.omega,
-        "mode": config.params.mode,
+        **{k: getattr(config.params, k) for k in _PARAM_KEYS},
+        # in covariant mode W = V^2 is derived and spec_W holds no terms
         "potentials": {
             "V": [term_dict(t) for t in config.pair.spec_V.terms],
-            "W": []
-            if config.params.mode == "covariant"
-            else [term_dict(t) for t in config.pair.spec_W.terms],
+            "W": [term_dict(t) for t in config.pair.spec_W.terms],
         },
         "epsilons": list(config.epsilons),
         "analyses": {a: a in config.analyses for a in ANALYSES},
@@ -336,17 +327,7 @@ def emit_config(config: ScenarioConfig) -> dict:
         out["grid"] = grid_dict(config.grid)
     if config.dynamics is not None:
         d = config.dynamics
-        out["dynamics"] = {
-            "delta": d.delta,
-            "kind": d.kind,
-            "seed": d.seed,
-            "T_over_epsilon": d.T_over_epsilon,
-            "dt_factor": d.dt_factor,
-            "order": d.order,
-            "record_every": d.record_every,
-            "tube_stay": d.tube_stay,
-            "tube_exit": d.tube_exit,
-        }
+        out["dynamics"] = {k: getattr(d, k) for k in _DYNAMICS_FIELDS}
         if d.grid is not None:
             out["dynamics"]["grid"] = grid_dict(d.grid)
     if config.out is not None:
@@ -378,10 +359,12 @@ def _auto_dynamics_grid(dim: int, z0: float, t_over_eps: float) -> Grid:
     root = np.sqrt(z0)
     extent = 20.0 / root + t_over_eps + 10.0
     h = 0.05 / root
-    n = min(int(round(2.0 * extent / h)) + 1, 32001)
-    if dim == 1:
-        return Grid(1, "line", extent, n)
-    return Grid(dim, "box", extent, min(n, 481))
+    n = int(round(2.0 * extent / h)) + 1
+    cap = 32001 if dim == 1 else 481
+    if n > cap:
+        msg = f"dynamics needs n = {n} nodes per axis, above the desk-scale cap {cap}"
+        raise GridTooSmall(f"{msg}; pin /dynamics/grid")
+    return Grid(dim, "line" if dim == 1 else "box", extent, n)
 
 
 # ---------------------------------------------------------------------------
@@ -706,20 +689,21 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as f:
-        raw = json.load(f)
+    raw = _load_json(args.config)
+    _expect(isinstance(raw, dict), "", "config root must be an object")
     omegas = raw.pop("omegas", None)
-    if not isinstance(omegas, list) or not omegas:
-        raise SchemaError("/omegas", "sweep needs a nonempty omegas array")
+    nonempty = isinstance(omegas, list) and len(omegas) > 0
+    _expect(nonempty, "/omegas", "sweep needs a nonempty omegas array")
+    for i, om in enumerate(omegas):
+        _expect(_is_number(om), f"/omegas/{i}", "expected a number")
+    # every point is checked before the first one runs
+    configs = [
+        _apply_overrides(parse_scenario_dict(dict(raw, omega=float(om))), args) for om in omegas
+    ]
+    out_dir = Path(configs[0].out or "kgstab-out")
     rows = []
     worst = 0
-    out_dir = Path(args.out or raw.get("out") or "kgstab-out")
-    for i, om in enumerate(omegas):
-        if not isinstance(om, (int, float)) or isinstance(om, bool):
-            raise SchemaError(f"/omegas/{i}", "expected a number")
-        sub = dict(raw)
-        sub["omega"] = float(om)
-        config = _apply_overrides(parse_scenario_dict(sub), args)
+    for om, config in zip(omegas, configs):
         report, code = run_scenario(config, threads=args.threads)
         worst = max(worst, code)
         report.pop("_trajectories", None)
@@ -747,7 +731,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = kio.read_report(args.report)
+    report = _load_json(args.report)
+    _expect(isinstance(report, dict), "", "report root must be an object")
     if args.format == "json":
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")

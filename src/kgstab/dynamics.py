@@ -143,15 +143,12 @@ def _perturbation_field(profile: Profile, pert: Perturbation) -> np.ndarray:
         return (envelope * profile.values).astype(complex)
     if pert.kind == "random-smooth":
         rng = np.random.default_rng(pert.seed)
-        axes = [np.sin(np.pi * np.arange(1, 7)[:, None] * (ax + g.extent) / (2.0 * g.extent))
-                for ax in [g.axis] * g.dimension]
-        raw = np.zeros(g.shape, dtype=complex)
-        if g.geometry == "line":
-            coef = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            raw = np.tensordot(coef, axes[0], axes=(0, 0))
-        else:
-            coef = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            raw = np.einsum("kl,ki,lj->ij", coef, axes[0], axes[1])
+        modes = np.sin(np.pi * np.arange(1, 7)[:, None] * (g.axis + g.extent) / (2.0 * g.extent))
+        shape = (6,) * g.dimension
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # contract one mode index per axis; each new axis lands last
+        for _ in range(g.dimension):
+            raw = np.tensordot(raw, modes, axes=(0, 0))
         return raw * envelope
     raise ValueError(f"unknown perturbation kind: {pert.kind!r}")
 

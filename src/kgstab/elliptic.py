@@ -1,5 +1,6 @@
 """Ground-state profiles: the limit problem, continuation in epsilon,
-and the two derivative fields used by the stability analysis.
+the linearized operator L at a profile, and the two derivative fields
+used by the stability analysis.
 
 Limit problem (constant coefficient c = Z(x0) > 0):
 
@@ -230,9 +231,10 @@ def solve_limit_ground_state(
 
 
 def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, center, epsilon):
+    """Z(center + epsilon y) on the grid's interior nodes."""
     x = np.asarray(center) + epsilon * grid.points()
     z, _, _ = eval_Z(params, pair, x)
-    return z
+    return grids.extract_interior(grid, z)
 
 
 def _even_projector(grid: Grid, z_int: np.ndarray):
@@ -375,9 +377,7 @@ def continue_profile(
     min_step = abs(target) * 1e-4
     while eps_now < target:
         eps_try = min(eps_now + step, target)
-        z_int = grids.extract_interior(
-            grid, _z_on_grid(params, pair, grid, center, eps_try)
-        )
+        z_int = _z_on_grid(params, pair, grid, center, eps_try)
         try:
             psi_new, res = _newton(grid, z_int, params.p, psi, w, tol)
         except (NoConvergence, SingularOperator) as exc:
@@ -422,9 +422,7 @@ def resolve_at_omega(
     """
     grid = profile.grid
     w = grids.extract_interior(grid, grid.weights())
-    z_int = grids.extract_interior(
-        grid, _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
-    )
+    z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     psi = grids.extract_interior(grid, profile.values)
     psi, res = _newton(grid, z_int, params.p, psi, w, tol)
     values = grids.insert_interior(grid, psi)
@@ -492,20 +490,31 @@ def compute_T_lambda(profile: Profile) -> np.ndarray:
     return -profile.values / (profile.p - 1.0) - 0.5 * ydotgrad
 
 
-def _linearized_matrix(profile: Profile, params: ProblemParams, pair: PotentialPair):
+@dataclass(frozen=True)
+class LinearizedOperator:
+    grid: Grid
+    diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on interior nodes
+    epsilon: float
+
+    def matrix(self) -> sp.csr_array:
+        return (grids.neg_laplacian(self.grid) + sp.diags_array(self.diagonal)).tocsr()
+
+
+def assemble_L(
+    profile: Profile, params: ProblemParams, pair: PotentialPair
+) -> LinearizedOperator:
+    """L = -lap + Z(x0 + eps y) - p |phi|^(p-1) on the profile's interior nodes.
+
+    Line and box grids only: those are the geometries with a symmetric
+    Laplacian, which the eigensolvers require.
+    """
     grid = profile.grid
-    if profile.epsilon == 0.0 and grid.geometry == "radial":
-        # limit operator on the radial grid: constant coefficient
-        x0 = np.asarray(profile.center)
-        zval, _, _ = eval_Z(params, pair, x0)
-        z_int = np.full(grid.n_interior(), float(zval))
-    else:
-        z_int = grids.extract_interior(
-            grid, _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
-        )
-    phi_int = grids.extract_interior(grid, profile.values)
-    A = grids.neg_laplacian(grid)
-    return (A + sp.diags_array(z_int - params.p * np.abs(phi_int) ** (params.p - 1.0))).tocsc()
+    if grid.geometry == "radial":
+        raise ValueError("assemble_L needs a line or box grid (symmetric stencil)")
+    zvals = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
+    phi = grids.extract_interior(grid, profile.values)
+    diag = zvals - params.p * np.abs(phi) ** (params.p - 1.0)
+    return LinearizedOperator(grid=grid, diagonal=diag, epsilon=profile.epsilon)
 
 
 def compute_R_omega(
@@ -533,7 +542,7 @@ def compute_R_omega(
     v, _, _ = pair.V(x)
     rhs_full = 2.0 * (params.omega + v) * profile.values
     rhs = grids.extract_interior(grid, rhs_full)
-    L = _linearized_matrix(profile, params, pair)
+    L = assemble_L(profile, params, pair).matrix().tocsc()
 
     if method == "linear-solve":
         try:

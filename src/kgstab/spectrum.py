@@ -1,11 +1,13 @@
-"""Linearized operator, low spectrum, and the GSS verdict.
+"""Low spectrum of the linearized operator, and the GSS verdict.
 
 The self-adjoint operator controlling the spectral half of the
 classification is
 
     L = -lap + Z(x0 + eps y) - p |phi|^(p-1)
 
-on the profile's grid with Dirichlet walls.  Its negative-eigenvalue
+on the profile's grid with Dirichlet walls (assembled once, by
+`elliptic.assemble_L`, for both the spectrum and the frequency
+derivative).  Its negative-eigenvalue
 count combines with the slope sign: one negative eigenvalue plus a
 negative slope gives stability, while an odd value of
 n_negative - p(omega) gives instability (p(omega) = 1 when the slope is
@@ -33,25 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from . import grids
-from .elliptic import Profile, _z_on_grid
+from .elliptic import LinearizedOperator, Profile, assemble_L
 from .errors import EigSolverFailure
 from .potentials import EffectiveZ, PotentialPair, ProblemParams
 from .stability import SlopeReport
-
-
-@dataclass(frozen=True)
-class LinearizedOperator:
-    grid: grids.Grid
-    diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on interior nodes
-    epsilon: float
-
-    def matrix(self) -> sp.csr_array:
-        return (grids.neg_laplacian(self.grid) + sp.diags_array(self.diagonal)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -68,25 +58,6 @@ class SpectrumReport:
     p_omega: int | None = None
 
 
-def assemble_L(
-    profile: Profile, params: ProblemParams, pair: PotentialPair
-) -> LinearizedOperator:
-    """Discrete L on the profile's interior nodes.
-
-    Line and box grids only: those are the geometries with a symmetric
-    Laplacian, which the eigensolvers below require.
-    """
-    grid = profile.grid
-    if grid.geometry == "radial":
-        raise ValueError("assemble_L needs a line or box grid (symmetric stencil)")
-    zvals = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
-    phi = grids.extract_interior(grid, profile.values)
-    diag = grids.extract_interior(grid, zvals) - params.p * np.abs(phi) ** (
-        params.p - 1.0
-    )
-    return LinearizedOperator(grid=grid, diagonal=diag, epsilon=profile.epsilon)
-
-
 def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """The k algebraically smallest eigenvalues, ascending.
 
@@ -97,15 +68,13 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """
     n = op.grid.n_interior()
     k = min(k, n - 1)
+    a = op.matrix()
     if op.grid.geometry == "line":
-        h = op.grid.h
-        main = 2.0 / h**2 + op.diagonal
-        off = np.full(n - 1, -1.0 / h**2)
         vals = eigh_tridiagonal(
-            main, off, select="i", select_range=(0, k - 1), eigvals_only=True
+            a.diagonal(), a.diagonal(1), select="i", select_range=(0, k - 1), eigvals_only=True
         )
         return np.asarray(vals)
-    a = op.matrix().tocsc()
+    a = a.tocsc()
     sigma = float(np.min(op.diagonal)) - 1.0
     # fixed-seed start vector: reproducible reports, generic against symmetry
     v0 = np.random.default_rng(1905).standard_normal(n)

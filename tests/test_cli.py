@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgstab.cli import (
+    _DYNAMICS_FIELDS,
     _error_entry,
     emit_config,
     main,
@@ -168,6 +171,21 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "evolve", "report"])
+def test_invalid_json_is_a_config_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main([command, str(bad)]) == 2
+    assert "config error at /: invalid JSON" in capsys.readouterr().err
+
+
+def test_report_of_a_non_object_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_text("[1, 2]")
+    assert main(["report", str(bad), "--format", "csv", "--out", str(tmp_path / "o")]) == 2
+    assert "config error at /: report root must be an object" in capsys.readouterr().err
+
+
 def test_evolve_subcommand(tmp_path, capsys):
     cfg = cfg_file(
         tmp_path,
@@ -251,3 +269,163 @@ def test_error_entry_keeps_solver_evidence():
     assert "residual" not in partial["error"]
     plain = _error_entry(GridTooSmall("domain too small"))
     assert plain == {"error": {"type": "GridTooSmall", "message": "domain too small"}}
+
+
+# -- one schema for parse and emit -------------------------------------------
+
+NUM = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+DYNAMICS_BLOCKS = st.fixed_dictionaries(
+    {},
+    optional={
+        "delta": NUM,
+        "kind": st.sampled_from(["radial-bump", "random-smooth", "none"]),
+        "seed": st.integers(0, 2**31),
+        "T_over_epsilon": NUM,
+        "dt_factor": NUM,
+        "order": st.sampled_from([2, 4]),
+        "record_every": st.integers(1, 10**6),
+        "tube_stay": NUM,
+        "tube_exit": NUM,
+        "grid": st.fixed_dictionaries(
+            {"extent": st.floats(0.5, 100.0), "n": st.integers(8, 5000)},
+            optional={"geometry": st.just("line")},
+        ),
+    },
+)
+CENTERS = st.lists(NUM, min_size=1, max_size=1)
+TERMS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("gaussian"), "amplitude": NUM},
+        optional={"center": CENTERS, "width": st.floats(1e-3, 1e3)},
+    ),
+    st.fixed_dictionaries(
+        {"type": st.just("quadratic"), "matrix": st.lists(CENTERS, min_size=1, max_size=1)},
+        optional={"center": CENTERS},
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DYNAMICS_BLOCKS, st.lists(TERMS, max_size=3), st.lists(TERMS, max_size=3))
+def test_emit_parse_round_trip(dynamics, v_terms, w_terms):
+    raw = json.loads(json.dumps(BASE))
+    raw["analyses"] = {"dynamics": True, "spectrum": True}
+    raw["dynamics"] = dynamics
+    raw["potentials"] = {"V": v_terms, "W": w_terms}
+    cfg = parse_scenario_dict(raw)
+    emitted = emit_config(cfg)
+    assert parse_scenario_dict(emitted) == cfg
+    assert emit_config(parse_scenario_dict(json.loads(json.dumps(emitted)))) == emitted
+
+
+BAD_DYNAMICS = {
+    "delta": "1e-3",
+    "kind": "gaussian",
+    "seed": True,
+    "T_over_epsilon": None,
+    "dt_factor": [0.2],
+    "order": 3,
+    "record_every": True,
+    "tube_stay": False,
+    "tube_exit": {},
+}
+
+
+def test_every_dynamics_field_has_a_rejection_case():
+    assert set(BAD_DYNAMICS) == set(_DYNAMICS_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    sorted(BAD_DYNAMICS.items()) + [("record_every", 0), ("seed", 1.5), ("order", 2.0)],
+)
+def test_dynamics_field_rejected_with_pointer(key, value):
+    raw = json.loads(json.dumps(BASE))
+    raw["analyses"] = {"dynamics": True}
+    raw["dynamics"] = {key: value}
+    assert pointer_of(lambda: parse_scenario_dict(raw)) == f"/dynamics/{key}"
+
+
+@pytest.mark.parametrize(
+    "edit, pointer",
+    [
+        (lambda r: r.update(grdi={}), "/grdi"),
+        (lambda r: r.update(omegas=[0.9]), "/omegas"),
+        (lambda r: r["potentials"].update(U=[]), "/potentials/U"),
+        (lambda r: r["potentials"]["W"][0].update(widht=2.0), "/potentials/W/0/widht"),
+        (
+            lambda r: r["potentials"].update(V=[{"type": "quadratic", "matrix": [[1.0]], "width": 1.0}]),
+            "/potentials/V/0/width",
+        ),
+        (lambda r: r["grid"].update(N=10), "/grid/N"),
+        (lambda r: r["analyses"].update(slope=True), "/analyses/slope"),
+        (
+            lambda r: r.update(analyses={"dynamics": True}, dynamics={"T_over_eps": 10.0}),
+            "/dynamics/T_over_eps",
+        ),
+        (
+            lambda r: r.update(analyses={"dynamics": True}, dynamics={"grid": {"extent": 9.0, "n": 9, "h": 1}}),
+            "/dynamics/grid/h",
+        ),
+    ],
+)
+def test_unknown_key_rejected_with_pointer(edit, pointer):
+    raw = json.loads(json.dumps(BASE))
+    edit(raw)
+    assert pointer_of(lambda: parse_scenario_dict(raw)) == pointer
+
+
+def test_run_scenario_threads_match_serial():
+    cfg = parse_scenario_dict(
+        dict(
+            BASE,
+            epsilons=[0.1, 0.05],
+            analyses={"slope_asymptotic": True, "spectrum": True},
+            grid={"geometry": "line", "extent": 40.0, "n": 801},
+        )
+    )
+    assert run_scenario(cfg, threads=2) == run_scenario(cfg, threads=1)
+
+
+def test_unpinned_2d_dynamics_grid_is_an_error_entry():
+    cfg = parse_scenario_dict(
+        {
+            "dimension": 2,
+            "p": 3.0,
+            "m": 1.0,
+            "omega": 0.5,
+            "potentials": {
+                "W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, 0.3]]}]
+            },
+            "epsilons": [0.05],
+            "analyses": {"dynamics": True},
+        }
+    )
+    report, code = run_scenario(cfg)
+    assert code == 1
+    err = report["blocks"][0]["dynamics"]["error"]
+    assert err["type"] == "GridTooSmall"
+    assert "/dynamics/grid" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text, pointer",
+    [
+        ("{not json", "/"),
+        ("[1, 2]", "/"),
+        (json.dumps(dict(BASE, omegas=[0.9], out=5)), "/out"),
+        (json.dumps(dict(BASE, omegas=[0.9, "x"])), "/omegas/1"),
+        (json.dumps(dict(BASE, omegas=[])), "/omegas"),
+        (json.dumps(dict(BASE, omegas=[0.9, 0.3], grid={"extent": 1.0, "n": 2001, "m": 4})), "/grid/m"),
+    ],
+    ids=["invalid-json", "array-root", "out-not-string", "bad-omega", "no-omegas", "unknown-grid-key"],
+)
+def test_sweep_config_errors(tmp_path, monkeypatch, capsys, text, pointer):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.json").write_text(text)
+    assert main(["sweep", "sweep.json"]) == 2
+    assert f"config error at {pointer}:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "sweep.json"]

@@ -166,3 +166,21 @@ def test_charge_formula(wave):
     st = fresh_state(wave)
     # standing wave with V = 0: Q = eps * omega * ||phi||^2
     assert charge(st) == pytest.approx(EPS * params.omega * prof.mass(), rel=1e-10)
+
+
+def test_random_smooth_varies_along_every_axis_in_3d():
+    # the random factor field/envelope must depend on all three axes
+    from kgstab.dynamics import _perturbation_field, _rms_width
+    from kgstab.elliptic import Profile
+
+    g = Grid(3, "box", 4.0, 13)
+    values = np.exp(-np.sum(g.points() ** 2, axis=-1))
+    prof = Profile(g, values, 0.9, EPS, 3.0, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0))
+    field = _perturbation_field(prof, Perturbation("random-smooth", 1e-3, 5))
+    assert field.shape == g.shape
+    s = _rms_width(prof)
+    envelope = np.exp(-np.sum(g.points() ** 2, axis=-1) / (2.0 * s**2))
+    factor = field / envelope
+    for axis in range(3):
+        spread = np.abs(np.diff(factor, axis=axis)).max()
+        assert spread > 1e-3 * np.abs(factor).max(), axis
