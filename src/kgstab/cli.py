@@ -694,8 +694,15 @@ def _cmd_sweep(args) -> int:
     omegas = raw.pop("omegas", None)
     nonempty = isinstance(omegas, list) and len(omegas) > 0
     _expect(nonempty, "/omegas", "sweep needs a nonempty omegas array")
+    names = {}  # report file name -> index of the omega that writes it
     for i, om in enumerate(omegas):
         _expect(_is_number(om), f"/omegas/{i}", "expected a number")
+        name = f"report_omega_{om:g}.json"
+        if name in names:
+            raise SchemaError(
+                f"/omegas/{i}", f"{om!r} writes {name}, as /omegas/{names[name]} does"
+            )
+        names[name] = i
     # every point is checked before the first one runs
     configs = [
         _apply_overrides(parse_scenario_dict(dict(raw, omega=float(om))), args) for om in omegas
@@ -703,13 +710,11 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(configs[0].out or "kgstab-out")
     rows = []
     worst = 0
-    for om, config in zip(omegas, configs):
+    for om, name, config in zip(omegas, names, configs):
         report, code = run_scenario(config, threads=args.threads)
         worst = max(worst, code)
         report.pop("_trajectories", None)
-        kio.write_report(
-            report, out_dir / f"report_omega_{om:g}.json", meta={"command": "sweep"}
-        )
+        kio.write_report(report, out_dir / name, meta={"command": "sweep"})
         for block in report["blocks"]:
             sl = block.get("slope", {})
             rows.append(

@@ -13,6 +13,15 @@ negative slope gives stability, while an odd value of
 n_negative - p(omega) gives instability (p(omega) = 1 when the slope is
 negative, else 0).
 
+The count and the low eigenvalues come from `eig_low`.  On a line grid
+L is tridiagonal and solved densely.  On a box grid the spectrum is
+sliced at zero (Parlett, *The Symmetric Eigenvalue Problem*): one
+symmetric LDL^T of L gives the exact number of negative eigenvalues by
+Sylvester's law of inertia, and the same factorization drives
+shift-invert Lanczos at zero for the eigenvalues around the zero
+cluster.  A second, short shift-invert below the spectrum runs only for
+the deep negative eigenvalues that the first one does not reach.
+
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
 with
@@ -35,9 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import elliptic
 from .elliptic import LinearizedOperator, Profile, assemble_L
 from .errors import EigSolverFailure
 from .potentials import EffectiveZ, PotentialPair, ProblemParams
@@ -62,9 +73,22 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """The k algebraically smallest eigenvalues, ascending.
 
     Line grids use the dense symmetric tridiagonal solver (machine
-    precision); box grids use shift-inverted Lanczos with the shift
-    below the diagonal minimum, where L - sigma is positive definite and
-    the transformed ordering is exactly the algebraic one.
+    precision).  Box grids slice the spectrum at zero by inertia:
+
+    1. a symmetric-mode LDL^T of L (no off-diagonal pivoting, so
+       perm_r == perm_c) counts the negative eigenvalues exactly, as the
+       negative pivots on U's diagonal (Sylvester's law of inertia);
+    2. shift-inverted Lanczos at sigma = 0, reusing that factorization,
+       finds the k eigenvalues nearest zero;
+    3. only if that misses some of the negatives, a second shift-invert
+       below the diagonal minimum, where L - sigma is positive definite
+       (factored the same way), finds the lowest missing ones.
+
+    The k smallest of the union are the answer: every eigenvalue nearer
+    zero than the farthest one of step 2 is in it, and the negatives it
+    lacks are the lowest ones.  A failed factorization, a pivoted one, or
+    a result whose negative count disagrees with the inertia raises
+    `EigSolverFailure`.
     """
     n = op.grid.n_interior()
     k = min(k, n - 1)
@@ -75,16 +99,53 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
         )
         return np.asarray(vals)
     a = a.tocsc()
-    sigma = float(np.min(op.diagonal)) - 1.0
     # fixed-seed start vector: reproducible reports, generic against symmetry
     v0 = np.random.default_rng(1905).standard_normal(n)
+    lu = _factor(a)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise EigSolverFailure("LDL^T factorization pivoted off the diagonal: inertia unknown")
+    n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    vals = _shift_invert(a, k, 0.0, lu, v0)
+    missing = n_neg - int(np.count_nonzero(vals < 0.0))
+    if missing > 0:
+        del lu  # never hold two large factorizations at once
+        sigma = float(np.min(op.diagonal)) - 1.0
+        lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
+        vals = np.concatenate([vals, _shift_invert(a, min(missing, k), sigma, lu, v0)])
+    vals = np.sort(vals)[:k]
+    found = int(np.count_nonzero(vals < 0.0))
+    if found != min(n_neg, k):
+        raise EigSolverFailure(
+            f"{found} negative eigenvalues among the lowest {k}, inertia counts {n_neg}"
+        )
+    return vals
+
+
+def _factor(a):
+    """Symmetric-mode SuperLU of `a`.
+
+    Minimum-degree ordering on A + A^T and pivots taken from the
+    diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
+    """
     try:
-        vals = eigsh(a, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False)
+        return elliptic.splu(
+            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+        )
+    except RuntimeError as exc:
+        raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
+
+
+def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray) -> np.ndarray:
+    """The k eigenvalues of `a` nearest sigma; `lu` factors a - sigma I."""
+    op_inv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+    try:
+        return eigsh(
+            a, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, return_eigenvectors=False
+        )
     except ArpackNoConvergence as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos stalled: {exc}") from exc
     except RuntimeError as exc:
-        raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
-    return np.sort(vals)
+        raise EigSolverFailure(f"shift-inverted Lanczos failed: {exc}") from exc
 
 
 def predicted_shifts(limit: Profile, z: EffectiveZ) -> np.ndarray:

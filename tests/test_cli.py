@@ -420,8 +420,18 @@ def test_unpinned_2d_dynamics_grid_is_an_error_entry():
         (json.dumps(dict(BASE, omegas=[0.9, "x"])), "/omegas/1"),
         (json.dumps(dict(BASE, omegas=[])), "/omegas"),
         (json.dumps(dict(BASE, omegas=[0.9, 0.3], grid={"extent": 1.0, "n": 2001, "m": 4})), "/grid/m"),
+        # both would write report_omega_0.9.json
+        (json.dumps(dict(BASE, omegas=[0.9, 0.3, 0.9000001])), "/omegas/2"),
     ],
-    ids=["invalid-json", "array-root", "out-not-string", "bad-omega", "no-omegas", "unknown-grid-key"],
+    ids=[
+        "invalid-json",
+        "array-root",
+        "out-not-string",
+        "bad-omega",
+        "no-omegas",
+        "unknown-grid-key",
+        "report-name-collision",
+    ],
 )
 def test_sweep_config_errors(tmp_path, monkeypatch, capsys, text, pointer):
     monkeypatch.chdir(tmp_path)

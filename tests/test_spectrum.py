@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from kgstab.elliptic import continue_profile, solve_limit_ground_state
+from kgstab import elliptic, spectrum
+from kgstab.elliptic import LinearizedOperator, continue_profile, solve_limit_ground_state
+from kgstab.errors import EigSolverFailure
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
     PotentialSpec,
     ProblemParams,
+    QuadraticTerm,
     find_critical_point,
     resolve_potentials,
 )
@@ -133,3 +139,144 @@ def test_shift_convergence_down_epsilon(s1):
         lam1 = rep.eigenvalues[1] / eps**2
         errs.append(abs(lam1 / rep.predicted_shifts[0] - 1.0))
     assert errs[1] < errs[0]
+
+
+def _box_operator(n, diagonal, extent=6.0):
+    """L = -lap + diagonal(x, y) on the interior of a small 2d box."""
+    g = Grid(2, "box", extent, n)
+    x, y = np.meshgrid(g.axis[1:-1], g.axis[1:-1], indexing="ij")
+    return LinearizedOperator(g, np.asarray(diagonal(x, y), dtype=float).ravel(), 0.0)
+
+
+def _well(depth, width):
+    # off-centre and anisotropic, so no eigenvalue is degenerate
+    return lambda x, y: 0.3 + 0.02 * x - depth * np.exp(-(x**2 + 0.7 * y**2) / width**2)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+# (n, diagonal, n_negative, negatives among the 5 eigenvalues nearest 0)
+BOX_CASES = {
+    "free": (21, lambda x, y: 0.2 + 0.0 * x, 0, 0),
+    "all-negatives-near-zero": (25, _well(3.0, 1.0), 1, 1),
+    "one-missing": (25, _well(6.0, 1.0), 1, 0),
+    "saddle-like": (25, _well(4.0, 1.5), 3, 2),
+    "more-negatives-than-k": (25, _well(8.0, 2.0), 8, 1),
+    "strongly-negative": (17, lambda x, y: -30.0 + 0.1 * x + 0.05 * y**2, 225, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOX_CASES))
+def test_eig_low_box_matches_dense(case, monkeypatch):
+    n, diagonal, n_neg, m = BOX_CASES[case]
+    k = 5
+    op = _box_operator(n, diagonal)
+    dense = np.linalg.eigvalsh(op.matrix().toarray())
+    nearest = dense[np.argsort(np.abs(dense))[:k]]
+    assert (int(np.sum(dense < 0)), int(np.sum(nearest < 0))) == (n_neg, m)
+    splu_calls = _counting(monkeypatch, elliptic, "splu")
+    eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
+    vals = eig_low(op, k)
+    np.testing.assert_allclose(vals, dense[:k], rtol=1e-9, atol=0.0)
+    # every factorization goes through kgstab.elliptic.splu; the second
+    # shift-invert runs only when the first one misses a negative
+    solves = 1 if m >= n_neg else 2
+    assert len(splu_calls) == len(eigsh_calls) == solves
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([15, 19, 23]),
+    offset=st.floats(-4.0, 2.0),
+    spread=st.floats(0.0, 6.0),
+)
+def test_eig_low_box_random_diagonal(seed, n, offset, spread):
+    noise = np.random.default_rng(seed).standard_normal((n - 2, n - 2))
+    op = _box_operator(n, lambda x, y: offset + spread * noise)
+    dense = np.linalg.eigvalsh(op.matrix().toarray())[:5]
+    vals = eig_low(op, 5)
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    np.testing.assert_allclose(vals, dense, rtol=1e-9, atol=1e-9 * scale)
+    assert int(np.sum(vals < 0)) == int(np.sum(dense < 0))
+
+
+class _PositivePivots:
+    """A factorization whose pivots deny every negative eigenvalue."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.perm_r, self.perm_c, self.solve = lu.perm_r, lu.perm_c, lu.solve
+
+    @property
+    def U(self):
+        return abs(self.lu.U)
+
+
+class _Pivoted:
+    """A factorization that pivoted rows off the diagonal."""
+
+    def __init__(self, n):
+        self.perm_r, self.perm_c = np.arange(n), np.arange(n)[::-1]
+
+
+def _singular(a, **options):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        _singular,
+        lambda a, **options: _PositivePivots(splu(a, **options)),
+        lambda a, **options: _Pivoted(a.shape[0]),
+    ],
+    ids=["factorization-fails", "count-disagrees", "pivoted"],
+)
+def test_eig_low_box_failures_raise(factor, monkeypatch):
+    op = _box_operator(17, _well(4.0, 1.5))
+    monkeypatch.setattr(elliptic, "splu", factor)
+    with pytest.raises(EigSolverFailure):
+        eig_low(op, 5)
+
+
+@pytest.fixture(scope="module")
+def townes_coarse():
+    return solve_limit_ground_state(0.75, 3.0, Grid(2, "radial", 16.0, 401))
+
+
+def _saddle_spectrum(matrix, townes):
+    # h = 0.25 at eps = 0.1 resolves the zero-cluster pair: n_negative = 2
+    params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
+    pair = resolve_potentials(params, None, PotentialSpec(2, (QuadraticTerm(matrix, (0.0, 0.0)),)))
+    z = find_critical_point(params, pair, (0.0, 0.0))
+    prof = continue_profile(townes, params, pair, z, grid=Grid(2, "box", 15.0, 121))
+    return build_spectrum_report(prof, params, pair, z, townes)
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        # swapping the saddle's axes
+        (((0.3, 0.0), (0.0, -0.3)), ((-0.3, 0.0), (0.0, 0.3))),
+        # a coupled saddle, its axes swapped, and reflected in x
+        (((0.3, 0.1), (0.1, -0.3)), ((-0.3, 0.1), (0.1, 0.3)), ((0.3, -0.1), (-0.1, -0.3))),
+    ],
+    ids=["swap-axes", "coupled-swap-reflect"],
+)
+def test_box_spectrum_invariant_under_axis_maps(matrices, townes_coarse):
+    reports = [_saddle_spectrum(m, townes_coarse) for m in matrices]
+    assert reports[0].n_negative == 2
+    for rep in reports[1:]:
+        assert rep.n_negative == reports[0].n_negative
+        np.testing.assert_allclose(rep.eigenvalues, reports[0].eigenvalues, rtol=1e-10, atol=0.0)
