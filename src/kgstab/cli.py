@@ -39,6 +39,9 @@ level "omegas" list; every point is parsed before the first runs),
 report (re-export a written report).  All read their file through one
 loader, so invalid JSON is a config error at "/".  The physics
 verdict never sets the exit status; only computational failure does.
+Each `.meta.json` sidecar lists, for every epsilon that ran dynamics,
+its steps, the wall time of `evolve` and the steps per second; the
+report itself holds no timing, so it stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -480,6 +483,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
     pert = dyn.Perturbation(kind=opts.kind, delta=opts.delta, seed=opts.seed)
     state = dyn.init_perturbed_standing_wave(profile, params, config.pair, pert)
     dt = opts.dt_factor * epsilon * grid.h
+    t0 = time.perf_counter()
     record = dyn.evolve(
         state,
         params,
@@ -492,6 +496,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         delta=opts.delta,
         order=opts.order,
     )
+    evolve_s = time.perf_counter() - t0
     stay_radius = opts.tube_stay * opts.delta * phi_h1
     out = {
         "verdict": record.verdict,
@@ -512,7 +517,14 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         "blow_up": record.blow_up,
         "boundary_touched": record.boundary_touched,
     }
-    out["_trajectory"] = record  # stripped before serialization
+    # stripped before serialization; the timing goes to the sidecar
+    out["_trajectory"] = record
+    out["_timing"] = {
+        "epsilon": epsilon,
+        "steps": record.steps,
+        "evolve_s": evolve_s,
+        "steps_per_s": record.steps / evolve_s,
+    }
     return out
 
 
@@ -577,10 +589,12 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
         blocks = [one(e) for e in config.epsilons]
 
     trajectories = {}
+    timings = []
     for block in blocks:
         dblock = block.get("dynamics")
         if isinstance(dblock, dict) and "_trajectory" in dblock:
             trajectories[block["epsilon"]] = dblock.pop("_trajectory")
+            timings.append(dblock.pop("_timing"))
     report["blocks"] = blocks
 
     slope_rows = []
@@ -616,7 +630,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
             entry = block.get(key)
             if isinstance(entry, dict) and "error" in entry:
                 failed = True
-    report["_trajectories"] = trajectories  # stripped before serialization
+    # stripped before serialization
+    report["_trajectories"] = trajectories
+    report["_dynamics_timings"] = timings
     return report, 1 if failed else 0
 
 
@@ -637,9 +653,16 @@ def _write_shift_csv(out: Path, rows: list) -> None:
     kio.write_csv(out / "shift_convergence.csv", header, rows)
 
 
+def _sidecar(report: dict, meta: dict) -> dict:
+    """meta plus each dynamics run's steps, evolve_s and steps_per_s."""
+    timings = report.pop("_dynamics_timings", [])
+    return dict(meta, dynamics=timings) if timings else meta
+
+
 def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
     out = Path(out_dir)
     trajectories = report.pop("_trajectories", {})
+    meta = _sidecar(report, meta)
     kio.write_report(report, out / "report.json", meta=meta)
     conv = report.get("convergence", {})
     if conv.get("slope_scaled"):
@@ -714,7 +737,8 @@ def _cmd_sweep(args) -> int:
         report, code = run_scenario(config, threads=args.threads)
         worst = max(worst, code)
         report.pop("_trajectories", None)
-        kio.write_report(report, out_dir / name, meta={"command": "sweep"})
+        meta = _sidecar(report, {"command": "sweep"})
+        kio.write_report(report, out_dir / name, meta=meta)
         for block in report["blocks"]:
             sl = block.get("slope", {})
             rows.append(

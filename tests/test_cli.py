@@ -221,6 +221,43 @@ def test_sweep_subcommand(tmp_path):
     assert (out / "report_omega_0.3.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "evolve", "sweep"])
+def test_sidecar_records_dynamics_timing(tmp_path, command):
+    raw = json.loads(json.dumps(BASE))
+    raw["epsilons"] = [0.1, 0.05]
+    raw["analyses"] = {"dynamics": True}
+    raw["dynamics"] = {
+        "delta": 1e-3,
+        "T_over_epsilon": 2.0,
+        "record_every": 7,
+        "grid": {"geometry": "line", "extent": 40.0, "n": 801},
+    }
+    if command == "sweep":
+        raw["omegas"] = [0.9]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 0
+    name = "report_omega_0.9" if command == "sweep" else "report"
+    report = json.loads((out / f"{name}.json").read_text())
+    meta = json.loads((out / f"{name}.meta.json").read_text())
+    assert meta["command"] == command
+    timings = meta["dynamics"]
+    assert [t["epsilon"] for t in timings] == [0.1, 0.05]
+    for block, t in zip(report["blocks"], timings):
+        assert t["steps"] == block["dynamics"]["steps"] > 0
+        assert t["evolve_s"] > 0.0
+        assert t["steps_per_s"] == pytest.approx(t["steps"] / t["evolve_s"])
+        assert not {"evolve_s", "steps_per_s", "_timing"} & set(block["dynamics"])
+    assert "_dynamics_timings" not in report
+
+
+def test_sidecar_has_no_dynamics_entry_without_dynamics(tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", str(cfg_file(tmp_path)), "--out", str(out)]) == 0
+    assert "dynamics" not in json.loads((out / "report.meta.json").read_text())
+
+
 def test_report_subcommand_json(tmp_path, capsys):
     out = tmp_path / "out"
     main(["analyze", str(cfg_file(tmp_path)), "--out", str(out)])

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from kgstab import grids
 from kgstab.dynamics import (
+    BLOWUP_FACTOR,
+    BOUNDARY_FLAG_REL,
+    _YOSHIDA_W1,
+    FieldState,
     Perturbation,
+    TrajectoryRecord,
+    _boundary_ring,
+    _laplacian,
     charge,
     energy,
     evolve,
@@ -12,7 +20,7 @@ from kgstab.dynamics import (
     orbital_distance,
     stable_dt,
 )
-from kgstab.elliptic import continue_profile, solve_limit_ground_state
+from kgstab.elliptic import Profile, continue_profile, solve_limit_ground_state
 from kgstab.errors import UnstableStep
 from kgstab.grids import Grid
 from kgstab.potentials import (
@@ -184,3 +192,257 @@ def test_random_smooth_varies_along_every_axis_in_3d():
     for axis in range(3):
         spread = np.abs(np.diff(factor, axis=axis)).max()
         assert spread > 1e-3 * np.abs(factor).max(), axis
+
+
+# ---------------------------------------------------------------------------
+# the merged-kick kernel against the plain Strang / triple-jump kernel
+
+def reference_evolve(
+    state, params, pair, dt, T, record_every=10, profile=None,
+    tube_exit=None, delta=0.0, order=2,
+):
+    """The unmerged kernel: every step is kick/rotate/kick with the
+    rotation coefficients recomputed per substep and a CSR Laplacian."""
+    g = state.grid
+    if abs(dt) > stable_dt(state, params, pair) * (1.0 + 1e-12):
+        raise UnstableStep("dt above the splitting bound")
+    n_steps = int(round(T / dt))
+    A = grids.neg_laplacian(g)
+    w_int = grids.extract_interior(g, g.weights())
+    x = state.x_points()
+    vv, _, _ = pair.V(x)
+    ww, _, _ = pair.W(x)
+    v_int = grids.extract_interior(g, vv)
+    kappa = grids.extract_interior(g, params.m - ww + vv**2)
+    ring = _boundary_ring(tuple(np.array(g.shape) - 2))
+    u = grids.extract_interior(g, state.u).astype(complex)
+    v = grids.extract_interior(g, state.v).astype(complex)
+    eps = state.epsilon
+    p = params.p
+    sq = np.sqrt(np.abs(kappa))
+    pos = kappa > 0.0
+    zer = kappa == 0.0
+
+    def kick(tau):
+        nonlocal v
+        v += tau * (-(A @ u) + np.abs(u) ** (p - 1.0) * u)
+
+    def rotate(tau):
+        nonlocal u, v
+        c = np.where(pos, np.cos(sq * tau), np.cosh(sq * tau))
+        s_over = np.where(
+            pos,
+            np.divide(np.sin(sq * tau), sq, out=np.full_like(sq, tau), where=~zer),
+            np.divide(np.sinh(sq * tau), sq, out=np.full_like(sq, tau), where=~zer),
+        )
+        ks = np.where(pos, sq * np.sin(sq * tau), -sq * np.sinh(sq * tau))
+        gauge = np.exp(-1j * v_int * tau)
+        u, v = gauge * (c * u + s_over * v), gauge * (-ks * u + c * v)
+
+    def strang(step):
+        tau = step / eps
+        kick(0.5 * tau)
+        rotate(tau)
+        kick(0.5 * tau)
+
+    def advance(step):
+        if order == 2:
+            strang(step)
+        else:
+            strang(_YOSHIDA_W1 * step)
+            strang((1.0 - 2.0 * _YOSHIDA_W1) * step)
+            strang(_YOSHIDA_W1 * step)
+
+    def write_back():
+        state.u = grids.insert_interior(g, u)
+        state.v = grids.insert_interior(g, v)
+
+    epsn = eps**g.dimension
+    peak0 = float(np.max(np.abs(u)))
+    l2_0 = float(epsn * np.sum(w_int * np.abs(u) ** 2))
+    times, e_ser, q_ser, d_ser, r_ser = [], [], [], [], []
+
+    def sample():
+        write_back()
+        times.append(state.t)
+        e_ser.append(energy(state, params, pair))
+        q_ser.append(charge(state))
+        r_ser.append(
+            float(np.sqrt(epsn * np.sum(w_int * np.abs(v - 1j * (state.omega + v_int) * u) ** 2)))
+        )
+        d = orbital_distance(state, profile) if profile is not None else 0.0
+        d_ser.append(d)
+        return d
+
+    verdict, exit_time, blow_up, boundary_touched = "stayed-in-tube", None, False, False
+    max_d = sample()
+    step_count = 0
+    for i in range(n_steps):
+        advance(dt)
+        state.t += dt
+        step_count += 1
+        if not ((i + 1) % record_every == 0 or i == n_steps - 1):
+            continue
+        d = sample()
+        max_d = max(max_d, d)
+        l2 = epsn * np.sum(w_int * np.abs(u) ** 2)
+        if l2 > BLOWUP_FACTOR**2 * l2_0:
+            blow_up, verdict, exit_time = True, "exited-tube", state.t
+            break
+        if tube_exit is not None and d > tube_exit:
+            verdict, exit_time = "exited-tube", state.t
+            break
+        if float(np.max(np.abs(u[ring]))) > BOUNDARY_FLAG_REL * peak0:
+            boundary_touched = True
+            break
+    write_back()
+    e_arr, q_arr = np.asarray(e_ser), np.asarray(q_ser)
+    return TrajectoryRecord(
+        times=np.asarray(times), energy=e_arr, charge=q_arr,
+        distance=np.asarray(d_ser), v_residual=np.asarray(r_ser), dt=dt,
+        steps=step_count, delta=delta, tube_exit=tube_exit, verdict=verdict,
+        exit_time=exit_time, max_distance=max_d, blow_up=blow_up,
+        boundary_touched=boundary_touched,
+        energy_drift=float(np.max(np.abs(e_arr - e_arr[0])) / abs(e_arr[0])),
+        charge_drift=float(np.max(np.abs(q_arr - q_arr[0])) / abs(q_arr[0])),
+    )
+
+
+class SignedKappaPair:
+    """V = 0.5 + 0.3 x0 - 0.1 (x1 + ...) and W = m + V^2 - 0.8 x0, so that
+    kappa = m - W + V^2 = 0.8 x0 changes sign across x0 = 0 and is
+    exactly 0 at the line grid's node x = 0 (V = 0.5, W = m + 0.25, all
+    exact in binary)."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def V(self, x):
+        return 0.5 + 0.3 * x[..., 0] - 0.1 * np.sum(x[..., 1:], axis=-1), None, None
+
+    def W(self, x):
+        v = self.V(x)[0]
+        return self.m + v**2 - 0.8 * x[..., 0], None, None
+
+
+def signed_kappa_setup(grid, eps=0.1):
+    params = ProblemParams(grid.dimension, 3.0, 1.0, 0.6, eps)
+    pair = SignedKappaPair(params.m)
+    y = grid.points()
+    r2 = np.sum(y**2, axis=-1)
+    phi = 0.9 * np.exp(-r2)
+    # small enough that the focusing term does not blow the run up
+    u0 = 0.3 * np.exp(-r2) * (1.0 + 0.2j * y[..., 0]) * (1.0 + 0.1 * np.cos(2.0 * r2))
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[grid.interior()] = False
+    u0[mask] = 0.0
+    vv = pair.V(y * eps)[0]
+    v0 = 1j * (params.omega + vv) * u0 + 0.05 * u0
+    prof = Profile(grid, phi, params.omega, eps, params.p, (0.0,) * grid.dimension, 0.0,
+                   (0.0,) * grid.dimension)
+
+    def state():
+        return FieldState(grid, (0.0,) * grid.dimension, eps, params.omega, u0.copy(), v0.copy())
+
+    return params, pair, prof, state
+
+
+def rel(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+def assert_same_run(rec, ref, st, st_ref, tol=1e-12):
+    assert rec.steps == ref.steps
+    assert rec.verdict == ref.verdict
+    assert rec.exit_time == ref.exit_time
+    assert (rec.blow_up, rec.boundary_touched) == (ref.blow_up, ref.boundary_touched)
+    assert np.array_equal(rec.times, ref.times)
+    assert st.t == st_ref.t
+    for name in ("energy", "charge", "distance", "v_residual"):
+        assert rel(getattr(rec, name), getattr(ref, name)) < tol, name
+    assert rel(st.u, st_ref.u) < tol
+    assert rel(st.v, st_ref.v) < tol
+
+
+LINE = Grid(1, "line", 16.0, 129)  # h = 0.25: the node x = 0 is exact
+BOX = Grid(2, "box", 8.0, 33)
+
+
+def test_signed_kappa_setup_reaches_every_rotation_branch():
+    params, pair, prof, state = signed_kappa_setup(LINE)
+    x = state().x_points()
+    kappa = grids.extract_interior(LINE, params.m - pair.W(x)[0] + pair.V(x)[0] ** 2)
+    assert np.count_nonzero(kappa == 0.0) == 1
+    assert np.any(kappa > 0.0) and np.any(kappa < 0.0)
+    assert np.all(grids.extract_interior(LINE, pair.V(x)[0]) != 0.0)
+
+
+# n_steps stays short of the box run's boundary flag; 7 divides neither
+@pytest.mark.parametrize("grid, n_steps", [(LINE, 40), (BOX, 17)], ids=["line", "box2d"])
+@pytest.mark.parametrize("order", [2, 4])
+def test_merged_kernel_matches_unmerged_reference(grid, n_steps, order):
+    params, pair, prof, state = signed_kappa_setup(grid)
+    st, st_ref = state(), state()
+    dt = 0.9 * stable_dt(st, params, pair)
+    kw = dict(record_every=7, profile=prof, order=order)
+    rec = evolve(st, params, pair, dt, n_steps * dt, **kw)
+    ref = reference_evolve(st_ref, params, pair, dt, n_steps * dt, **kw)
+    assert ref.steps == n_steps and len(ref.times) == 1 + n_steps // 7 + 1
+    assert_same_run(rec, ref, st, st_ref)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("stop", ["tube-exit", "boundary"])
+def test_early_stop_matches_unmerged_reference(order, stop):
+    params, pair, prof, state = signed_kappa_setup(LINE)
+    dt = 0.9 * stable_dt(state(), params, pair)
+    n_steps, every = 60, 4
+    kw = dict(record_every=every, profile=prof, order=order)
+    if stop == "tube-exit":
+        # a radius that the distance first crosses at a middle sample
+        d = reference_evolve(state(), params, pair, dt, n_steps * dt, **kw).distance
+        j = next(j for j in range(4, len(d)) if d[j] > max(d[:j]) * (1.0 + 1e-6))
+        kw["tube_exit"] = 0.5 * (max(d[:j]) + d[j])
+        make = state
+    else:
+        def make():
+            # mass planted next to the wall trips the boundary flag
+            st = state()
+            st.u[1] = 0.9
+            return st
+    st, st_ref = make(), make()
+    rec = evolve(st, params, pair, dt, n_steps * dt, **kw)
+    ref = reference_evolve(st_ref, params, pair, dt, n_steps * dt, **kw)
+    assert 0 < ref.steps < n_steps
+    if stop == "tube-exit":
+        assert ref.verdict == "exited-tube" and ref.exit_time is not None
+    else:
+        assert ref.boundary_touched
+    assert_same_run(rec, ref, st, st_ref)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(1, "line", 3.0, 40), Grid(2, "box", 3.0, 12), Grid(3, "box", 3.0, 9)],
+    ids=["line", "box2d", "box3d"],
+)
+def test_slicing_stencil_matches_sparse_laplacian(grid):
+    rng = np.random.default_rng(7)
+    n = grid.n_interior()
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shape = (grid.n - 2,) * grid.dimension
+    got = _laplacian(u.reshape(shape), grid.h).ravel()
+    want = -(grids.neg_laplacian(grid) @ u)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_evolve_builds_no_sparse_laplacian(monkeypatch):
+    params, pair, prof, state = signed_kappa_setup(BOX)
+    st = state()
+
+    def forbidden(grid):
+        raise AssertionError("evolve built a sparse Laplacian")
+
+    monkeypatch.setattr(grids, "neg_laplacian", forbidden)
+    dt = stable_dt(st, params, pair)
+    assert evolve(st, params, pair, dt, 3 * dt, order=4).steps == 3
