@@ -61,7 +61,7 @@ from . import io as kio
 from . import spectrum as spx
 from . import stability as st
 from .elliptic import Profile, continue_profile, solve_limit_ground_state
-from .errors import GridTooSmall, KgError, SchemaError
+from .errors import GridTooSmall, KgError, SchemaError, SkippedError
 from .grids import Grid
 from .potentials import (
     EffectiveZ,
@@ -396,6 +396,20 @@ def _error_entry(exc: Exception) -> dict:
     return {"error": entry}
 
 
+def _guarded(block: dict, key: str, run, entry=lambda result: result):
+    """block[key] = entry(run()), or the error entry if run raised.
+
+    Returns run()'s result, or None when it failed.
+    """
+    try:
+        result = run()
+    except KgError as exc:
+        block[key] = _error_entry(exc)
+        return None
+    block[key] = entry(result)
+    return result
+
+
 def _epsilon_block(
     config: ScenarioConfig,
     z: EffectiveZ,
@@ -412,60 +426,40 @@ def _epsilon_block(
     want_spectrum = "spectrum" in config.analyses
     want_dynamics = "dynamics" in config.analyses
 
-    profile = None
-    if want_slope or want_spectrum:
+    def solve_profile():
         base = box_limit if box_limit is not None else limit
-        try:
-            if epsilon == 0.0:
-                profile = base
-            else:
-                profile = continue_profile(base, params, pair, z, tol=config.tol)
-            block["profile"] = _profile_summary(profile)
-        except KgError as exc:
-            block["profile"] = _error_entry(exc)
+        if epsilon == 0.0:
+            return base
+        return continue_profile(base, params, pair, z, tol=config.tol)
 
-    slope_report = None
+    def slope(with_numeric: bool):
+        if profile is None:
+            raise SkippedError("no profile")
+        return st.build_slope_report(
+            profile, params, pair, z, limit, domega=config.domega, tol=config.tol,
+            with_numeric=with_numeric,
+        )
+
+    def spectrum():
+        if profile is None:
+            raise SkippedError("no profile")
+        spec_report = spx.build_spectrum_report(profile, params, pair, z, limit)
+        return spx.gss_classify(
+            spec_report, slope_report if slope_report is not None else slope(False)
+        )
+
+    profile = slope_report = None
+    if want_slope or want_spectrum:
+        profile = _guarded(block, "profile", solve_profile, _profile_summary)
     if want_slope:
-        if profile is None:
-            block["slope"] = {"error": {"type": "SkippedError", "message": "no profile"}}
-        else:
-            try:
-                slope_report = st.build_slope_report(
-                    profile,
-                    params,
-                    pair,
-                    z,
-                    limit,
-                    domega=config.domega,
-                    tol=config.tol,
-                    with_numeric="slope_numeric" in config.analyses and epsilon > 0.0,
-                )
-                block["slope"] = kio.to_jsonable(slope_report)
-            except KgError as exc:
-                block["slope"] = _error_entry(exc)
-
+        with_numeric = "slope_numeric" in config.analyses and epsilon > 0.0
+        slope_report = _guarded(block, "slope", lambda: slope(with_numeric), kio.to_jsonable)
     if want_spectrum:
-        if profile is None:
-            block["spectrum"] = {"error": {"type": "SkippedError", "message": "no profile"}}
-        else:
-            try:
-                spec_report = spx.build_spectrum_report(profile, params, pair, z, limit)
-                if slope_report is None:
-                    slope_report = st.build_slope_report(
-                        profile, params, pair, z, limit, with_numeric=False
-                    )
-                spec_report = spx.gss_classify(spec_report, slope_report)
-                block["spectrum"] = kio.to_jsonable(spec_report)
-                block["gss_verdict"] = spec_report.gss
-            except KgError as exc:
-                block["spectrum"] = _error_entry(exc)
-
+        spec_report = _guarded(block, "spectrum", spectrum, kio.to_jsonable)
+        if spec_report is not None:
+            block["gss_verdict"] = spec_report.gss
     if want_dynamics:
-        try:
-            block["dynamics"] = _dynamics_block(config, z, epsilon)
-        except KgError as exc:
-            block["dynamics"] = _error_entry(exc)
-
+        _guarded(block, "dynamics", lambda: _dynamics_block(config, z, epsilon))
     return block
 
 
@@ -473,7 +467,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
     opts = config.dynamics or DynamicsOptions()
     params = replace(config.params, epsilon=epsilon)
     if epsilon <= 0.0:
-        return {"error": {"type": "SkippedError", "message": "dynamics needs epsilon > 0"}}
+        raise SkippedError("dynamics needs epsilon > 0")
     grid = opts.grid or _auto_dynamics_grid(
         params.dimension, z.z0, opts.T_over_epsilon
     )
@@ -640,17 +634,25 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
 # front end
 
 
-def _write_shift_csv(out: Path, rows: list) -> None:
-    """shift_convergence.csv: lambda_j / eps^2 beside the predicted c_j."""
-    if not rows:
-        return
-    npred = (max(len(r) for r in rows) - 1) // 2
-    header = (
-        ["epsilon"]
-        + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
-        + [f"c{j + 1}" for j in range(npred)]
-    )
-    kio.write_csv(out / "shift_convergence.csv", header, rows)
+def _write_convergence_csvs(out: Path, conv: dict) -> None:
+    """slope_convergence.csv (numeric beside asymptotic scaled slopes) and
+    shift_convergence.csv (lambda_j / eps^2 beside the predicted c_j),
+    each written only when the report has rows for it."""
+    if conv.get("slope_scaled"):
+        kio.write_csv(
+            out / "slope_convergence.csv",
+            ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
+            conv["slope_scaled"],
+        )
+    rows = conv.get("shifts")
+    if rows:
+        npred = (max(len(r) for r in rows) - 1) // 2
+        header = (
+            ["epsilon"]
+            + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
+            + [f"c{j + 1}" for j in range(npred)]
+        )
+        kio.write_csv(out / "shift_convergence.csv", header, rows)
 
 
 def _sidecar(report: dict, meta: dict) -> dict:
@@ -664,14 +666,7 @@ def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
     trajectories = report.pop("_trajectories", {})
     meta = _sidecar(report, meta)
     kio.write_report(report, out / "report.json", meta=meta)
-    conv = report.get("convergence", {})
-    if conv.get("slope_scaled"):
-        kio.write_csv(
-            out / "slope_convergence.csv",
-            ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
-            conv["slope_scaled"],
-        )
-    _write_shift_csv(out, conv.get("shifts", []))
+    _write_convergence_csvs(out, report.get("convergence", {}))
     for eps, rec in trajectories.items():
         kio.trajectory_to_csv(rec, out / f"trajectory_eps_{eps:g}.csv")
 
@@ -686,28 +681,24 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return config
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_run(args) -> int:
+    """analyze, or evolve: the same pipeline with only the dynamics analysis."""
     config = _apply_overrides(parse_scenario(args.config), args)
+    evolve = args.command == "evolve"
+    if evolve:
+        if "dynamics" not in config.analyses:
+            raise SchemaError("/analyses/dynamics", "evolve requires the dynamics analysis")
+        config = replace(config, analyses=("dynamics",))
     t0 = time.perf_counter()
     report, code = run_scenario(config, threads=args.threads)
-    meta = {"command": "analyze", "runtime_s": time.perf_counter() - t0}
+    meta = {"command": args.command, "runtime_s": time.perf_counter() - t0}
     _write_outputs(report, config.out or "kgstab-out", meta)
-    print(f"verdict: {report.get('verdict', {}).get('overall', 'n/a')}")
-    return code
-
-
-def _cmd_evolve(args) -> int:
-    config = _apply_overrides(parse_scenario(args.config), args)
-    if "dynamics" not in config.analyses:
-        raise SchemaError("/analyses/dynamics", "evolve requires the dynamics analysis")
-    config = replace(config, analyses=("dynamics",))
-    t0 = time.perf_counter()
-    report, code = run_scenario(config, threads=args.threads)
-    meta = {"command": "evolve", "runtime_s": time.perf_counter() - t0}
-    _write_outputs(report, config.out or "kgstab-out", meta)
-    for block in report["blocks"]:
-        d = block.get("dynamics", {})
-        print(f"epsilon {block['epsilon']:g}: {d.get('verdict', d.get('error'))}")
+    if evolve:
+        for block in report["blocks"]:
+            d = block.get("dynamics", {})
+            print(f"epsilon {block['epsilon']:g}: {d.get('verdict', d.get('error'))}")
+    else:
+        print(f"verdict: {report.get('verdict', {}).get('overall', 'n/a')}")
     return code
 
 
@@ -767,13 +758,7 @@ def _cmd_report(args) -> int:
         sys.stdout.write("\n")
         return 0
     out = Path(args.out or ".")
-    conv = report.get("convergence", {})
-    kio.write_csv(
-        out / "slope_convergence.csv",
-        ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
-        conv.get("slope_scaled", []),
-    )
-    _write_shift_csv(out, conv.get("shifts", []))
+    _write_convergence_csvs(out, report.get("convergence", {}))
     print(f"csv tables -> {out}")
     return 0
 
@@ -794,12 +779,12 @@ def main(argv=None) -> int:
     pa = sub.add_parser("analyze", help="assumptions, slope, spectrum, verdict")
     pa.add_argument("config")
     common(pa)
-    pa.set_defaults(func=_cmd_analyze)
+    pa.set_defaults(func=_cmd_run)
 
     pe = sub.add_parser("evolve", help="dynamics runs only")
     pe.add_argument("config")
     common(pe)
-    pe.set_defaults(func=_cmd_evolve)
+    pe.set_defaults(func=_cmd_run)
 
     ps = sub.add_parser("sweep", help="analyze across an omegas list")
     ps.add_argument("config")

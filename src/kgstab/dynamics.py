@@ -387,7 +387,8 @@ def evolve(
         d = sample()
         max_d = max(max_d, d)
         l2 = epsn * np.sum(w_int * np.abs(u) ** 2)
-        if l2 > BLOWUP_FACTOR**2 * l2_0:
+        # a NaN fails every comparison, so a non-finite sample is blow-up too
+        if not np.isfinite([l2, d]).all() or l2 > BLOWUP_FACTOR**2 * l2_0:
             blow_up = True
             verdict = "exited-tube"
             exit_time = state.t

@@ -24,6 +24,11 @@ continued from the limit state with geometric steps in epsilon and
 Newton at each step. The recentering point is chosen once per scenario
 and kept fixed while omega varies, so frequency derivatives are taken
 on a fixed coordinate frame.
+
+Line and box grids are one tensor-product case throughout; the radial
+limit grid is the other. Only two choices are specific to the line: the
+sine-collocation limit solver, and the reflection averaging of Newton
+iterates for even line problems.
 """
 
 from __future__ import annotations
@@ -92,8 +97,6 @@ def _decay_check(grid: Grid, values: np.ndarray):
         raise NoConvergence("solver collapsed to zero")
     if grid.geometry == "radial":
         edge = float(np.abs(values[-2]))
-    elif grid.geometry == "line":
-        edge = float(max(np.abs(values[1]), np.abs(values[-2])))
     else:
         inner = values[(slice(1, -1),) * grid.dimension]
         faces = []
@@ -113,6 +116,21 @@ def _peak_of(grid: Grid, values: np.ndarray) -> tuple:
         out = [grid.axis[idx[0]]] + [0.0] * (grid.dimension - 1)
         return tuple(out)
     return tuple(float(grid.axis[i]) for i in idx)
+
+
+def _profile(grid: Grid, psi: np.ndarray, res: float, omega, epsilon, p, center) -> Profile:
+    """The Profile of interior values psi on grid, boundary entries zero."""
+    values = grids.insert_interior(grid, psi)
+    return Profile(
+        grid=grid,
+        values=values,
+        omega=omega,
+        epsilon=epsilon,
+        p=p,
+        center=tuple(center),
+        residual=res,
+        peak=_peak_of(grid, values),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +164,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     A = (grids.neg_laplacian(grid) + c * sp.eye_array(grid.n_interior())).tocsc()
     lu = splu(A)
     w = grids.extract_interior(grid, grid.weights())
-    if grid.geometry == "radial":
-        r = grid.axis[:-1]
-        psi0 = sech_ground_state(c, p, r)
-    else:
-        psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
+    psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
     psi, res, _ = _petviashvili(lambda v: A @ v, lu.solve, w, psi0, p, max(tol, 1e-9))
     return _newton(grid, np.full(grid.n_interior(), c), p, psi, w, tol)
 
@@ -207,23 +221,13 @@ def solve_limit_ground_state(
         psi_int, res = _solve_limit_fd(c, p, grid, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
-    values = grids.insert_interior(grid, psi_int)
     if np.min(psi_int) < 0 and abs(np.min(psi_int)) > 1e-10 * np.max(psi_int):
         raise LostPositivity("limit solver produced a sign-changing profile")
-    values = np.maximum(values, 0.0)
-    _decay_check(grid, values)
     if center is None:
         center = (0.0,) * grid.dimension
-    return Profile(
-        grid=grid,
-        values=values,
-        omega=omega,
-        epsilon=0.0,
-        p=p,
-        center=tuple(center),
-        residual=res,
-        peak=_peak_of(grid, values),
-    )
+    profile = _profile(grid, np.maximum(psi_int, 0.0), res, omega, 0.0, p, center)
+    _decay_check(grid, profile.values)
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +275,14 @@ def _newton(
     (constant z = c), each continuation step in epsilon and the omega
     re-solves. The Jacobian is refactored only when the residual falls
     by less than a factor 4 per step (on box grids the LU dominates the
-    cost); each step is halved until the weighted residual decreases;
-    iterates of even line problems are reflection-averaged. A residual
-    within 10 tol is accepted where the line search or the iteration
-    budget runs out, that being the roundoff floor. Returns (psi, res).
+    cost); each step is halved until the weighted residual decreases.
+    When the halving fails on a reused factorization, whose direction
+    may no longer descend, the Jacobian is refactored at the current
+    iterate and the step retried; only a fresh factorization that also
+    stalls raises. Iterates of even line problems are reflection-averaged.
+    A residual within 10 tol is accepted where the line search or the
+    iteration budget runs out, that being the roundoff floor. Returns
+    (psi, res).
     """
     post = _even_projector(grid, z_int)
     Az = (grids.neg_laplacian(grid) + sp.diags_array(z_int)).tocsc()
@@ -291,7 +299,8 @@ def _newton(
     for it in range(max_iter):
         if res < tol:
             return psi, res
-        if lu is None or res > 0.25 * res_prev:
+        fresh = lu is None or res > 0.25 * res_prev
+        if fresh:
             J = (Az - sp.diags_array(p * np.abs(psi) ** (p - 1.0))).tocsc()
             try:
                 lu = splu(J)
@@ -313,6 +322,9 @@ def _newton(
             # Line search exhausted: at the roundoff floor of the residual.
             if res < 10.0 * tol:
                 return psi, res
+            if not fresh:
+                lu = None  # refactor at this iterate and retry the step
+                continue
             raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
     if res < 10.0 * tol:
         return psi, res
@@ -339,11 +351,10 @@ def continue_profile(
         grid = limit.grid
     center = tuple(z.x0)
 
-    if target == 0.0 and (limit.grid is grid or limit.grid == grid):
-        # identity case: the limit state already is the epsilon = 0 member
-        return replace(limit, omega=params.omega, center=center)
-
-    if limit.grid is grid or limit.grid == grid:
+    if limit.grid == grid:
+        if target == 0.0:
+            # identity case: the limit state already is the epsilon = 0 member
+            return replace(limit, omega=params.omega, center=center)
         psi = grids.extract_interior(grid, limit.values)
     elif limit.grid.geometry == "radial":
         radii = grid.radii()
@@ -357,20 +368,6 @@ def continue_profile(
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
     psi, res = _newton(grid, z0_int, params.p, psi, w, tol)
-
-    if target == 0.0:
-        values = grids.insert_interior(grid, psi)
-        _decay_check(grid, values)
-        return Profile(
-            grid=grid,
-            values=values,
-            omega=params.omega,
-            epsilon=0.0,
-            p=params.p,
-            center=center,
-            residual=res,
-            peak=_peak_of(grid, values),
-        )
 
     eps_now = 0.0
     step = target / 8.0
@@ -394,18 +391,9 @@ def continue_profile(
         eps_now = eps_try
         step *= 1.5
 
-    values = grids.insert_interior(grid, np.maximum(psi, 0.0))
-    _decay_check(grid, values)
-    return Profile(
-        grid=grid,
-        values=values,
-        omega=params.omega,
-        epsilon=target,
-        p=params.p,
-        center=center,
-        residual=res,
-        peak=_peak_of(grid, values),
-    )
+    profile = _profile(grid, np.maximum(psi, 0.0), res, params.omega, target, params.p, center)
+    _decay_check(grid, profile.values)
+    return profile
 
 
 def resolve_at_omega(
@@ -425,17 +413,7 @@ def resolve_at_omega(
     z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     psi = grids.extract_interior(grid, profile.values)
     psi, res = _newton(grid, z_int, params.p, psi, w, tol)
-    values = grids.insert_interior(grid, psi)
-    return Profile(
-        grid=grid,
-        values=values,
-        omega=params.omega,
-        epsilon=profile.epsilon,
-        p=params.p,
-        center=profile.center,
-        residual=res,
-        peak=_peak_of(grid, values),
-    )
+    return _profile(grid, psi, res, params.omega, profile.epsilon, params.p, profile.center)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +456,10 @@ def compute_T_lambda(profile: Profile) -> np.ndarray:
 
     with the gradient taken by centered differences.
     """
-    grid = profile.grid
-    g = grids.gradient(grid, profile.values)
-    if grid.geometry == "radial":
-        ydotgrad = grid.axis * g[0]
-    elif grid.geometry == "line":
-        ydotgrad = grid.axis * g[0]
-    else:
-        pts = grid.points()
-        ydotgrad = sum(pts[..., a] * g[a] for a in range(grid.dimension))
+    g = grids.gradient(profile.grid, profile.values)
+    # radial nodes lie on the first axis, and d/dr is their one component
+    pts = profile.grid.points()
+    ydotgrad = sum(pts[..., a] * g[a] for a in range(len(g)))
     return -profile.values / (profile.p - 1.0) - 0.5 * ydotgrad
 
 

@@ -43,6 +43,10 @@ class UnstableStep(KgError):
     """Requested time step violates the integrator stability bound."""
 
 
+class SkippedError(KgError):
+    """An analysis did not run because an input it needs is missing."""
+
+
 class SchemaError(KgError):
     """Scenario file failed validation. `path` is a JSON pointer."""
 

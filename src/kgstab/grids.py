@@ -1,12 +1,15 @@
 """Uniform finite-difference grids with homogeneous Dirichlet boundaries.
 
-Three geometries:
+Three geometry names, two kinds of grid:
 
   line    1d interval [-L, L], n nodes, both ends pinned to zero
+  box     tensor product of [-L, L] per axis (dimension 2 or 3)
   radial  [0, L] with r = i*h; regularity at r = 0, Dirichlet at r = L;
           used for radially symmetric profiles in dimension >= 2
-  box     tensor product of [-L, L] per axis (dimension 2 or 3)
 
+A line is the one-dimensional box: shapes, weights, gradients and the
+Laplacian (a Kronecker sum of the 1d stencil over the axes) take one
+tensor-product path for both, and only the radial grid has its own.
 Fields are stored on the full node set with boundary entries kept at
 zero; linear operators act on the interior unknowns only.
 """
@@ -14,6 +17,7 @@ zero; linear operators act on the interior unknowns only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gamma, pi
 
 import numpy as np
@@ -68,9 +72,9 @@ class Grid:
 
     @property
     def shape(self) -> tuple:
-        if self.geometry == "box":
-            return (self.n,) * self.dimension
-        return (self.n,)
+        if self.geometry == "radial":
+            return (self.n,)
+        return (self.n,) * self.dimension
 
     def points(self) -> np.ndarray:
         """Node coordinates, shape (*shape, dimension).
@@ -78,14 +82,12 @@ class Grid:
         Radial nodes are placed on the first coordinate axis so that
         potentials (radially evaluated through |x|) can be sampled.
         """
-        if self.geometry == "box":
-            axes = np.meshgrid(*([self.axis] * self.dimension), indexing="ij")
-            return np.stack(axes, axis=-1)
         if self.geometry == "radial":
             pts = np.zeros((self.n, self.dimension))
             pts[:, 0] = self.axis
             return pts
-        return self.axis[:, None]
+        axes = np.meshgrid(*([self.axis] * self.dimension), indexing="ij")
+        return np.stack(axes, axis=-1)
 
     def weights(self) -> np.ndarray:
         """Quadrature weights over the full node set (trapezoid rule).
@@ -96,8 +98,6 @@ class Grid:
         w1 = np.full(self.n, self.h)
         w1[0] *= 0.5
         w1[-1] *= 0.5
-        if self.geometry == "line":
-            return w1
         if self.geometry == "radial":
             r = self.axis
             return sphere_area(self.dimension) * r ** (self.dimension - 1) * w1
@@ -130,12 +130,6 @@ def neg_laplacian(grid: Grid):
     limit  lap u(0) = dim * u''(0)  for even profiles.
     """
     h = grid.h
-    if grid.geometry == "line":
-        m = grid.n - 2
-        return sp.diags_array(
-            [np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2), np.full(m - 1, -1.0 / h**2)],
-            offsets=[0, 1, -1],
-        ).tocsr()
     if grid.geometry == "radial":
         m = grid.n - 1
         d = grid.dimension
@@ -149,20 +143,16 @@ def neg_laplacian(grid: Grid):
         up[0] = -2.0 * d / h**2
         up[1:] = upper[:-1]
         return sp.diags_array([main, up, lower], offsets=[0, 1, -1]).tocsr()
-    # box: kronecker sum of 1d operators
+    # line and box: Kronecker sum of the 1d operator over the axes
     m = grid.n - 2
     one = sp.diags_array(
         [np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2), np.full(m - 1, -1.0 / h**2)],
         offsets=[0, 1, -1],
     )
     eye = sp.eye_array(m)
-    if grid.dimension == 2:
-        return (sp.kron(one, eye) + sp.kron(eye, one)).tocsr()
-    return (
-        sp.kron(sp.kron(one, eye), eye)
-        + sp.kron(sp.kron(eye, one), eye)
-        + sp.kron(sp.kron(eye, eye), one)
-    ).tocsr()
+    axes = range(grid.dimension)
+    terms = [reduce(sp.kron, [one if b == a else eye for b in axes]) for a in axes]
+    return sum(terms[1:], terms[0]).tocsr()
 
 
 def extract_interior(grid: Grid, field: np.ndarray) -> np.ndarray:
@@ -171,11 +161,8 @@ def extract_interior(grid: Grid, field: np.ndarray) -> np.ndarray:
 
 def insert_interior(grid: Grid, vec: np.ndarray) -> np.ndarray:
     out = np.zeros(grid.shape, dtype=vec.dtype)
-    if grid.geometry == "radial":
-        out[: grid.n - 1] = vec
-    else:
-        m = grid.n - 2
-        out[grid.interior()] = vec.reshape((m,) * grid.dimension)
+    inner = grid.interior()
+    out[inner] = vec.reshape(out[inner].shape)
     return out
 
 
@@ -191,8 +178,6 @@ def gradient(grid: Grid, field: np.ndarray) -> list[np.ndarray]:
         g = np.gradient(field, h)
         g[0] = 0.0  # even profile: phi'(0) = 0
         return [g]
-    if grid.geometry == "line":
-        return [np.gradient(field, h)]
     return [np.gradient(field, h, axis=a) for a in range(grid.dimension)]
 
 

@@ -1,13 +1,10 @@
-"""Serialization: deterministic report JSON, CSV series, binary profiles.
+"""Serialization: deterministic report JSON and CSV series.
 
 Report JSON is byte-reproducible for a fixed config and seed: keys are
 sorted, floats go through repr, and wall-clock metadata lives in a
 sidecar `<name>.meta.json` so the report file itself never changes
-between identical runs.
-
-Profiles dump to a little-endian binary format with a fixed header
-(magic "KGPROF01"), enough to rebuild the grid and the solution array
-without guessing.
+between identical runs.  CSV cells that are floats are written through
+repr as well, so they read back at full precision.
 """
 
 from __future__ import annotations
@@ -15,16 +12,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import struct
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-
-from .elliptic import Profile
-from .grids import GEOMETRIES, Grid
-
-_MAGIC = b"KGPROF01"
 
 
 def to_jsonable(obj):
@@ -60,11 +51,6 @@ def write_report(report: dict, path, meta: dict | None = None) -> None:
         f.write("\n")
 
 
-def read_report(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def write_csv(path, header: list, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,59 +69,3 @@ def trajectory_to_csv(record, path) -> None:
         record.times, record.energy, record.charge, record.distance, record.v_residual
     )
     write_csv(path, ["t", "E", "Q", "d", "v_residual"], rows)
-
-
-def save_profile(profile: Profile, path) -> None:
-    g = profile.grid
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    head = struct.pack(
-        "<ii q dddd d",
-        g.dimension,
-        GEOMETRIES.index(g.geometry),
-        g.n,
-        g.extent,
-        profile.omega,
-        profile.epsilon,
-        profile.p,
-        profile.residual,
-    )
-    center = np.asarray(profile.center, dtype="<f8")
-    values = np.ascontiguousarray(profile.values, dtype="<f8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(head)
-        f.write(center.tobytes())
-        f.write(values.tobytes())
-
-
-def load_profile(path) -> Profile:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a profile dump")
-    off = len(_MAGIC)
-    fmt = "<ii q dddd d"
-    dim, geom_code, n, extent, omega, epsilon, p, residual = struct.unpack_from(
-        fmt, blob, off
-    )
-    off += struct.calcsize(fmt)
-    center = np.frombuffer(blob, dtype="<f8", count=dim, offset=off)
-    off += 8 * dim
-    grid = Grid(dim, GEOMETRIES[geom_code], extent, n)
-    count = int(np.prod(grid.shape))
-    values = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(
-        grid.shape
-    )
-    from .elliptic import _peak_of
-
-    return Profile(
-        grid=grid,
-        values=values.copy(),
-        omega=omega,
-        epsilon=epsilon,
-        p=p,
-        center=tuple(center),
-        residual=residual,
-        peak=_peak_of(grid, values),
-    )

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,6 +426,32 @@ def test_run_scenario_threads_match_serial():
         )
     )
     assert run_scenario(cfg, threads=2) == run_scenario(cfg, threads=1)
+
+
+def shifted_scenario(s: float) -> dict:
+    # an off-center V makes the critical point a generic one (x0 = 0.156 + s)
+    return dict(
+        BASE,
+        potentials={
+            "V": [{"type": "gaussian", "amplitude": 0.02, "center": [0.7 + s], "width": 1.5}],
+            "W": [{"type": "gaussian", "amplitude": 0.05, "center": [s], "width": 1.0}],
+        },
+        critical_guess=[s],
+        grid={"geometry": "line", "extent": 40.0, "n": 801},
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(s=st.floats(-5.0, 5.0, allow_nan=False))
+def test_translation_leaves_the_analysis_unchanged(s):
+    ref = run_scenario(parse_scenario_dict(shifted_scenario(0.0)))[0]["blocks"][0]
+    got = run_scenario(parse_scenario_dict(shifted_scenario(s)))[0]["blocks"][0]
+    for key in ("n_negative", "gss"):
+        assert got["spectrum"][key] == ref["spectrum"][key], key
+    for key in ("slope_sign", "predicted_sign"):
+        assert got["slope"][key] == ref["slope"][key], key
+    lam, lam_ref = np.array(got["spectrum"]["eigenvalues"]), np.array(ref["spectrum"]["eigenvalues"])
+    assert np.all(np.abs(lam - lam_ref) <= 1e-9 * np.abs(lam_ref))
 
 
 def test_unpinned_2d_dynamics_grid_is_an_error_entry():

@@ -421,6 +421,22 @@ def test_early_stop_matches_unmerged_reference(order, stop):
     assert_same_run(rec, ref, st, st_ref)
 
 
+@pytest.mark.parametrize("every", [200, 400])
+def test_non_finite_sample_is_blow_up(every):
+    # at twice the setup's amplitude the field overflows between two samples
+    params, pair, prof, state = signed_kappa_setup(LINE)
+    st = state()
+    st.u *= 2.0
+    st.v *= 2.0
+    dt = 0.9 * stable_dt(st, params, pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = evolve(st, params, pair, dt, 2000 * dt, record_every=every, profile=prof)
+    assert not np.all(np.isfinite(st.u))
+    assert rec.blow_up and rec.verdict == "exited-tube"
+    assert rec.exit_time == rec.times[-1] == st.t
+    assert rec.steps < 2000
+
+
 @pytest.mark.parametrize(
     "grid",
     [Grid(1, "line", 3.0, 40), Grid(2, "box", 3.0, 12), Grid(3, "box", 3.0, 9)],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from kgstab import grids
+from kgstab import elliptic, grids
 from kgstab.elliptic import (
     _newton,
     compute_R_omega,
@@ -21,6 +21,8 @@ from kgstab.potentials import (
     effective_z_at,
     resolve_potentials,
 )
+
+from scipy.sparse.linalg import splu
 
 from conftest import sech_exact
 
@@ -98,6 +100,26 @@ def test_newton_failure_carries_residual_and_iterations():
         _newton(g, np.ones(g.n_interior()), 3.0, psi, w, tol=0.0)
     assert 0 < info.value.iterations < 30
     assert 0.0 < info.value.residual < 1e-10
+
+
+def test_newton_refactors_a_stale_lu_before_giving_up(monkeypatch):
+    # h = 250 leaves the nodes almost uncoupled, so each solves x - x^3 = 0
+    # from x = 0.501: the first step lands near -1 and cuts the residual
+    # more than 4x, so the LU from the start is reused, but its Jacobian
+    # has the other sign there and no halving of the chord step descends
+    factored = []
+
+    def counting_splu(A):
+        factored.append(A.shape)
+        return splu(A)
+
+    monkeypatch.setattr(elliptic, "splu", counting_splu)
+    g = Grid(1, "line", 1000.0, 9)
+    w = grids.extract_interior(g, g.weights())
+    psi, res = _newton(g, np.ones(g.n_interior()), 3.0, np.full(g.n_interior(), 0.501), w, 1e-12)
+    assert res < 1e-12
+    assert np.allclose(psi, -1.0, atol=1e-4)
+    assert len(factored) >= 2
 
 
 def test_decay_check_raises_on_small_domain():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,20 @@ def test_neg_laplacian_eigenvalue_line():
     v = np.sin(np.pi * (x + g.extent) / (2.0 * g.extent))
     lam = (v @ (A @ v)) / (v @ v)
     assert lam == pytest.approx((np.pi / (2.0 * g.extent)) ** 2, rel=1e-4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_neg_laplacian_is_the_kronecker_sum_of_the_line_stencil(dim):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, 9)
+    m = g.n - 2
+    one = (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / g.h**2
+    want = sum(
+        reduce(np.kron, [one if b == a else np.eye(m) for b in range(dim)])
+        for a in range(dim)
+    )
+    got = grids.neg_laplacian(g).toarray()
+    assert got.shape == (m**dim, m**dim)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 / g.h**2)
 
 
 def test_gradient_accuracy():
