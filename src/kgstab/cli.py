@@ -491,26 +491,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         order=opts.order,
     )
     evolve_s = time.perf_counter() - t0
-    stay_radius = opts.tube_stay * opts.delta * phi_h1
-    out = {
-        "verdict": record.verdict,
-        "delta": opts.delta,
-        "kind": opts.kind,
-        "seed": opts.seed,
-        "dt": dt,
-        "steps": record.steps,
-        "grid": {"extent": grid.extent, "n": grid.n},
-        "profile_h1_norm": phi_h1,
-        "max_distance": record.max_distance,
-        "within_stable_band": bool(record.max_distance <= stay_radius)
-        if opts.delta > 0
-        else None,
-        "exit_time": record.exit_time,
-        "energy_drift": record.energy_drift,
-        "charge_drift": record.charge_drift,
-        "blow_up": record.blow_up,
-        "boundary_touched": record.boundary_touched,
-    }
+    out = _dynamics_summary(record, opts, grid, phi_h1)
     # stripped before serialization; the timing goes to the sidecar
     out["_trajectory"] = record
     out["_timing"] = {
@@ -520,6 +501,30 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         "steps_per_s": record.steps / evolve_s,
     }
     return out
+
+
+def _dynamics_summary(record, opts: DynamicsOptions, grid: Grid, phi_h1: float) -> dict:
+    """The report entry of a dynamics run; a blown-up one is outside the band."""
+    stay_radius = opts.tube_stay * opts.delta * phi_h1
+    return {
+        "verdict": record.verdict,
+        "delta": opts.delta,
+        "kind": opts.kind,
+        "seed": opts.seed,
+        "dt": record.dt,
+        "steps": record.steps,
+        "grid": {"extent": grid.extent, "n": grid.n},
+        "profile_h1_norm": phi_h1,
+        "max_distance": record.max_distance,
+        "within_stable_band": bool(record.max_distance <= stay_radius and not record.blow_up)
+        if opts.delta > 0
+        else None,
+        "exit_time": record.exit_time,
+        "energy_drift": record.energy_drift,
+        "charge_drift": record.charge_drift,
+        "blow_up": record.blow_up,
+        "boundary_touched": record.boundary_touched,
+    }
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:

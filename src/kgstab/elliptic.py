@@ -9,12 +9,12 @@ Limit problem (constant coefficient c = Z(x0) > 0):
 solved by a stabilized fixed-point iteration (integral-normalized, the
 classic globally convergent scheme for this equation). On
 finite-difference grids the damped Newton iteration that also drives
-the continuation below takes it to tolerance. In one dimension the
+the continuation below takes it to tolerance. The one-dimensional
 closed form
 
     psi(y) = ((p+1) c / 2)^(1/(p-1)) sech(sqrt(c)(p-1) y / 2)^(2/(p-1))
 
-seeds the iteration and doubles as an oracle in the tests.
+taken at |y| seeds the iteration and doubles as an oracle in the tests.
 
 Semiclassical problem at epsilon > 0 (coordinates recentered at x0):
 
@@ -26,13 +26,16 @@ and kept fixed while omega varies, so frequency derivatives are taken
 on a fixed coordinate frame.
 
 Line and box grids are one tensor-product case throughout; the radial
-limit grid is the other. Only two choices are specific to the line: the
-sine-collocation limit solver, and the reflection averaging of Newton
-iterates for even line problems.
+limit grid is the other. Only the sine-collocation limit solver is
+specific to the line. Where Z(x0 + eps y) is even in an axis, so are
+phi and L (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986):
+Newton then solves on the mirror half of that axis, and L splits into
+an even and an odd block there.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +48,8 @@ from .errors import GridTooSmall, LostPositivity, NoConvergence, SingularOperato
 from .grids import Grid
 from .potentials import EffectiveZ, PotentialPair, ProblemParams, eval_Z
 
-DEFAULT_TOL = 1e-12
+log = logging.getLogger("kgstab")
+
 BOUNDARY_DECAY_REL = 1e-5
 
 
@@ -164,7 +168,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     A = (grids.neg_laplacian(grid) + c * sp.eye_array(grid.n_interior())).tocsc()
     lu = splu(A)
     w = grids.extract_interior(grid, grid.weights())
-    psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
+    psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.radii()))
     psi, res, _ = _petviashvili(lambda v: A @ v, lu.solve, w, psi0, p, max(tol, 1e-9))
     return _newton(grid, np.full(grid.n_interior(), c), p, psi, w, tol)
 
@@ -241,23 +245,34 @@ def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, center, e
     return grids.extract_interior(grid, z)
 
 
-def _even_projector(grid: Grid, z_int: np.ndarray):
-    """Reflection-averaging hook for even line problems, else None.
+def even_axes(grid: Grid, z_int: np.ndarray):
+    """The parity to fold by: 1 on each axis in which z is even, else 0.
 
-    At epsilon = 0 (and for symmetric coefficients in general) the line
-    operator has a translation near-kernel; projecting Newton iterates
-    onto the even subspace keeps roundoff out of that direction.
+    Even means equal to its reflection about the axis centre within
+    1e-12 max(1, |z|), the nodes being symmetric only to roundoff. None
+    on a radial grid, which has no axes to fold.
     """
-    if grid.geometry != "line":
+    if grid.geometry == "radial":
         return None
     scale = max(1.0, float(np.max(np.abs(z_int))))
-    if not np.allclose(z_int, z_int[::-1], rtol=0.0, atol=1e-12 * scale):
-        return None
+    z = z_int.reshape((grid.n - 2,) * grid.dimension)
+    return tuple(
+        int(np.allclose(z, np.flip(z, a), rtol=0.0, atol=1e-12 * scale))
+        for a in range(grid.dimension)
+    )
 
-    def post(v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v + v[::-1])
 
-    return post
+def factor_ldl(a):
+    """Symmetric-mode SuperLU of the CSC matrix `a`.
+
+    Minimum-degree ordering on A + A^T and pivots taken from the
+    diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
+    Newton's Jacobians and the shift-invert operators of
+    `spectrum.eig_low` are factored here.
+    """
+    return splu(
+        a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+    )
 
 
 def _newton(
@@ -273,45 +288,53 @@ def _newton(
 
     Every finite-difference solve runs through here: the limit state
     (constant z = c), each continuation step in epsilon and the omega
-    re-solves. The Jacobian is refactored only when the residual falls
-    by less than a factor 4 per step (on box grids the LU dominates the
-    cost); each step is halved until the weighted residual decreases.
-    When the halving fails on a reused factorization, whose direction
-    may no longer descend, the Jacobian is refactored at the current
-    iterate and the step retried; only a fresh factorization that also
-    stalls raises. Iterates of even line problems are reflection-averaged.
-    A residual within 10 tol is accepted where the line search or the
-    iteration budget runs out, that being the roundoff floor. Returns
-    (psi, res).
+    re-solves. On the axes in which z is even (`even_axes`) it solves on
+    the kept nodes of `grids.fold`, the half line or the quarter box,
+    with a mirror ghost node at each plane, and returns the even
+    extension. The residual norm weighs a kept node by its full-box
+    weight times its multiplicity; the Jacobian, scaled by the
+    multiplicities, is symmetric and factored by `factor_ldl`.
+
+    The Jacobian is refactored only when the residual falls by less than
+    a factor 4 per step (on box grids the LU dominates the cost); each
+    step is halved until the weighted residual decreases. When the
+    halving fails on a reused factorization, whose direction may no
+    longer descend, the Jacobian is refactored at the current iterate
+    and the step retried; only a fresh factorization that also stalls
+    raises. A residual within 10 tol is accepted where the line search
+    or the iteration budget runs out, that being the roundoff floor.
+    Returns (psi, res).
     """
-    post = _even_projector(grid, z_int)
-    Az = (grids.neg_laplacian(grid) + sp.diags_array(z_int)).tocsc()
+    parity = even_axes(grid, z_int)
+    e = sp.eye_array(psi.size, format="csr") if parity is None else grids.fold(grid, parity)
+    folded = [a for a, s in enumerate(parity or ()) if s]
+    log.debug("newton: %d of %d unknowns, folded axes %s", e.shape[1], e.shape[0], folded)
+    mu = e.sum(axis=0)
+    weights = e.T @ weights
+    Az = (grids.neg_laplacian(grid, parity) + sp.diags_array(e.T @ z_int)).tocsc()
+    psi = (e.T @ psi) / mu
 
     def residual(v):
-        return Az @ v - _nonlin(v, p)
+        return (Az @ v) / mu - _nonlin(v, p)
 
-    if post is not None:
-        psi = post(psi)
     lu = None
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
     for it in range(max_iter):
         if res < tol:
-            return psi, res
+            return e @ psi, res
         fresh = lu is None or res > 0.25 * res_prev
         if fresh:
-            J = (Az - sp.diags_array(p * np.abs(psi) ** (p - 1.0))).tocsc()
+            J = (Az - sp.diags_array(mu * p * np.abs(psi) ** (p - 1.0))).tocsc()
             try:
-                lu = splu(J)
+                lu = factor_ldl(J)
             except RuntimeError as exc:
                 raise SingularOperator(f"Newton Jacobian singular: {exc}") from exc
-        delta = lu.solve(-f)
+        delta = lu.solve(-mu * f)
         lam = 1.0
         for _ in range(25):
             trial = psi + lam * delta
-            if post is not None:
-                trial = post(trial)
             ft = residual(trial)
             rt = float(np.sqrt(np.sum(weights * ft**2)))
             if rt < res or rt < tol:
@@ -321,13 +344,13 @@ def _newton(
         else:
             # Line search exhausted: at the roundoff floor of the residual.
             if res < 10.0 * tol:
-                return psi, res
+                return e @ psi, res
             if not fresh:
                 lu = None  # refactor at this iterate and retry the step
                 continue
             raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
     if res < 10.0 * tol:
-        return psi, res
+        return e @ psi, res
     raise NoConvergence("Newton did not converge", residual=res, iterations=max_iter)
 
 
@@ -465,12 +488,21 @@ def compute_T_lambda(profile: Profile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearizedOperator:
+    """L on the interior nodes, or its block on the fields of a `parity`
+    (see `grids.fold`) in their orthonormal basis: a mirror pair weighs
+    1/sqrt(2), and an even axis couples to its plane node by sqrt(2)."""
+
     grid: Grid
-    diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on interior nodes
+    diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on the unknowns
     epsilon: float
+    parity: tuple | None = None
 
     def matrix(self) -> sp.csr_array:
-        return (grids.neg_laplacian(self.grid) + sp.diags_array(self.diagonal)).tocsr()
+        a = grids.neg_laplacian(self.grid, self.parity)
+        if self.parity is not None:
+            s = sp.diags_array(1.0 / np.sqrt(abs(grids.fold(self.grid, self.parity)).sum(axis=0)))
+            a = s @ a @ s
+        return (a + sp.diags_array(self.diagonal)).tocsr()
 
 
 def assemble_L(

@@ -10,8 +10,10 @@ Three geometry names, two kinds of grid:
 A line is the one-dimensional box: shapes, weights, gradients and the
 Laplacian (a Kronecker sum of the 1d stencil over the axes) take one
 tensor-product path for both, and only the radial grid has its own.
-Fields are stored on the full node set with boundary entries kept at
-zero; linear operators act on the interior unknowns only.
+Fields of one parity per axis live on the kept nodes of a `fold`, and
+`neg_laplacian` restricts to them. Fields are stored on the full node
+set with boundary entries kept at zero; linear operators act on the
+interior unknowns only.
 """
 
 from __future__ import annotations
@@ -122,12 +124,51 @@ class Grid:
         return np.sqrt(np.sum(pts**2, axis=-1))
 
 
-def neg_laplacian(grid: Grid):
+def _axis_fold(m: int, parity: int):
+    """Extension from the kept nodes of an axis with m interior nodes to all.
+
+    Parity 0 keeps every node. Even (+1) and odd (-1) fields keep the
+    nodes at and right of the axis centre, less a centre node for odd
+    fields (they vanish there); a kept node's column holds 1 at the node
+    and `parity` at its mirror image.
+    """
+    if parity == 0:
+        return sp.eye_array(m, format="csr")
+    kept = _kept(m, parity)
+    mirror, cols = m - 1 - kept, np.arange(kept.size)
+    # duplicate entries add up: an even centre node is its own mirror
+    vals = np.concatenate([np.ones(kept.size), parity * (mirror != kept)])
+    rows = np.concatenate([kept, mirror])
+    return sp.csr_array((vals, (rows, np.concatenate([cols, cols]))), shape=(m, kept.size))
+
+
+def _kept(m: int, parity: int) -> np.ndarray:
+    """A folded axis keeps its right half, a centre node only if even."""
+    return np.arange(m // 2 + (m % 2) * (parity < 0), m)
+
+
+def fold(grid: Grid, parity) -> sp.csr_array:
+    """Extension E from the kept nodes of `parity` to the interior nodes.
+
+    `parity` holds one of 0 (all nodes), +1 (even) or -1 (odd about the
+    centre) per axis; E is the tensor product of the axis folds, and
+    E^T E the diagonal of the kept nodes' multiplicities.
+    """
+    return reduce(sp.kron, [_axis_fold(grid.n - 2, s) for s in parity]).tocsr()
+
+
+def neg_laplacian(grid: Grid, parity=None):
     """-Laplace operator on interior unknowns, CSR matrix.
 
     Second-order centered stencil. The radial operator carries the
     (dim-1)/r first-order term and the r=0 row uses the regularized
     limit  lap u(0) = dim * u''(0)  for even profiles.
+
+    On line and box grids, E^T (-lap) E for the fold E of `parity` (the
+    default, all 0, is -lap): the multiplicities times the stencil with a
+    mirror ghost node (even) or a Dirichlet plane (odd) at the centre,
+    symmetric. An odd n puts a node on the plane, an even n two nodes
+    astride it.
     """
     h = grid.h
     if grid.geometry == "radial":
@@ -143,16 +184,33 @@ def neg_laplacian(grid: Grid):
         up[0] = -2.0 * d / h**2
         up[1:] = upper[:-1]
         return sp.diags_array([main, up, lower], offsets=[0, 1, -1]).tocsr()
-    # line and box: Kronecker sum of the 1d operator over the axes
-    m = grid.n - 2
-    one = sp.diags_array(
-        [np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2), np.full(m - 1, -1.0 / h**2)],
-        offsets=[0, 1, -1],
-    )
-    eye = sp.eye_array(m)
+    # line and box: Kronecker sum of the axis stencils
     axes = range(grid.dimension)
-    terms = [reduce(sp.kron, [one if b == a else eye for b in axes]) for a in axes]
+    parity = parity or (0,) * grid.dimension
+    stencils, masses = zip(*[_axis_stencil(grid.n - 2, h, s) for s in parity])
+    terms = [reduce(sp.kron, [stencils[b] if b == a else masses[b] for b in axes]) for a in axes]
     return sum(terms[1:], terms[0]).tocsr()
+
+
+def _axis_stencil(m: int, h: float, parity: int):
+    """(E^T A E, E^T E) for A = -d^2/dx^2 on m nodes, E the axis fold.
+
+    Folding doubles A's rows, a kept node standing for its mirror image
+    too, except at the first kept node: a plane node (even, odd m) has
+    multiplicity 1 and its right neighbour as mirror ghost; the node
+    right of the plane (even m) has its partner as left neighbour, added
+    (even) or subtracted (odd); an odd field's first node (odd m) sees
+    the zero of the plane node.
+    """
+    if parity == 0:
+        main, off = np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2)
+        return sp.diags_array([main, off, off], offsets=[0, 1, -1]), sp.eye_array(m)
+    r = _kept(m, parity).size
+    main, off, mass = np.full(r, 4.0 / h**2), np.full(r - 1, -2.0 / h**2), np.full(r, 2.0)
+    main[0] = (2.0 if parity > 0 else 6.0 - 2.0 * (m % 2)) / h**2
+    if parity > 0 and m % 2:
+        mass[0] = 1.0
+    return sp.diags_array([main, off, off], offsets=[0, 1, -1]), sp.diags_array(mass)
 
 
 def extract_interior(grid: Grid, field: np.ndarray) -> np.ndarray:

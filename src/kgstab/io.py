@@ -1,9 +1,10 @@
 """Serialization: deterministic report JSON and CSV series.
 
 Report JSON is byte-reproducible for a fixed config and seed: keys are
-sorted, floats go through repr, and wall-clock metadata lives in a
-sidecar `<name>.meta.json` so the report file itself never changes
-between identical runs.  CSV cells that are floats are written through
+sorted, floats go through repr (a non-finite one, which strict JSON
+lacks, as null), and wall-clock metadata lives in a sidecar
+`<name>.meta.json` so the report file itself never changes between
+identical runs.  CSV cells that are floats are written through
 repr as well, so they read back at full precision.
 """
 
@@ -20,12 +21,12 @@ import numpy as np
 
 def to_jsonable(obj):
     """Recursively strip numpy and dataclass wrappers for json.dump."""
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return obj if np.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [to_jsonable(x) for x in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -42,12 +43,12 @@ def write_report(report: dict, path, meta: dict | None = None) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(to_jsonable(report), f, indent=2, sort_keys=True)
+        json.dump(to_jsonable(report), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     side = dict(meta or {})
     side["written_at"] = datetime.now(timezone.utc).isoformat()
     with open(path.with_suffix(".meta.json"), "w") as f:
-        json.dump(to_jsonable(side), f, indent=2, sort_keys=True)
+        json.dump(to_jsonable(side), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -13,14 +13,17 @@ negative slope gives stability, while an odd value of
 n_negative - p(omega) gives instability (p(omega) = 1 when the slope is
 negative, else 0).
 
-The count and the low eigenvalues come from `eig_low`.  On a line grid
-L is tridiagonal and solved densely.  On a box grid the spectrum is
-sliced at zero (Parlett, *The Symmetric Eigenvalue Problem*): one
-symmetric LDL^T of L gives the exact number of negative eigenvalues by
-Sylvester's law of inertia, and the same factorization drives
-shift-invert Lanczos at zero for the eigenvalues around the zero
-cluster.  A second, short shift-invert below the spectrum runs only for
-the deep negative eigenvalues that the first one does not reach.
+The count and the low eigenvalues come from `eig_low`, run on each
+parity block of L when Z is even in some axes (`parity_blocks`): the
+block counts add up to n(L), and the blocks' lowest eigenvalues merge
+into L's.  On a line grid a block is tridiagonal and solved densely.
+On a box grid the spectrum is sliced at zero (Parlett, *The Symmetric
+Eigenvalue Problem*): one symmetric LDL^T of the block gives the exact
+number of its negative eigenvalues by Sylvester's law of inertia, and
+the same factorization drives shift-invert Lanczos at zero for the
+eigenvalues around the zero cluster.  A second, short shift-invert
+below the spectrum runs only for the deep negative eigenvalues that the
+first one does not reach.
 
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
@@ -41,6 +44,8 @@ is ambiguous at the discretization order.
 
 from __future__ import annotations
 
+import itertools
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +53,13 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from . import elliptic
+from . import elliptic, grids
 from .elliptic import LinearizedOperator, Profile, assemble_L
 from .errors import EigSolverFailure
 from .potentials import EffectiveZ, PotentialPair, ProblemParams
 from .stability import SlopeReport
+
+log = logging.getLogger("kgstab")
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     a result whose negative count disagrees with the inertia raises
     `EigSolverFailure`.
     """
-    n = op.grid.n_interior()
+    n = op.diagonal.size
     k = min(k, n - 1)
     a = op.matrix()
     if op.grid.geometry == "line":
@@ -105,6 +112,7 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigSolverFailure("LDL^T factorization pivoted off the diagonal: inertia unknown")
     n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    log.debug("eig_low: parity %s, %d unknowns, %d negative pivots", op.parity, n, n_neg)
     vals = _shift_invert(a, k, 0.0, lu, v0)
     missing = n_neg - int(np.count_nonzero(vals < 0.0))
     if missing > 0:
@@ -122,15 +130,8 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
 
 
 def _factor(a):
-    """Symmetric-mode SuperLU of `a`.
-
-    Minimum-degree ordering on A + A^T and pivots taken from the
-    diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    """
     try:
-        return elliptic.splu(
-            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
-        )
+        return elliptic.factor_ldl(a)
     except RuntimeError as exc:
         raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
 
@@ -146,6 +147,23 @@ def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray) -> np.ndarray:
         raise EigSolverFailure(f"shift-inverted Lanczos stalled: {exc}") from exc
     except RuntimeError as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos failed: {exc}") from exc
+
+
+def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
+    """L split into 2^s blocks, one per even/odd choice on its s even axes.
+
+    `even` marks the axes in which L's coefficient Z is even. A block's
+    diagonal is the reflection average of L's, which drops the roundoff
+    asymmetry of the profile; L itself is the one block when no axis is
+    even. The union of the blocks' spectra is L's.
+    """
+    if not any(even):
+        return [op]
+    blocks = []
+    for parity in itertools.product(*[(1, -1) if s else (0,) for s in even]):
+        e = abs(grids.fold(op.grid, parity))
+        blocks.append(replace(op, diagonal=(e.T @ op.diagonal) / e.sum(axis=0), parity=parity))
+    return blocks
 
 
 def predicted_shifts(limit: Profile, z: EffectiveZ) -> np.ndarray:
@@ -171,7 +189,10 @@ def build_spectrum_report(
     if k is None:
         k = params.dimension + 3
     op = assemble_L(profile, params, pair)
-    vals = eig_low(op, k)
+    z_int = elliptic._z_on_grid(params, pair, op.grid, profile.center, profile.epsilon)
+    blocks = parity_blocks(op, elliptic.even_axes(op.grid, z_int))
+    log.debug("spectrum: parity blocks of %s unknowns", [b.diagonal.size for b in blocks])
+    vals = np.sort(np.concatenate([eig_low(b, k) for b in blocks]))[:k]
     floor = 1e-10 * max(1.0, abs(float(vals[0])))
     n_neg = int(np.sum(vals < -floor))
     shifts = predicted_shifts(limit, z)

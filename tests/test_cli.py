@@ -207,6 +207,37 @@ def test_evolve_subcommand(tmp_path, capsys):
     assert "stayed-in-tube" in capsys.readouterr().out
 
 
+def test_evolve_on_a_pinned_2d_box(tmp_path, capsys):
+    # the limit state on a pinned box was seeded from the 1d axis: IndexError
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "p": 2.0,
+                "m": 1.0,
+                "omega": 0.5,
+                "potentials": {
+                    "W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, 0.2]]}]
+                },
+                "epsilons": [0.1],
+                "analyses": {"dynamics": True},
+                "dynamics": {
+                    "delta": 1e-3,
+                    "T_over_epsilon": 1.0,
+                    "grid": {"geometry": "box", "extent": 20.0, "n": 41},
+                },
+            }
+        )
+    )
+    out = tmp_path / "dyn"
+    assert main(["evolve", str(path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    block = json.loads((out / "report.json").read_text())["blocks"][0]["dynamics"]
+    assert block["grid"] == {"extent": 20.0, "n": 41}
+    assert block["steps"] > 0
+
+
 def test_sweep_subcommand(tmp_path):
     raw = json.loads(json.dumps(BASE))
     raw["omegas"] = [0.9, 0.3]

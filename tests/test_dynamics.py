@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from kgstab import grids
+from kgstab.cli import DynamicsOptions, _dynamics_summary
+from kgstab.io import write_report
 from kgstab.dynamics import (
     BLOWUP_FACTOR,
     BOUNDARY_FLAG_REL,
@@ -435,6 +439,43 @@ def test_non_finite_sample_is_blow_up(every):
     assert rec.blow_up and rec.verdict == "exited-tube"
     assert rec.exit_time == rec.times[-1] == st.t
     assert rec.steps < 2000
+
+
+@pytest.mark.parametrize("every", [200, 400])
+def test_blown_up_run_writes_strict_json_outside_the_stable_band(every, tmp_path):
+    params, pair, prof, state = signed_kappa_setup(LINE)
+    st = state()
+    st.u *= 2.0
+    st.v *= 2.0
+    dt = 0.9 * stable_dt(st, params, pair)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = evolve(st, params, pair, dt, 2000 * dt, record_every=every, profile=prof)
+    phi_h1 = h1_norm(LINE, prof.values, params.epsilon, 1)
+    entry = _dynamics_summary(rec, DynamicsOptions(delta=1e-3), LINE, phi_h1)
+    write_report({"dynamics": entry}, tmp_path / "report.json")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    with open(tmp_path / "report.json") as f:
+        got = json.load(f, parse_constant=reject)["dynamics"]
+    assert got["blow_up"] is True
+    assert got["within_stable_band"] is False
+    # the last sample's NaN distance and drifts are written as null
+    assert got["max_distance"] is None and got["energy_drift"] is None
+
+
+@pytest.mark.parametrize("noise", [1e-13, 1e-11, 1e-9])
+def test_orbital_distance_resolves_below_the_closed_form_floor(noise):
+    params, pair, prof, state = signed_kappa_setup(LINE)
+    field = np.random.default_rng(11).standard_normal(LINE.shape)
+    field[[0, -1]] = 0.0
+    phi_h1 = h1_norm(LINE, prof.values, params.epsilon, 1)
+    pert = noise * phi_h1 / h1_norm(LINE, field, params.epsilon, 1) * field
+    st = state()
+    st.u = np.exp(0.7j) * (prof.values + pert)
+    # real noise keeps the optimal phase at 0.7, so the distance is its norm
+    assert orbital_distance(st, prof) == pytest.approx(noise * phi_h1, rel=0.01)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from kgstab.elliptic import (
     continue_profile,
     rescale_profile,
     resolve_at_omega,
+    sech_ground_state,
     solve_limit_ground_state,
 )
 from kgstab.errors import GridTooSmall, NoConvergence
@@ -109,9 +110,9 @@ def test_newton_refactors_a_stale_lu_before_giving_up(monkeypatch):
     # has the other sign there and no halving of the chord step descends
     factored = []
 
-    def counting_splu(A):
+    def counting_splu(A, **options):
         factored.append(A.shape)
-        return splu(A)
+        return splu(A, **options)
 
     monkeypatch.setattr(elliptic, "splu", counting_splu)
     g = Grid(1, "line", 1000.0, 9)
@@ -120,6 +121,51 @@ def test_newton_refactors_a_stale_lu_before_giving_up(monkeypatch):
     assert res < 1e-12
     assert np.allclose(psi, -1.0, atol=1e-4)
     assert len(factored) >= 2
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(1, "line", 12.0, 200), Grid(2, "box", 10.0, 33)],
+    ids=["line-plane-between-nodes", "box-plane-node"],
+)
+def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
+    # z even in every axis, an anisotropic start that is not
+    y = grid.points()
+    r2 = np.sum(y**2, axis=-1)
+    z = grids.extract_interior(grid, 0.8 + 0.01 * r2 + 0.02 * y[..., 0] ** 2)
+    w = grids.extract_interior(grid, grid.weights())
+    start = 1.5 * np.exp(-0.5 * r2) * (1.0 + 0.05 * np.tanh(y[..., 0]))
+    start = grids.extract_interior(grid, start)
+    assert elliptic.even_axes(grid, z) == (1,) * grid.dimension
+    folded, res_folded = _newton(grid, z, 3.0, start, w, 1e-13)
+    monkeypatch.setattr(elliptic, "even_axes", lambda grid, z_int: (0,) * grid.dimension)
+    full, res_full = _newton(grid, z, 3.0, start, w, 1e-13)
+    assert max(res_folded, res_full) < 1e-12
+    assert np.max(np.abs(folded - full)) <= 1e-12 * np.max(np.abs(full))
+    # the folded solve returns the even extension: exactly even
+    values = grids.insert_interior(grid, folded)
+    for a in range(grid.dimension):
+        assert np.array_equal(values, np.flip(values, axis=a))
+
+
+def test_box_limit_solve_seeds_with_the_radius():
+    # a box seed from the 1d axis raised IndexError; now a too-small box is
+    # a GridTooSmall the block guard records, and a larger one solves
+    with pytest.raises(GridTooSmall):
+        solve_limit_ground_state(1.0, 3.0, Grid(2, "box", 8.0, 41))
+    prof = solve_limit_ground_state(1.0, 3.0, Grid(2, "box", 14.0, 41))
+    assert prof.residual < 1e-10
+    assert prof.peak == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(1, "line", 15.0, 301), Grid(2, "radial", 15.0, 301)], ids=["line", "radial"]
+)
+def test_limit_seed_by_radius_is_bit_identical_on_line_and_radial_grids(grid):
+    # the seed the fd limit solver used before it took the radius
+    assert np.array_equal(
+        sech_ground_state(1.0, 3.0, grid.radii()), sech_ground_state(1.0, 3.0, grid.axis)
+    )
 
 
 def test_decay_check_raises_on_small_domain():

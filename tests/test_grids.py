@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -93,6 +94,40 @@ def test_neg_laplacian_is_the_kronecker_sum_of_the_line_stencil(dim):
     got = grids.neg_laplacian(g).toarray()
     assert got.shape == (m**dim, m**dim)
     assert np.allclose(got, want, rtol=0.0, atol=1e-12 / g.h**2)
+
+
+def _parities(dim):
+    return list(itertools.product((0, 1, -1), repeat=dim))
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_fold_then_unfold_is_the_identity_on_fields_of_its_parity(dim, n):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    shape = (n - 2,) * dim
+    rng = np.random.default_rng(dim * n)
+    for parity in _parities(dim):
+        field = rng.standard_normal(shape)
+        for a, s in enumerate(parity):
+            if s:
+                field = 0.5 * (field + s * np.flip(field, axis=a))
+        x = field.ravel()
+        e = grids.fold(g, parity)
+        mult = (e.T @ e).diagonal()
+        assert set(mult) <= {1.0, 2.0, 4.0, 8.0}
+        np.testing.assert_allclose(e @ ((e.T @ x) / mult), x, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_folded_stencils_are_the_restriction_of_the_full_laplacian(dim, n):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    full = grids.neg_laplacian(g).toarray()
+    for parity in _parities(dim):
+        e = grids.fold(g, parity).toarray()
+        got = grids.neg_laplacian(g, parity).toarray()
+        assert np.allclose(got, e.T @ full @ e, rtol=0.0, atol=1e-12 / g.h**2), parity
+        assert np.array_equal(got, got.T)
 
 
 def test_gradient_accuracy():

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -22,6 +24,7 @@ from kgstab.spectrum import (
     build_spectrum_report,
     eig_low,
     gss_classify,
+    parity_blocks,
     predicted_shifts,
 )
 from kgstab.stability import build_slope_report
@@ -280,3 +283,68 @@ def test_box_spectrum_invariant_under_axis_maps(matrices, townes_coarse):
     for rep in reports[1:]:
         assert rep.n_negative == reports[0].n_negative
         np.testing.assert_allclose(rep.eigenvalues, reports[0].eigenvalues, rtol=1e-10, atol=0.0)
+
+
+def _line_operator(n, diagonal, extent=6.0):
+    g = Grid(1, "line", extent, n)
+    return LinearizedOperator(g, np.asarray(diagonal(g.axis[1:-1]), dtype=float), 0.0)
+
+
+# (operator, whether the even-even block needs the second shift)
+SYMMETRIC_CASES = {
+    "box-plane-node": (lambda: _box_operator(25, _centred_well(1.5, 1.5)), False),
+    "box-plane-between-nodes": (lambda: _box_operator(24, _centred_well(1.5, 1.5)), False),
+    "box-deep-even-ground-state": (lambda: _box_operator(21, _centred_well(6.0, 1.0)), True),
+    "line-plane-node": (lambda: _line_operator(41, lambda x: 0.3 - 3.0 * np.exp(-(x**2))), False),
+    "line-plane-between-nodes": (
+        lambda: _line_operator(40, lambda x: 0.3 - 3.0 * np.exp(-(x**2))), False
+    ),
+}
+
+
+def _centred_well(depth, width):
+    # even in both axes, anisotropic
+    return lambda x, y: 0.3 - depth * np.exp(-(x**2 + 0.7 * y**2) / width**2)
+
+
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
+def test_parity_blocks_split_the_spectrum(case, monkeypatch):
+    make, second_shift = SYMMETRIC_CASES[case]
+    op = make()
+    k = 5
+    even = elliptic.even_axes(op.grid, op.diagonal)
+    assert even == (1,) * op.grid.dimension
+    full = eig_low(op, k)
+    dense = np.linalg.eigvalsh(op.matrix().toarray())[:k]
+    eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
+    blocks = parity_blocks(op, even)
+    assert len(blocks) == 2**op.grid.dimension
+    assert sum(b.diagonal.size for b in blocks) == op.diagonal.size
+    split = np.sort(np.concatenate([eig_low(b, k) for b in blocks]))[:k]
+    np.testing.assert_allclose(split, full, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(split, dense, rtol=1e-9, atol=0.0)
+    if op.grid.geometry == "box":
+        # the even-even block comes first; its deep ground state lies
+        # below the shift-0 window only in the deep case
+        assert len(eigsh_calls) == len(blocks) + second_shift
+
+
+@pytest.mark.parametrize(
+    "matrix, folded",
+    [(((0.3, 0.0), (0.0, -0.3)), [0, 1]), (((0.3, 0.1), (0.1, -0.3)), [])],
+    ids=["diagonal-saddle", "coupled-saddle"],
+)
+def test_debug_log_names_the_folded_axes_and_the_blocks(matrix, folded, townes_coarse, caplog):
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        _saddle_spectrum(matrix, townes_coarse)
+    messages = [r.getMessage() for r in caplog.records]
+    full = 119**2
+    newton = [m for m in messages if m.startswith("newton:")]
+    # the last solve runs at epsilon = 0.1, where Z is the saddle's
+    reduced = 60**2 if folded else full
+    assert newton[-1] == f"newton: {reduced} of {full} unknowns, folded axes {folded}"
+    (blocks,) = [m for m in messages if m.startswith("spectrum:")]
+    sizes = [60 * 60, 60 * 59, 59 * 60, 59 * 59] if folded else [full]
+    assert blocks == f"spectrum: parity blocks of {sizes} unknowns"
+    pivots = [m for m in messages if m.startswith("eig_low:")]
+    assert len(pivots) == len(sizes)
