@@ -31,6 +31,13 @@ specific to the line. Where Z(x0 + eps y) is even in an axis, so are
 phi and L (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986):
 Newton then solves on the mirror half of that axis, and L splits into
 an even and an odd block there.
+
+Operators are kept in the form their grid makes cheapest (`_operator`).
+On line and radial grids -lap + diag is tridiagonal: it stays three
+bands (`grids.bands`), applied in O(n) and factored by LAPACK ?gttrf
+(`factor_banded`), with no sparse matrix and no SuperLU. On box grids
+it is assembled as a sparse matrix, once per solve, and factored by a
+symmetric-mode SuperLU (`factor_ldl`).
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from . import grids
@@ -165,12 +173,12 @@ def _petviashvili(apply_A, solve_A, weights, psi, p, tol, max_iter=400):
 
 
 def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
-    A = (grids.neg_laplacian(grid) + c * sp.eye_array(grid.n_interior())).tocsc()
-    lu = splu(A)
+    z = np.full(grid.n_interior(), c)
+    apply_A, factor, _ = _operator(grid, None, z)
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.radii()))
-    psi, res, _ = _petviashvili(lambda v: A @ v, lu.solve, w, psi0, p, max(tol, 1e-9))
-    return _newton(grid, np.full(grid.n_interior(), c), p, psi, w, tol)
+    psi, res, _ = _petviashvili(apply_A, factor().solve, w, psi0, p, max(tol, 1e-9))
+    return _newton(grid, z, p, psi, w, tol)
 
 
 def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
@@ -267,12 +275,72 @@ def factor_ldl(a):
 
     Minimum-degree ordering on A + A^T and pivots taken from the
     diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    Newton's Jacobians and the shift-invert operators of
-    `spectrum.eig_low` are factored here.
+    Box grids factor here: Newton's Jacobians, L in `compute_R_omega` and
+    the shift-invert operators of `spectrum.eig_low`. It is the one
+    caller of `splu`.
     """
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
     )
+
+
+@dataclass(frozen=True)
+class BandedLU:
+    """LAPACK ?gttrf factors of a tridiagonal matrix, with SuperLU's `solve`."""
+
+    factors: tuple
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dgttrs(*self.factors, b)[0]
+
+
+def factor_banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> BandedLU:
+    """LU with partial pivoting of the tridiagonal matrix with these bands.
+
+    Line and radial grids factor here, in O(n) and with no sparse matrix:
+    Newton's Jacobians, the limit operator and L in `compute_R_omega`. A
+    zero pivot raises `SingularOperator`.
+    """
+    *factors, info = dgttrf(lower, main, upper)
+    if info > 0:
+        raise SingularOperator(f"tridiagonal factorization: pivot {info} is exactly zero")
+    return BandedLU(tuple(factors))
+
+
+def _operator(grid: Grid, parity, diagonal: np.ndarray):
+    """-lap + diag(diagonal) on the kept nodes of `parity`: (apply, factor, kind).
+
+    `factor(shift)` factors the operator less diag(shift), the operator
+    itself when no shift is given, and raises `SingularOperator` where
+    that is singular. Line and radial grids keep the operator as its
+    three `grids.bands`, applied in O(n) and factored by `factor_banded`;
+    box grids assemble the sparse matrix once and factor it by
+    `factor_ldl`. `kind` names the factorization for the log.
+    """
+    if grid.geometry == "box":
+        a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
+
+        def factor_box(shift=None):
+            try:
+                return factor_ldl(a if shift is None else (a - sp.diags_array(shift)).tocsc())
+            except RuntimeError as exc:
+                raise SingularOperator(f"sparse factorization failed: {exc}") from exc
+
+        return a.__matmul__, factor_box, "LDL^T"
+    lower, main, upper, _ = grids.bands(grid, parity)
+    main = main + diagonal
+
+    def apply(v):
+        # summed in the order of a CSC product: the sparse path's values
+        out = main * v
+        out[1:] += lower * v[:-1]
+        out[:-1] += upper * v[1:]
+        return out
+
+    def factor_line(shift=None):
+        return factor_banded(lower, main if shift is None else main - shift, upper)
+
+    return apply, factor_line, "banded"
 
 
 def _newton(
@@ -293,7 +361,10 @@ def _newton(
     with a mirror ghost node at each plane, and returns the even
     extension. The residual norm weighs a kept node by its full-box
     weight times its multiplicity; the Jacobian, scaled by the
-    multiplicities, is symmetric and factored by `factor_ldl`.
+    multiplicities, is symmetric. On line and radial grids the operator
+    and the Jacobian stay tridiagonal bands, factored by `factor_banded`;
+    on box grids they are sparse matrices, factored by `factor_ldl`
+    (see `_operator`).
 
     The Jacobian is refactored only when the residual falls by less than
     a factor 4 per step (on box grids the LU dominates the cost); each
@@ -303,34 +374,34 @@ def _newton(
     and the step retried; only a fresh factorization that also stalls
     raises. A residual within 10 tol is accepted where the line search
     or the iteration budget runs out, that being the roundoff floor.
-    Returns (psi, res).
+    A DEBUG log line names the folding at the start and, on return, the
+    factorization kind, the iterations, the factorizations and the
+    residual. Returns (psi, res).
     """
     parity = even_axes(grid, z_int)
-    e = sp.eye_array(psi.size, format="csr") if parity is None else grids.fold(grid, parity)
+    restrict, extend = grids.fold_maps(grid, parity)
+    mu = restrict(np.ones(psi.size))
     folded = [a for a, s in enumerate(parity or ()) if s]
-    log.debug("newton: %d of %d unknowns, folded axes %s", e.shape[1], e.shape[0], folded)
-    mu = e.sum(axis=0)
-    weights = e.T @ weights
-    Az = (grids.neg_laplacian(grid, parity) + sp.diags_array(e.T @ z_int)).tocsc()
-    psi = (e.T @ psi) / mu
+    log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
+    weights = restrict(weights)
+    apply_Az, factor, kind = _operator(grid, parity, restrict(z_int))
+    psi = restrict(psi) / mu
 
     def residual(v):
-        return (Az @ v) / mu - _nonlin(v, p)
+        return apply_Az(v) / mu - _nonlin(v, p)
 
     lu = None
+    factorizations = 0
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
     for it in range(max_iter):
         if res < tol:
-            return e @ psi, res
+            break
         fresh = lu is None or res > 0.25 * res_prev
         if fresh:
-            J = (Az - sp.diags_array(mu * p * np.abs(psi) ** (p - 1.0))).tocsc()
-            try:
-                lu = factor_ldl(J)
-            except RuntimeError as exc:
-                raise SingularOperator(f"Newton Jacobian singular: {exc}") from exc
+            lu = factor(mu * p * np.abs(psi) ** (p - 1.0))
+            factorizations += 1
         delta = lu.solve(-mu * f)
         lam = 1.0
         for _ in range(25):
@@ -344,14 +415,20 @@ def _newton(
         else:
             # Line search exhausted: at the roundoff floor of the residual.
             if res < 10.0 * tol:
-                return e @ psi, res
+                break
             if not fresh:
                 lu = None  # refactor at this iterate and retry the step
                 continue
             raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
-    if res < 10.0 * tol:
-        return e @ psi, res
-    raise NoConvergence("Newton did not converge", residual=res, iterations=max_iter)
+    else:
+        it = max_iter
+        if res >= 10.0 * tol:
+            raise NoConvergence("Newton did not converge", residual=res, iterations=max_iter)
+    log.debug(
+        "newton done: %s, %d iterations, %d factorizations, residual %.3e",
+        kind, it, factorizations, res,
+    )
+    return extend(psi), res
 
 
 def continue_profile(
@@ -504,6 +581,13 @@ class LinearizedOperator:
             a = s @ a @ s
         return (a + sp.diags_array(self.diagonal)).tocsr()
 
+    def bands(self) -> tuple:
+        """(main, off) of `matrix()` on a line grid, with no sparse matrix:
+        the same products in the same order, so the same values."""
+        _, main, off, mass = grids.bands(self.grid, self.parity)
+        s = 1.0 / np.sqrt(mass)
+        return (s * main) * s + self.diagonal, (s[:-1] * off) * s[1:]
+
 
 def assemble_L(
     profile: Profile, params: ProblemParams, pair: PotentialPair
@@ -536,9 +620,10 @@ def compute_R_omega(
 
         L_eps R = 2 (omega + V(x)) phi
 
-    directly; "finite-difference" re-solves the profile at omega +- d
-    and differences. Returns (R, info) where info carries the identity
-    residual  ||L_eps R - rhs|| / ||phi||  and the method used.
+    directly, with L factored as in Newton (`_operator`: banded on a
+    line, LDL^T on a box); "finite-difference" re-solves the profile at
+    omega +- d and differences. Returns (R, info) where info carries the
+    identity residual  ||L_eps R - rhs|| / ||phi||  and the method used.
     """
     grid = profile.grid
     w = grids.extract_interior(grid, grid.weights())
@@ -547,17 +632,14 @@ def compute_R_omega(
     v, _, _ = pair.V(x)
     rhs_full = 2.0 * (params.omega + v) * profile.values
     rhs = grids.extract_interior(grid, rhs_full)
-    L = assemble_L(profile, params, pair).matrix().tocsc()
+    apply_L, factor, _ = _operator(grid, None, assemble_L(profile, params, pair).diagonal)
 
     if method == "linear-solve":
-        try:
-            lu = splu(L)
-            r_int = lu.solve(rhs)
-            # one step of iterative refinement; the operator is nearly
-            # singular for small epsilon and this buys a few digits
-            r_int = r_int + lu.solve(rhs - L @ r_int)
-        except RuntimeError as exc:
-            raise SingularOperator(f"linearized solve failed: {exc}") from exc
+        lu = factor()
+        r_int = lu.solve(rhs)
+        # one step of iterative refinement; the operator is nearly
+        # singular for small epsilon and this buys a few digits
+        r_int = r_int + lu.solve(rhs - apply_L(r_int))
     elif method == "finite-difference":
         if domega is None:
             domega = 1e-3 * max(1.0, abs(params.omega))
@@ -567,7 +649,7 @@ def compute_R_omega(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    resid = float(np.sqrt(np.sum(w * (L @ r_int - rhs) ** 2)))
+    resid = float(np.sqrt(np.sum(w * (apply_L(r_int) - rhs) ** 2)))
     phinorm = float(np.sqrt(np.sum(w * phi_int**2)))
     info = {"method": method, "identity_residual": resid, "relative_residual": resid / phinorm}
     if method == "linear-solve" and resid > tol_id * phinorm:

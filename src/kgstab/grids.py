@@ -11,9 +11,12 @@ A line is the one-dimensional box: shapes, weights, gradients and the
 Laplacian (a Kronecker sum of the 1d stencil over the axes) take one
 tensor-product path for both, and only the radial grid has its own.
 Fields of one parity per axis live on the kept nodes of a `fold`, and
-`neg_laplacian` restricts to them. Fields are stored on the full node
-set with boundary entries kept at zero; linear operators act on the
-interior unknowns only.
+`neg_laplacian` restricts to them. Both kinds of one-dimensional grid,
+line and radial, also give their -lap as three `bands`, from which the
+solvers work without any sparse matrix; box grids assemble the sparse
+Kronecker sum of the same axis bands. Fields are stored on the full
+node set with boundary entries kept at zero; linear operators act on
+the interior unknowns only.
 """
 
 from __future__ import annotations
@@ -134,17 +137,21 @@ def _axis_fold(m: int, parity: int):
     """
     if parity == 0:
         return sp.eye_array(m, format="csr")
-    kept = _kept(m, parity)
-    mirror, cols = m - 1 - kept, np.arange(kept.size)
+    kept, mirror, sign = _mirror(m, parity)
+    cols = np.arange(kept.size)
     # duplicate entries add up: an even centre node is its own mirror
-    vals = np.concatenate([np.ones(kept.size), parity * (mirror != kept)])
+    vals = np.concatenate([np.ones(kept.size), sign])
     rows = np.concatenate([kept, mirror])
     return sp.csr_array((vals, (rows, np.concatenate([cols, cols]))), shape=(m, kept.size))
 
 
-def _kept(m: int, parity: int) -> np.ndarray:
-    """A folded axis keeps its right half, a centre node only if even."""
-    return np.arange(m // 2 + (m % 2) * (parity < 0), m)
+def _mirror(m: int, parity: int):
+    """(kept, mirror, sign) of an axis fold: a folded axis keeps its right
+    half, a centre node only if even; `sign` is `parity`, but 0 at a node
+    that is its own mirror."""
+    kept = np.arange(m // 2 + (m % 2) * (parity < 0), m)
+    mirror = m - 1 - kept
+    return kept, mirror, parity * (mirror != kept)
 
 
 def fold(grid: Grid, parity) -> sp.csr_array:
@@ -155,6 +162,53 @@ def fold(grid: Grid, parity) -> sp.csr_array:
     E^T E the diagonal of the kept nodes' multiplicities.
     """
     return reduce(sp.kron, [_axis_fold(grid.n - 2, s) for s in parity]).tocsr()
+
+
+def fold_maps(grid: Grid, parity):
+    """(restrict, extend): v -> E^T v and u -> E u for the `fold` E.
+
+    A line folds by indexing, with no sparse matrix; a radial grid, whose
+    parity is None, does not fold, and both maps are the identity.
+    """
+    if grid.geometry == "box":
+        e = fold(grid, parity)
+        return e.T.__matmul__, e.__matmul__
+    if not parity or not parity[0]:
+        return (lambda v: v), (lambda u: u)
+    kept, mirror, sign = _mirror(grid.n - 2, parity[0])
+
+    def extend(u):
+        out = np.zeros(grid.n - 2, dtype=u.dtype)
+        out[kept] = u
+        out[mirror] += sign * u
+        return out
+
+    return (lambda v: v[kept] + sign * v[mirror]), extend
+
+
+def bands(grid: Grid, parity=None):
+    """-lap on a line or radial grid as its bands (lower, main, upper, mass).
+
+    On a line, the bands of `neg_laplacian(grid, parity)` and the
+    diagonal `mass` of the fold's multiplicities; the radial stencil is
+    not symmetric, and its mass is 1.
+    """
+    if grid.geometry != "radial":
+        main, off, mass = _axis_bands(grid.n - 2, grid.h, parity[0] if parity else 0)
+        return off, main, off, mass
+    h = grid.h
+    m = grid.n - 1
+    d = grid.dimension
+    i = np.arange(1, m)
+    main = np.full(m, 2.0 / h**2)
+    upper = -(1.0 + (d - 1) / (2.0 * i)) / h**2
+    lower = -(1.0 - (d - 1) / (2.0 * i)) / h**2
+    up = np.empty(m - 1)
+    # row 0 is the regularized center: lap u(0) ~ 2d (u1 - u0)/h^2
+    main[0] = 2.0 * d / h**2
+    up[0] = -2.0 * d / h**2
+    up[1:] = upper[:-1]
+    return lower, main, up, np.ones(m)
 
 
 def neg_laplacian(grid: Grid, parity=None):
@@ -168,32 +222,26 @@ def neg_laplacian(grid: Grid, parity=None):
     default, all 0, is -lap): the multiplicities times the stencil with a
     mirror ghost node (even) or a Dirichlet plane (odd) at the centre,
     symmetric. An odd n puts a node on the plane, an even n two nodes
-    astride it.
+    astride it. Both are assembled from the bands that `bands` returns.
     """
-    h = grid.h
     if grid.geometry == "radial":
-        m = grid.n - 1
-        d = grid.dimension
-        i = np.arange(1, m)
-        main = np.full(m, 2.0 / h**2)
-        upper = -(1.0 + (d - 1) / (2.0 * i)) / h**2
-        lower = -(1.0 - (d - 1) / (2.0 * i)) / h**2
-        up = np.empty(m - 1)
-        # row 0 is the regularized center: lap u(0) ~ 2d (u1 - u0)/h^2
-        main[0] = 2.0 * d / h**2
-        up[0] = -2.0 * d / h**2
-        up[1:] = upper[:-1]
-        return sp.diags_array([main, up, lower], offsets=[0, 1, -1]).tocsr()
+        lower, main, upper, _ = bands(grid)
+        return sp.diags_array([main, upper, lower], offsets=[0, 1, -1]).tocsr()
     # line and box: Kronecker sum of the axis stencils
     axes = range(grid.dimension)
     parity = parity or (0,) * grid.dimension
-    stencils, masses = zip(*[_axis_stencil(grid.n - 2, h, s) for s in parity])
+    stencils, masses = [], []
+    for s in parity:
+        main, off, mass = _axis_bands(grid.n - 2, grid.h, s)
+        stencils.append(sp.diags_array([main, off, off], offsets=[0, 1, -1]))
+        masses.append(sp.diags_array(mass))
     terms = [reduce(sp.kron, [stencils[b] if b == a else masses[b] for b in axes]) for a in axes]
     return sum(terms[1:], terms[0]).tocsr()
 
 
-def _axis_stencil(m: int, h: float, parity: int):
-    """(E^T A E, E^T E) for A = -d^2/dx^2 on m nodes, E the axis fold.
+def _axis_bands(m: int, h: float, parity: int):
+    """(main, off, mass): the bands of E^T A E and E^T E for A = -d^2/dx^2
+    on m nodes, E the axis fold.
 
     Folding doubles A's rows, a kept node standing for its mirror image
     too, except at the first kept node: a plane node (even, odd m) has
@@ -203,14 +251,13 @@ def _axis_stencil(m: int, h: float, parity: int):
     the zero of the plane node.
     """
     if parity == 0:
-        main, off = np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2)
-        return sp.diags_array([main, off, off], offsets=[0, 1, -1]), sp.eye_array(m)
-    r = _kept(m, parity).size
+        return np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2), np.ones(m)
+    r = _mirror(m, parity)[0].size
     main, off, mass = np.full(r, 4.0 / h**2), np.full(r - 1, -2.0 / h**2), np.full(r, 2.0)
     main[0] = (2.0 if parity > 0 else 6.0 - 2.0 * (m % 2)) / h**2
     if parity > 0 and m % 2:
         mass[0] = 1.0
-    return sp.diags_array([main, off, off], offsets=[0, 1, -1]), sp.diags_array(mass)
+    return main, off, mass
 
 
 def extract_interior(grid: Grid, field: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ negative, else 0).
 The count and the low eigenvalues come from `eig_low`, run on each
 parity block of L when Z is even in some axes (`parity_blocks`): the
 block counts add up to n(L), and the blocks' lowest eigenvalues merge
-into L's.  On a line grid a block is tridiagonal and solved densely.
+into L's.  On a line grid a block is tridiagonal and solved from its
+bands.
 On a box grid the spectrum is sliced at zero (Parlett, *The Symmetric
 Eigenvalue Problem*): one symmetric LDL^T of the block gives the exact
 number of its negative eigenvalues by Sylvester's law of inertia, and
@@ -79,8 +80,8 @@ class SpectrumReport:
 def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """The k algebraically smallest eigenvalues, ascending.
 
-    Line grids use the dense symmetric tridiagonal solver (machine
-    precision).  Box grids slice the spectrum at zero by inertia:
+    Line grids pass L's bands to the symmetric tridiagonal solver
+    (machine precision), with no sparse matrix.  Box grids slice the spectrum at zero by inertia:
 
     1. a symmetric-mode LDL^T of L (no off-diagonal pivoting, so
        perm_r == perm_c) counts the negative eigenvalues exactly, as the
@@ -99,13 +100,11 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """
     n = op.diagonal.size
     k = min(k, n - 1)
-    a = op.matrix()
     if op.grid.geometry == "line":
-        vals = eigh_tridiagonal(
-            a.diagonal(), a.diagonal(1), select="i", select_range=(0, k - 1), eigvals_only=True
-        )
+        main, off = op.bands()
+        vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
         return np.asarray(vals)
-    a = a.tocsc()
+    a = op.matrix().tocsc()
     # fixed-seed start vector: reproducible reports, generic against symmetry
     v0 = np.random.default_rng(1905).standard_normal(n)
     lu = _factor(a)

@@ -1,5 +1,9 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 
 from kgstab import elliptic, grids
@@ -13,17 +17,18 @@ from kgstab.elliptic import (
     sech_ground_state,
     solve_limit_ground_state,
 )
-from kgstab.errors import GridTooSmall, NoConvergence
+from kgstab.errors import GridTooSmall, NoConvergence, SingularOperator
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
     PotentialSpec,
     ProblemParams,
+    QuadraticTerm,
     effective_z_at,
+    find_critical_point,
     resolve_potentials,
 )
 
-from scipy.sparse.linalg import splu
 
 from conftest import sech_exact
 
@@ -103,19 +108,24 @@ def test_newton_failure_carries_residual_and_iterations():
     assert 0.0 < info.value.residual < 1e-10
 
 
-def test_newton_refactors_a_stale_lu_before_giving_up(monkeypatch):
+@pytest.mark.parametrize(
+    "g, factor",
+    [(Grid(1, "line", 1000.0, 9), "factor_banded"), (Grid(2, "box", 1000.0, 9), "factor_ldl")],
+    ids=["line", "box"],
+)
+def test_newton_refactors_a_stale_lu_before_giving_up(g, factor, monkeypatch):
     # h = 250 leaves the nodes almost uncoupled, so each solves x - x^3 = 0
     # from x = 0.501: the first step lands near -1 and cuts the residual
     # more than 4x, so the LU from the start is reused, but its Jacobian
     # has the other sign there and no halving of the chord step descends
     factored = []
+    entry = getattr(elliptic, factor)
 
-    def counting_splu(A, **options):
-        factored.append(A.shape)
-        return splu(A, **options)
+    def counting_factor(*bands):
+        factored.append(bands[-1].shape)
+        return entry(*bands)
 
-    monkeypatch.setattr(elliptic, "splu", counting_splu)
-    g = Grid(1, "line", 1000.0, 9)
+    monkeypatch.setattr(elliptic, factor, counting_factor)
     w = grids.extract_interior(g, g.weights())
     psi, res = _newton(g, np.ones(g.n_interior()), 3.0, np.full(g.n_interior(), 0.501), w, 1e-12)
     assert res < 1e-12
@@ -146,6 +156,91 @@ def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
     values = grids.insert_interior(grid, folded)
     for a in range(grid.dimension):
         assert np.array_equal(values, np.flip(values, axis=a))
+
+
+def _sparse_newton(monkeypatch):
+    """Newton on line and radial grids as box grids run it: a sparse fold,
+    a sparse -lap + diag and `factor_ldl` (the reference for the bands)."""
+
+    def fold_maps(grid, parity):
+        e = grids.fold(grid, parity) if parity else sp.eye_array(grid.n_interior())
+        return e.T.__matmul__, e.__matmul__
+
+    def operator(grid, parity, diagonal):
+        a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
+
+        def factor(shift=None):
+            return elliptic.factor_ldl(a if shift is None else (a - sp.diags_array(shift)).tocsc())
+
+        return a.__matmul__, factor, "LDL^T"
+
+    monkeypatch.setattr(grids, "fold_maps", fold_maps)
+    monkeypatch.setattr(elliptic, "_operator", operator)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.3], ids=["folded", "unfolded"])
+def test_banded_newton_matches_the_sparse_path_on_a_line(shift, monkeypatch):
+    g = Grid(1, "line", 12.0, 201)
+    y = g.axis[1:-1]
+    z = 0.8 + 0.05 * (y - shift) ** 2
+    w = grids.extract_interior(g, g.weights())
+    start = 1.5 * np.exp(-0.5 * y**2) * (1.0 + 0.05 * np.tanh(y))
+    assert elliptic.even_axes(g, z) == (int(shift == 0.0),)
+    banded, res_banded = _newton(g, z, 3.0, start, w, 1e-13)
+    _sparse_newton(monkeypatch)
+    sparse, res_sparse = _newton(g, z, 3.0, start, w, 1e-13)
+    assert max(res_banded, res_sparse) < 1e-12
+    assert np.max(np.abs(banded - sparse)) <= 1e-12 * np.max(np.abs(sparse))
+
+
+def test_banded_radial_limit_solve_matches_the_sparse_path(monkeypatch):
+    g = Grid(2, "radial", 16.0, 401)
+    banded = solve_limit_ground_state(0.75, 3.0, g, tol=1e-13, method="fd")
+    _sparse_newton(monkeypatch)
+    sparse = solve_limit_ground_state(0.75, 3.0, g, tol=1e-13, method="fd")
+    assert max(banded.residual, sparse.residual) < 1e-12
+    assert np.max(np.abs(banded.values - sparse.values)) <= 1e-12 * np.max(sparse.values)
+
+
+def test_singular_tridiagonal_raises_singular_operator():
+    # a zero-diagonal tridiagonal matrix of odd size has the eigenvalue 0
+    g = Grid(1, "line", 3.0, 9)
+    _, factor, kind = elliptic._operator(g, None, np.full(g.n_interior(), -2.0 / g.h**2))
+    assert kind == "banded"
+    with pytest.raises(SingularOperator):
+        factor()
+    with pytest.raises(SingularOperator):
+        elliptic.factor_banded(np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
+
+
+_DONE = re.compile(r"newton done: (\S+), (\d+) iterations, (\d+) factorizations, residual (\S+)$")
+
+
+@pytest.mark.parametrize(
+    "g, kind, factor",
+    [
+        (Grid(1, "line", 12.0, 200), "banded", "factor_banded"),
+        (Grid(2, "radial", 12.0, 200), "banded", "factor_banded"),
+        (Grid(2, "box", 10.0, 33), "LDL^T", "factor_ldl"),
+    ],
+    ids=["line", "radial", "box"],
+)
+def test_debug_log_records_each_newton_solve(g, kind, factor, monkeypatch, caplog):
+    z = np.full(g.n_interior(), 0.8)
+    w = grids.extract_interior(g, g.weights())
+    start = grids.extract_interior(g, 1.3 * np.exp(-0.4 * g.radii() ** 2))
+    calls = []
+    entry = getattr(elliptic, factor)
+    monkeypatch.setattr(elliptic, factor, lambda *a: calls.append(1) or entry(*a))
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        _, res = _newton(g, z, 3.0, start, w, 1e-12)
+    done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
+    assert len(done) == 1
+    got_kind, iterations, factorizations, residual = _DONE.match(done[0]).groups()
+    assert got_kind == kind
+    assert int(factorizations) == len(calls)
+    assert 1 <= len(calls) <= int(iterations) < 30
+    assert float(residual) == pytest.approx(res, rel=1e-3)
 
 
 def test_box_limit_solve_seeds_with_the_radius():
@@ -277,4 +372,19 @@ def test_R_omega_identity_residual(s1, s1_profile):
     params, pair, z, grid, limit = s1
     _, info = compute_R_omega(s1_profile, params, pair)
     norm = np.sqrt(np.sum(grid.weights() * s1_profile.values**2))
+    assert info["identity_residual"] <= 1e-6 * norm
+
+
+def test_R_omega_identity_residual_on_a_box():
+    # the 2d saddle of the spectrum tests on a small box: L has a pair
+    # of eigenvalues near zero, factored as LDL^T
+    params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
+    spec = PotentialSpec(2, (QuadraticTerm(((0.3, 0.0), (0.0, -0.3)), (0.0, 0.0)),))
+    pair = resolve_potentials(params, None, spec)
+    z = find_critical_point(params, pair, (0.0, 0.0))
+    limit = solve_limit_ground_state(z.z0, 3.0, Grid(2, "radial", 16.0, 401))
+    grid = Grid(2, "box", 14.0, 71)
+    prof = continue_profile(limit, params, pair, z, grid=grid)
+    _, info = compute_R_omega(prof, params, pair)
+    norm = np.sqrt(np.sum(grid.weights() * prof.values**2))
     assert info["identity_residual"] <= 1e-6 * norm

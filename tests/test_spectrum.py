@@ -307,6 +307,23 @@ def _centred_well(depth, width):
     return lambda x, y: 0.3 - depth * np.exp(-(x**2 + 0.7 * y**2) / width**2)
 
 
+@pytest.mark.parametrize("n", [40, 41], ids=["plane-between-nodes", "plane-node"])
+def test_banded_eig_low_matches_dense_on_lines(n):
+    # a deep well with a noisy, uneven diagonal: the full operator and
+    # both parity blocks of its even part
+    noise = np.random.default_rng(n).standard_normal(n - 2)
+    ops = [_line_operator(n, lambda x: 0.3 - 3.0 * np.exp(-(x**2)) + 0.5 * noise)]
+    ops += parity_blocks(_line_operator(n, lambda x: 0.3 - 3.0 * np.exp(-(x**2))), (1,))
+    for op in ops:
+        a = op.matrix()
+        main, off = op.bands()
+        # the bands are the assembled matrix's, to the last bit
+        assert np.array_equal(main, a.diagonal()) and np.array_equal(off, a.diagonal(1))
+        dense = np.linalg.eigvalsh(a.toarray())[:5]
+        scale = float(np.max(np.abs(dense)))
+        np.testing.assert_allclose(eig_low(op, 5), dense, rtol=0.0, atol=1e-12 * scale)
+
+
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
 def test_parity_blocks_split_the_spectrum(case, monkeypatch):
     make, second_shift = SYMMETRIC_CASES[case]
