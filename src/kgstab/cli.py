@@ -126,6 +126,7 @@ _SCENARIO_KEYS = (
 _GRID_KEYS = ("geometry", "extent", "n")
 _TERM_TYPES = {"gaussian": GaussianTerm, "quadratic": QuadraticTerm}
 _NUMBER = (_is_number, "expected a number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "expected a number > 0")
 # key -> (check, message); the defaults are those of DynamicsOptions
 _DYNAMICS_FIELDS = {
     "delta": _NUMBER,
@@ -134,8 +135,8 @@ _DYNAMICS_FIELDS = {
         "expected radial-bump | random-smooth | none",
     ),
     "seed": (_is_int, "expected an integer"),
-    "T_over_epsilon": _NUMBER,
-    "dt_factor": _NUMBER,
+    "T_over_epsilon": _POSITIVE,
+    "dt_factor": _POSITIVE,
     "order": (lambda v: _is_int(v) and v in (2, 4), "expected 2 or 4"),
     "record_every": (lambda v: _is_int(v) and v > 0, "expected a positive integer"),
     "tube_stay": _NUMBER,
@@ -220,7 +221,8 @@ def _parse_dynamics(raw, dim: int) -> DynamicsOptions:
     for key, (check, msg) in _DYNAMICS_FIELDS.items():
         if key in raw:
             _expect(check(raw[key]), f"/dynamics/{key}", msg)
-            values[key] = float(raw[key]) if check is _is_number else raw[key]
+            is_float = isinstance(getattr(DynamicsOptions, key), float)
+            values[key] = float(raw[key]) if is_float else raw[key]
     return DynamicsOptions(**values, grid=_parse_grid(raw.get("grid"), dim, "/dynamics/grid"))
 
 
@@ -272,6 +274,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
     critical_guess = (0.0,) * dim if guess is None else _vector(guess, dim, "/critical_guess")
     tol = _number(raw, "tol", "", default=1e-10)
     domega = _number(raw, "domega", "", default=None)
+    _expect(domega is None or domega > 0, "/domega", "expected a number > 0")
     out = raw.get("out")
     _expect(out is None or isinstance(out, str), "/out", "expected a string path")
 

@@ -315,9 +315,9 @@ def evolve(
             f"dt = {abs(dt):.3e} above the splitting bound "
             f"{stable_dt(state, params, pair):.3e}"
         )
-    n_steps = int(round(T / dt))
+    n_steps = int(round(T / dt)) if dt else 0
     if n_steps <= 0:
-        raise ValueError("T/dt must round to at least one step")
+        raise UnstableStep(f"T = {T:.3e} and dt = {dt:.3e} round to no step")
 
     w_int = grids.extract_interior(g, g.weights())
     x = state.x_points()

@@ -327,7 +327,7 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
                 raise SingularOperator(f"sparse factorization failed: {exc}") from exc
 
         return a.__matmul__, factor_box, "LDL^T"
-    lower, main, upper, _ = grids.bands(grid, parity)
+    lower, main, upper = grids.bands(grid, parity)
     main = main + diagonal
 
     def apply(v):
@@ -357,7 +357,7 @@ def _newton(
     Every finite-difference solve runs through here: the limit state
     (constant z = c), each continuation step in epsilon and the omega
     re-solves. On the axes in which z is even (`even_axes`) it solves on
-    the kept nodes of `grids.fold`, the half line or the quarter box,
+    the kept nodes of `grids.fold_maps`, the half line or the quarter box,
     with a mirror ghost node at each plane, and returns the even
     extension. The residual norm weighs a kept node by its full-box
     weight times its multiplicity; the Jacobian, scaled by the
@@ -380,7 +380,7 @@ def _newton(
     """
     parity = even_axes(grid, z_int)
     restrict, extend = grids.fold_maps(grid, parity)
-    mu = restrict(np.ones(psi.size))
+    mu = grids.multiplicity(grid, parity)
     folded = [a for a, s in enumerate(parity or ()) if s]
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
     weights = restrict(weights)
@@ -566,7 +566,7 @@ def compute_T_lambda(profile: Profile) -> np.ndarray:
 @dataclass(frozen=True)
 class LinearizedOperator:
     """L on the interior nodes, or its block on the fields of a `parity`
-    (see `grids.fold`) in their orthonormal basis: a mirror pair weighs
+    (`grids.fold_maps`) in their orthonormal basis: a mirror pair weighs
     1/sqrt(2), and an even axis couples to its plane node by sqrt(2)."""
 
     grid: Grid
@@ -577,15 +577,15 @@ class LinearizedOperator:
     def matrix(self) -> sp.csr_array:
         a = grids.neg_laplacian(self.grid, self.parity)
         if self.parity is not None:
-            s = sp.diags_array(1.0 / np.sqrt(abs(grids.fold(self.grid, self.parity)).sum(axis=0)))
+            s = sp.diags_array(1.0 / np.sqrt(grids.multiplicity(self.grid, self.parity)))
             a = s @ a @ s
         return (a + sp.diags_array(self.diagonal)).tocsr()
 
     def bands(self) -> tuple:
         """(main, off) of `matrix()` on a line grid, with no sparse matrix:
         the same products in the same order, so the same values."""
-        _, main, off, mass = grids.bands(self.grid, self.parity)
-        s = 1.0 / np.sqrt(mass)
+        _, main, off = grids.bands(self.grid, self.parity)
+        s = 1.0 / np.sqrt(grids.multiplicity(self.grid, self.parity))
         return (s * main) * s + self.diagonal, (s[:-1] * off) * s[1:]
 
 

@@ -40,7 +40,8 @@ class EigSolverFailure(KgError):
 
 
 class UnstableStep(KgError):
-    """Requested time step violates the integrator stability bound."""
+    """Requested time step is unusable: above the integrator's stability
+    bound, or longer than the whole run."""
 
 
 class SkippedError(KgError):

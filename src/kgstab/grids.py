@@ -10,9 +10,10 @@ Three geometry names, two kinds of grid:
 A line is the one-dimensional box: shapes, weights, gradients and the
 Laplacian (a Kronecker sum of the 1d stencil over the axes) take one
 tensor-product path for both, and only the radial grid has its own.
-Fields of one parity per axis live on the kept nodes of a `fold`, and
-`neg_laplacian` restricts to them. Both kinds of one-dimensional grid,
-line and radial, also give their -lap as three `bands`, from which the
+Fields of one parity per axis live on the kept nodes of `fold_maps`,
+which maps to and from them by indexing; each stands for its
+`multiplicity` of nodes, and `neg_laplacian` restricts to them. Line
+and radial grids also give their -lap as three `bands`, from which the
 solvers work without any sparse matrix; box grids assemble the sparse
 Kronecker sum of the same axis bands. Fields are stored on the full
 node set with boundary entries kept at zero; linear operators act on
@@ -127,75 +128,69 @@ class Grid:
         return np.sqrt(np.sum(pts**2, axis=-1))
 
 
-def _axis_fold(m: int, parity: int):
-    """Extension from the kept nodes of an axis with m interior nodes to all.
-
-    Parity 0 keeps every node. Even (+1) and odd (-1) fields keep the
-    nodes at and right of the axis centre, less a centre node for odd
-    fields (they vanish there); a kept node's column holds 1 at the node
-    and `parity` at its mirror image.
-    """
-    if parity == 0:
-        return sp.eye_array(m, format="csr")
-    kept, mirror, sign = _mirror(m, parity)
-    cols = np.arange(kept.size)
-    # duplicate entries add up: an even centre node is its own mirror
-    vals = np.concatenate([np.ones(kept.size), sign])
-    rows = np.concatenate([kept, mirror])
-    return sp.csr_array((vals, (rows, np.concatenate([cols, cols]))), shape=(m, kept.size))
-
-
 def _mirror(m: int, parity: int):
-    """(kept, mirror, sign) of an axis fold: a folded axis keeps its right
-    half, a centre node only if even; `sign` is `parity`, but 0 at a node
-    that is its own mirror."""
-    kept = np.arange(m // 2 + (m % 2) * (parity < 0), m)
-    mirror = m - 1 - kept
-    return kept, mirror, parity * (mirror != kept)
+    """(kept, source, sign) of an axis fold on m interior nodes.
 
-
-def fold(grid: Grid, parity) -> sp.csr_array:
-    """Extension E from the kept nodes of `parity` to the interior nodes.
-
-    `parity` holds one of 0 (all nodes), +1 (even) or -1 (odd about the
-    centre) per axis; E is the tensor product of the axis folds, and
-    E^T E the diagonal of the kept nodes' multiplicities.
+    Parity 0 keeps every node. A folded axis keeps its right half, a
+    centre node only if even. Node i holds sign[i] times kept node number
+    source[i]: 1 times itself if kept, else `parity` times its mirror
+    image, and 0 at an odd field's centre node.
     """
-    return reduce(sp.kron, [_axis_fold(grid.n - 2, s) for s in parity]).tocsr()
+    kept = np.arange(m // 2 + (m % 2) * (parity < 0) if parity else 0, m)
+    source, sign = np.zeros(m, dtype=int), np.zeros(m)
+    source[m - 1 - kept], sign[m - 1 - kept] = np.arange(kept.size), parity
+    # after the mirror images: an even centre node is its own
+    source[kept], sign[kept] = np.arange(kept.size), 1.0
+    return kept, source, sign
+
+
+def kept_nodes(grid: Grid, parity) -> np.ndarray:
+    """The interior nodes a field of `parity` keeps, as raveled indices."""
+    m = grid.n - 2
+    kept = [_mirror(m, s)[0] for s in parity]
+    return np.ravel_multi_index(np.ix_(*kept), (m,) * grid.dimension).ravel()
+
+
+def multiplicity(grid: Grid, parity) -> np.ndarray:
+    """diag(E^T E) for the extension E of `fold_maps`: how many interior
+    nodes each kept node stands for. Ones where nothing folds."""
+    if parity is None:
+        return np.ones(grid.n_interior())
+    masses = [_axis_bands(grid.n - 2, grid.h, s)[2] for s in parity]
+    return reduce(np.multiply.outer, masses).ravel()
 
 
 def fold_maps(grid: Grid, parity):
-    """(restrict, extend): v -> E^T v and u -> E u for the `fold` E.
+    """(restrict, extend): v -> E^T v and u -> E u, for E the extension
+    from the kept nodes of `parity` to the interior nodes.
 
-    A line folds by indexing, with no sparse matrix; a radial grid, whose
-    parity is None, does not fold, and both maps are the identity.
+    `parity` holds one of 0 (all nodes), +1 (even) or -1 (odd about the
+    centre) per axis. E is the tensor product of the axis folds of
+    `_mirror`: each interior node is a signed copy of one kept node, so
+    E is a gather and E^T a scatter-add, with no sparse matrix. A radial
+    grid, whose parity is None, does not fold, and both maps are the
+    identity.
     """
-    if grid.geometry == "box":
-        e = fold(grid, parity)
-        return e.T.__matmul__, e.__matmul__
-    if not parity or not parity[0]:
+    if not parity or not any(parity):
         return (lambda v: v), (lambda u: u)
-    kept, mirror, sign = _mirror(grid.n - 2, parity[0])
-
-    def extend(u):
-        out = np.zeros(grid.n - 2, dtype=u.dtype)
-        out[kept] = u
-        out[mirror] += sign * u
-        return out
-
-    return (lambda v: v[kept] + sign * v[mirror]), extend
+    kept, sources, signs = zip(*[_mirror(grid.n - 2, s) for s in parity])
+    shape = tuple(k.size for k in kept)
+    source = np.ravel_multi_index(np.ix_(*sources), shape).ravel()
+    sign = reduce(np.multiply.outer, signs).ravel()
+    # bincount adds up a kept node's images in the order of their full
+    # index, as a sparse product with E^T would: the same sums to the bit
+    return (lambda v: np.bincount(source, weights=sign * v)), (lambda u: sign * u[source])
 
 
 def bands(grid: Grid, parity=None):
-    """-lap on a line or radial grid as its bands (lower, main, upper, mass).
+    """-lap on a line or radial grid as its bands (lower, main, upper).
 
-    On a line, the bands of `neg_laplacian(grid, parity)` and the
-    diagonal `mass` of the fold's multiplicities; the radial stencil is
-    not symmetric, and its mass is 1.
+    On a line, the bands of `neg_laplacian(grid, parity)`; the radial
+    stencil is not symmetric.
     """
     if grid.geometry != "radial":
-        main, off, mass = _axis_bands(grid.n - 2, grid.h, parity[0] if parity else 0)
-        return off, main, off, mass
+        main, off, _ = _axis_bands(grid.n - 2, grid.h, parity[0] if parity else 0)
+        return off, main, off
     h = grid.h
     m = grid.n - 1
     d = grid.dimension
@@ -208,7 +203,7 @@ def bands(grid: Grid, parity=None):
     main[0] = 2.0 * d / h**2
     up[0] = -2.0 * d / h**2
     up[1:] = upper[:-1]
-    return lower, main, up, np.ones(m)
+    return lower, main, up
 
 
 def neg_laplacian(grid: Grid, parity=None):
@@ -218,14 +213,15 @@ def neg_laplacian(grid: Grid, parity=None):
     (dim-1)/r first-order term and the r=0 row uses the regularized
     limit  lap u(0) = dim * u''(0)  for even profiles.
 
-    On line and box grids, E^T (-lap) E for the fold E of `parity` (the
-    default, all 0, is -lap): the multiplicities times the stencil with a
-    mirror ghost node (even) or a Dirichlet plane (odd) at the centre,
-    symmetric. An odd n puts a node on the plane, an even n two nodes
-    astride it. Both are assembled from the bands that `bands` returns.
+    On line and box grids, E^T (-lap) E for the extension E of
+    `fold_maps` (the default parity, all 0, gives -lap): the
+    multiplicities times the stencil with a mirror ghost node (even) or
+    a Dirichlet plane (odd) at the centre, symmetric. An odd n puts a
+    node on the plane, an even n two nodes astride it. Both are
+    assembled from the bands that `bands` returns.
     """
     if grid.geometry == "radial":
-        lower, main, upper, _ = bands(grid)
+        lower, main, upper = bands(grid)
         return sp.diags_array([main, upper, lower], offsets=[0, 1, -1]).tocsr()
     # line and box: Kronecker sum of the axis stencils
     axes = range(grid.dimension)

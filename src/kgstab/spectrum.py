@@ -152,17 +152,16 @@ def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
     """L split into 2^s blocks, one per even/odd choice on its s even axes.
 
     `even` marks the axes in which L's coefficient Z is even. A block's
-    diagonal is the reflection average of L's, which drops the roundoff
-    asymmetry of the profile; L itself is the one block when no axis is
-    even. The union of the blocks' spectra is L's.
+    diagonal is the reflection average of L's on its kept nodes, which
+    drops the roundoff asymmetry of the profile; L itself is the one
+    block when no axis is even. The union of the blocks' spectra is L's.
     """
     if not any(even):
         return [op]
-    blocks = []
-    for parity in itertools.product(*[(1, -1) if s else (0,) for s in even]):
-        e = abs(grids.fold(op.grid, parity))
-        blocks.append(replace(op, diagonal=(e.T @ op.diagonal) / e.sum(axis=0), parity=parity))
-    return blocks
+    restrict, extend = grids.fold_maps(op.grid, even)
+    average = extend(restrict(op.diagonal) / grids.multiplicity(op.grid, even))
+    parities = itertools.product(*[(1, -1) if s else (0,) for s in even])
+    return [replace(op, diagonal=average[grids.kept_nodes(op.grid, p)], parity=p) for p in parities]
 
 
 def predicted_shifts(limit: Profile, z: EffectiveZ) -> np.ndarray:

@@ -81,6 +81,9 @@ def test_schema_error_pointers(tmp_path):
     raw = json.loads(json.dumps(BASE))
     raw["grid"] = {"extent": 10.0, "n": 4}
     assert pointer_of(lambda: parse_scenario_dict(raw)) == "/grid/n"
+    for domega in (0, -1e-3):
+        raw = dict(json.loads(json.dumps(BASE)), domega=domega)
+        assert pointer_of(lambda: parse_scenario_dict(raw)) == "/domega"
 
 
 def test_supercritical_p_rejected_in_3d(tmp_path):
@@ -205,6 +208,21 @@ def test_evolve_subcommand(tmp_path, capsys):
     assert rc == 0
     assert (out / "trajectory_eps_0.1.csv").exists()
     assert "stayed-in-tube" in capsys.readouterr().out
+
+
+def test_run_shorter_than_one_step_is_a_dynamics_error_entry(tmp_path):
+    # T/dt rounded to no step raised a bare ValueError: a traceback, no report
+    cfg = cfg_file(
+        tmp_path,
+        {
+            "analyses": {"dynamics": True},
+            "dynamics": {"T_over_epsilon": 1e-6, "grid": {"extent": 40.0, "n": 801}},
+        },
+    )
+    out = tmp_path / "dyn"
+    main(["evolve", str(cfg), "--out", str(out)])
+    (block,) = json.loads((out / "report.json").read_text())["blocks"]
+    assert block["dynamics"]["error"]["type"] == "UnstableStep"
 
 
 def test_evolve_on_a_pinned_2d_box(tmp_path, capsys):
@@ -346,14 +364,15 @@ NUM = st.one_of(
     st.integers(-1000, 1000),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
+POSITIVE = st.one_of(st.integers(1, 1000), st.floats(0.0, 1e3, exclude_min=True))
 DYNAMICS_BLOCKS = st.fixed_dictionaries(
     {},
     optional={
         "delta": NUM,
         "kind": st.sampled_from(["radial-bump", "random-smooth", "none"]),
         "seed": st.integers(0, 2**31),
-        "T_over_epsilon": NUM,
-        "dt_factor": NUM,
+        "T_over_epsilon": POSITIVE,
+        "dt_factor": POSITIVE,
         "order": st.sampled_from([2, 4]),
         "record_every": st.integers(1, 10**6),
         "tube_stay": NUM,
@@ -409,7 +428,9 @@ def test_every_dynamics_field_has_a_rejection_case():
 
 @pytest.mark.parametrize(
     "key, value",
-    sorted(BAD_DYNAMICS.items()) + [("record_every", 0), ("seed", 1.5), ("order", 2.0)],
+    sorted(BAD_DYNAMICS.items())
+    + [("record_every", 0), ("seed", 1.5), ("order", 2.0)]
+    + [("dt_factor", 0), ("dt_factor", -0.2), ("T_over_epsilon", -1), ("T_over_epsilon", 0.0)],
 )
 def test_dynamics_field_rejected_with_pointer(key, value):
     raw = json.loads(json.dumps(BASE))

@@ -159,12 +159,8 @@ def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
 
 
 def _sparse_newton(monkeypatch):
-    """Newton on line and radial grids as box grids run it: a sparse fold,
-    a sparse -lap + diag and `factor_ldl` (the reference for the bands)."""
-
-    def fold_maps(grid, parity):
-        e = grids.fold(grid, parity) if parity else sp.eye_array(grid.n_interior())
-        return e.T.__matmul__, e.__matmul__
+    """Newton on line and radial grids as box grids run it: a sparse
+    -lap + diag and `factor_ldl` (the reference for the bands)."""
 
     def operator(grid, parity, diagonal):
         a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
@@ -174,7 +170,6 @@ def _sparse_newton(monkeypatch):
 
         return a.__matmul__, factor, "LDL^T"
 
-    monkeypatch.setattr(grids, "fold_maps", fold_maps)
     monkeypatch.setattr(elliptic, "_operator", operator)
 
 

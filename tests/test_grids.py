@@ -100,6 +100,12 @@ def _parities(dim):
     return list(itertools.product((0, 1, -1), repeat=dim))
 
 
+def _extension(g, parity):
+    """E of `fold_maps`, built column by column from its `extend`."""
+    _, extend = grids.fold_maps(g, parity)
+    return np.column_stack([extend(col) for col in np.eye(grids.kept_nodes(g, parity).size)])
+
+
 @pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_fold_then_unfold_is_the_identity_on_fields_of_its_parity(dim, n):
@@ -112,10 +118,23 @@ def test_fold_then_unfold_is_the_identity_on_fields_of_its_parity(dim, n):
             if s:
                 field = 0.5 * (field + s * np.flip(field, axis=a))
         x = field.ravel()
-        e = grids.fold(g, parity)
+        e = _extension(g, parity)
         mult = (e.T @ e).diagonal()
         assert set(mult) <= {1.0, 2.0, 4.0, 8.0}
         np.testing.assert_allclose(e @ ((e.T @ x) / mult), x, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_restrict_is_the_transpose_of_extend_and_multiplicity_its_gram_diagonal(dim, n):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    rng = np.random.default_rng(dim * n)
+    for parity in _parities(dim):
+        e = _extension(g, parity)
+        restrict, _ = grids.fold_maps(g, parity)
+        v = rng.standard_normal(e.shape[0])
+        np.testing.assert_allclose(restrict(v), e.T @ v, rtol=0.0, atol=1e-14)
+        assert np.array_equal(grids.multiplicity(g, parity), (e.T @ e).diagonal()), parity
 
 
 @pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
@@ -124,7 +143,7 @@ def test_folded_stencils_are_the_restriction_of_the_full_laplacian(dim, n):
     g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
     full = grids.neg_laplacian(g).toarray()
     for parity in _parities(dim):
-        e = grids.fold(g, parity).toarray()
+        e = _extension(g, parity)
         got = grids.neg_laplacian(g, parity).toarray()
         assert np.allclose(got, e.T @ full @ e, rtol=0.0, atol=1e-12 / g.h**2), parity
         assert np.array_equal(got, got.T)

@@ -258,27 +258,38 @@ def townes_coarse():
     return solve_limit_ground_state(0.75, 3.0, Grid(2, "radial", 16.0, 401))
 
 
-def _saddle_spectrum(matrix, townes):
+def _saddle_spectrum(matrix, townes, centre=(0.0, 0.0)):
     # h = 0.25 at eps = 0.1 resolves the zero-cluster pair: n_negative = 2
     params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
-    pair = resolve_potentials(params, None, PotentialSpec(2, (QuadraticTerm(matrix, (0.0, 0.0)),)))
-    z = find_critical_point(params, pair, (0.0, 0.0))
+    pair = resolve_potentials(params, None, PotentialSpec(2, (QuadraticTerm(matrix, centre),)))
+    z = find_critical_point(params, pair, centre)
     prof = continue_profile(townes, params, pair, z, grid=Grid(2, "box", 15.0, 121))
     return build_spectrum_report(prof, params, pair, z, townes)
 
 
+ORIGIN, SHIFTED = (0.0, 0.0), (3.7, -1.3)
+
+
 @pytest.mark.parametrize(
-    "matrices",
+    "inputs",
     [
-        # swapping the saddle's axes
-        (((0.3, 0.0), (0.0, -0.3)), ((-0.3, 0.0), (0.0, 0.3))),
+        # swapping the saddle's axes, and translating it by a vector
+        [
+            (((0.3, 0.0), (0.0, -0.3)), ORIGIN),
+            (((-0.3, 0.0), (0.0, 0.3)), ORIGIN),
+            (((0.3, 0.0), (0.0, -0.3)), SHIFTED),
+        ],
         # a coupled saddle, its axes swapped, and reflected in x
-        (((0.3, 0.1), (0.1, -0.3)), ((-0.3, 0.1), (0.1, 0.3)), ((0.3, -0.1), (-0.1, -0.3))),
+        [
+            (((0.3, 0.1), (0.1, -0.3)), ORIGIN),
+            (((-0.3, 0.1), (0.1, 0.3)), ORIGIN),
+            (((0.3, -0.1), (-0.1, -0.3)), ORIGIN),
+        ],
     ],
     ids=["swap-axes", "coupled-swap-reflect"],
 )
-def test_box_spectrum_invariant_under_axis_maps(matrices, townes_coarse):
-    reports = [_saddle_spectrum(m, townes_coarse) for m in matrices]
+def test_box_spectrum_invariant_under_axis_maps(inputs, townes_coarse):
+    reports = [_saddle_spectrum(m, townes_coarse, centre) for m, centre in inputs]
     assert reports[0].n_negative == 2
     for rep in reports[1:]:
         assert rep.n_negative == reports[0].n_negative
