@@ -19,18 +19,23 @@ accuracy is worth three times the work.
 The rotation coefficients depend only on the substep length, so they
 are tabulated once per distinct length before the march (one table for
 Strang, two for the triple jump); a rotation is then four complex
-multiplies and two adds per node.  Between two sample points the steps
-run as one sequence of substeps in which each trailing half-kick merges
-with the next leading one (first-same-as-last); the half-kick still owed
-is applied before every sample, so sampled states are those of the
-unmerged scheme up to roundoff.  The kick's Laplacian is a slicing
-stencil on the interior array, the same on line and box grids.
+multiplies and two adds per node, written in place into work arrays
+allocated once before the march, so a substep allocates nothing.
+Between two sample points the steps run as one sequence of substeps in
+which each trailing half-kick merges with the next leading one
+(first-same-as-last); the half-kick still owed is applied before every
+sample, so sampled states are those of the unmerged scheme up to
+roundoff.  A kick of length c is one local term plus the neighbours of
+the second-order stencil: v += s u with s = c (|u|^(p-1) - 2N/h^2),
+|u|^2 taken from the squares of u's real and imaginary parts, then
+t = (c/h^2) u added to v shifted by one node along each axis of the
+interior array, the same on line and box grids.
 
 The orbital distance to the standing-wave orbit is the phase-minimized
-H1 distance, evaluated in closed form; the H1 inner product carries the
-eps-scaled gradient matching the conserved energy.  Instability, tube
-exit, and norm blow-up are findings recorded on the trajectory, never
-exceptions.
+H1 distance, taken directly at the minimizing phase; the H1 inner
+product carries the eps-scaled gradient matching the conserved energy.
+Instability, tube exit, and norm blow-up are findings recorded on the
+trajectory, never exceptions.
 """
 
 from __future__ import annotations
@@ -254,22 +259,6 @@ def _boundary_ring(shape: tuple) -> np.ndarray:
     return mask.ravel()
 
 
-def _laplacian(u: np.ndarray, h: float) -> np.ndarray:
-    """lap u on an array of interior nodes, zero beyond the walls.
-
-    The second-order stencil of `grids.neg_laplacian` (with the opposite
-    sign), applied by slicing along each axis of the interior shape.
-    """
-    out = u * (-2.0 * u.ndim)
-    for axis in range(u.ndim):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        out[hi] += u[lo]
-        out[lo] += u[hi]
-    out *= 1.0 / h**2
-    return out
-
-
 def _rotation_table(kappa: np.ndarray, v_int: np.ndarray, tau: float) -> tuple:
     """Exact flow of u' = v - iVu, v' = -kappa u - iVv over tau, per node.
 
@@ -331,10 +320,39 @@ def evolve(
     u = grids.extract_interior(g, state.u).astype(complex)
     v = grids.extract_interior(g, state.v).astype(complex)
     eps = state.epsilon
-    p = params.p
 
-    def force(u: np.ndarray) -> np.ndarray:
-        return _laplacian(u.reshape(shape), g.h).ravel() + np.abs(u) ** (p - 1.0) * u
+    # work arrays of the march, allocated once: the rotation writes u's
+    # successor into u_next and swaps the two, t holds one product at a
+    # time, s the kick's local coefficient and sq the squares of u's parts
+    u_next = np.empty_like(u)
+    t = np.empty_like(u)
+    s = np.empty(u.size)
+    sq = np.empty(2 * u.size)
+    t_nd, v_nd = t.reshape(shape), v.reshape(shape)
+    neighbours = [
+        ((slice(None),) * axis + (slice(None, -1),), (slice(None),) * axis + (slice(1, None),))
+        for axis in range(len(shape))
+    ]
+    power = 0.5 * (params.p - 1.0)
+    inv_h2 = 1.0 / g.h**2
+    centre = 2.0 * len(shape) * inv_h2
+
+    def kick(c: float) -> None:
+        """v += c (lap u + |u|^(p-1) u), the Laplacian's slicing stencil
+        split into its centre, folded into the local term s u, and the
+        neighbours, added as t = (c/h^2) u shifted along each axis."""
+        np.square(u.view(float), out=sq)
+        np.add(sq[0::2], sq[1::2], out=s)
+        if power != 1.0:
+            np.power(s, power, out=s)
+        np.subtract(s, centre, out=s)
+        np.multiply(s, c, out=s)
+        np.multiply(s, u, out=t)
+        np.add(v, t, out=v)
+        np.multiply(u, c * inv_h2, out=t)
+        for lo, hi in neighbours:
+            v_nd[hi] += t_nd[lo]
+            v_nd[lo] += t_nd[hi]
 
     # one step is the substeps (half-kick, rotation, half-kick) of these
     # weights; a rotation table per distinct weight
@@ -374,15 +392,22 @@ def evolve(
     owed = 0.0  # the last substep's trailing half-kick, merged into the next
     for i in range(n_steps):
         for half, (a, b, k) in substeps:
-            v += (owed + half) * force(u)
-            u, v = a * u + b * v, k * u + a * v
+            kick(owed + half)
+            # u, v = a u + b v, k u + a v, in place
+            np.multiply(a, u, out=u_next)
+            np.multiply(b, v, out=t)
+            u_next += t
+            np.multiply(k, u, out=t)
+            v *= a
+            v += t
+            u, u_next = u_next, u
             owed = half
         state.t += dt
         step_count += 1
         at_sample = (i + 1) % record_every == 0 or i == n_steps - 1
         if not at_sample:
             continue
-        v += owed * force(u)
+        kick(owed)
         owed = 0.0
         d = sample()
         max_d = float(np.maximum(max_d, d))  # a NaN distance carries over

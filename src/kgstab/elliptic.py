@@ -123,7 +123,12 @@ def _decay_check(grid: Grid, values: np.ndarray):
 
 
 def _peak_of(grid: Grid, values: np.ndarray) -> tuple:
-    idx = np.unravel_index(int(np.argmax(np.abs(values))), values.shape)
+    """Location of the largest |value|: the lowest index among the nodes
+    within 1e-12 relative of the maximum, so a roundoff tie between two
+    centre nodes always reports the same one."""
+    mag = np.abs(values).ravel()
+    first = int(np.flatnonzero(mag >= (1.0 - 1e-12) * mag.max())[0])
+    idx = np.unravel_index(first, values.shape)
     if grid.geometry == "radial":
         out = [grid.axis[idx[0]]] + [0.0] * (grid.dimension - 1)
         return tuple(out)
@@ -150,20 +155,27 @@ def _profile(grid: Grid, psi: np.ndarray, res: float, omega, epsilon, p, center)
 
 
 def _petviashvili(apply_A, solve_A, weights, psi, p, tol, max_iter=400):
-    """Stabilized fixed point for A psi = psi^p with A = -lap + c."""
+    """Stabilized fixed point for A psi = psi^p with A = -lap + c.
+
+    Each iterate is g solve_A(f), so A psi = g f is carried into the next
+    quotient; A is applied only to the start and at the residual checks.
+    """
     gamma_exp = p / (p - 1.0)
     res = np.inf
     res_prev = np.inf
+    a_psi = apply_A(psi)
     for it in range(max_iter):
         f = _nonlin(psi, p)
-        num = float(np.sum(weights * psi * apply_A(psi)))
+        num = float(np.sum(weights * psi * a_psi))
         den = float(np.sum(weights * psi * f))
         if den <= 0:
             raise NoConvergence("fixed-point iteration lost positivity of <psi^p, psi>")
-        gamma = num / den
-        psi = gamma**gamma_exp * solve_A(f)
+        g = (num / den) ** gamma_exp
+        psi = g * solve_A(f)
+        a_psi = g * f
         if it % 5 == 4 or it > 40:
-            res = float(np.sqrt(np.sum(weights * (apply_A(psi) - _nonlin(psi, p)) ** 2)))
+            a_psi = apply_A(psi)
+            res = float(np.sqrt(np.sum(weights * (a_psi - _nonlin(psi, p)) ** 2)))
             if res < tol:
                 return psi, res, it + 1
             if res > 0.98 * res_prev and it > 60:

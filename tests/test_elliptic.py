@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.sparse as sp
 from dataclasses import replace
 
@@ -55,6 +56,60 @@ def test_sine_solver_hits_continuum_profile():
     assert err[bulk].max() < 1e-8
     # outside, the error is the boundary correction e^{-(2L-|y|)}
     assert np.all(err <= 1e-8 + 3.0 * np.exp(-(2.0 * g.extent - np.abs(g.axis))))
+
+
+def _petviashvili_applying_A_every_iteration(apply_A, solve_A, weights, psi, p, tol, max_iter=400):
+    """The fixed point as it was before A psi was carried between iterates."""
+    gamma_exp = p / (p - 1.0)
+    res = np.inf
+    res_prev = np.inf
+    for it in range(max_iter):
+        f = elliptic._nonlin(psi, p)
+        num = float(np.sum(weights * psi * apply_A(psi)))
+        den = float(np.sum(weights * psi * f))
+        if den <= 0:
+            raise NoConvergence("fixed-point iteration lost positivity of <psi^p, psi>")
+        gamma = num / den
+        psi = gamma**gamma_exp * solve_A(f)
+        if it % 5 == 4 or it > 40:
+            res = float(np.sqrt(np.sum(weights * (apply_A(psi) - elliptic._nonlin(psi, p)) ** 2)))
+            if res < tol:
+                return psi, res, it + 1
+            if res > 0.98 * res_prev and it > 60:
+                break
+            res_prev = res
+    return psi, res, max_iter
+
+
+def test_sine_limit_carries_A_psi_between_iterates(monkeypatch):
+    calls = []
+    for name in ("dst", "idst"):
+        transform = getattr(scipy.fft, name)
+
+        def counting(*args, _transform=transform, **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counting)
+    g = Grid(1, "line", 20.0, 801)
+    got = solve_limit_ground_state(1.0, 3.0, g, method="sine", tol=1e-6)
+    n_got = len(calls)
+    calls.clear()
+    monkeypatch.setattr(elliptic, "_petviashvili", _petviashvili_applying_A_every_iteration)
+    want = solve_limit_ground_state(1.0, 3.0, g, method="sine", tol=1e-6)
+    # five iterations and one check: 4 * 5 + 2 transforms before, 2 + 2 * 5 + 2 now
+    assert len(calls) == 22
+    assert n_got <= 14
+    assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(want.values)
+
+
+def test_peak_tie_between_centre_nodes_reports_the_lower_one():
+    g = Grid(1, "line", 4.0, 40)  # even n: two centre nodes at -h/2 and +h/2
+    right = np.exp(-(g.axis[20:] ** 2))
+    values = np.concatenate([right[::-1], right])
+    raised = values.copy()
+    raised[20] = np.nextafter(raised[20], np.inf)
+    assert elliptic._peak_of(g, values) == elliptic._peak_of(g, raised) == (g.axis[19],)
 
 
 def test_limit_mass_closed_form():
