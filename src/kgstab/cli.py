@@ -26,7 +26,9 @@ classes and `_DYNAMICS_FIELDS`, whose defaults are those of
 `DynamicsOptions`), and both `parse_scenario_dict` and `emit_config`
 read it.  Epsilons are deduplicated and sorted descending so each
 continuation re-marches from the limit state toward harder targets
-last.  Automatic grids have a desk-scale size cap; a dynamics run that
+last.  Automatic grids have a desk-scale size cap.  A limit grid that
+would need more nodes runs coarser, with a warning and the requested h
+beside the granted grid in the report's "limit"; a dynamics run that
 would need more nodes (in 2d, practically every one) records a
 GridTooSmall error in its block, and "/dynamics/grid" must be pinned.
 The pipeline per scenario: locate the concentration point, check the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +80,8 @@ from .potentials import (
 
 ANALYSES = ("slope_numeric", "slope_asymptotic", "spectrum", "dynamics")
 
+log = logging.getLogger("kgstab")
+
 
 @dataclass(frozen=True)
 class DynamicsOptions:
@@ -101,7 +106,6 @@ class ScenarioConfig:
     grid: Grid | None
     dynamics: DynamicsOptions | None
     tol: float
-    domega: float | None
     critical_guess: tuple
     out: str | None
 
@@ -121,7 +125,7 @@ def _is_int(v) -> bool:
 _PARAM_KEYS = ("dimension", "p", "m", "omega", "mode")
 _SCENARIO_KEYS = (
     *_PARAM_KEYS, "potentials", "epsilons", "analyses", "dynamics", "grid",
-    "critical_guess", "tol", "domega", "out",
+    "critical_guess", "tol", "out",
 )
 _GRID_KEYS = ("geometry", "extent", "n")
 _TERM_TYPES = {"gaussian": GaussianTerm, "quadratic": QuadraticTerm}
@@ -152,6 +156,11 @@ def _expect(cond: bool, ptr: str, msg: str) -> None:
 def _reject_unknown(raw: dict, known, ptr: str) -> None:
     for key in raw:
         _expect(key in known, f"{ptr}/{key}", f"unknown key (valid: {', '.join(known)})")
+
+
+def _positive(value, ptr: str) -> float:
+    _expect(_POSITIVE[0](value), ptr, _POSITIVE[1])
+    return float(value)
 
 
 def _number(raw: dict, key: str, ptr: str, default=None, required: bool = False):
@@ -272,9 +281,7 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
 
     guess = raw.get("critical_guess")
     critical_guess = (0.0,) * dim if guess is None else _vector(guess, dim, "/critical_guess")
-    tol = _number(raw, "tol", "", default=1e-10)
-    domega = _number(raw, "domega", "", default=None)
-    _expect(domega is None or domega > 0, "/domega", "expected a number > 0")
+    tol = _positive(raw.get("tol", 1e-10), "/tol")
     out = raw.get("out")
     _expect(out is None or isinstance(out, str), "/out", "expected a string path")
 
@@ -286,7 +293,6 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
         grid=_parse_grid(raw.get("grid"), dim, "/grid"),
         dynamics=dyn_opts,
         tol=tol,
-        domega=domega,
         critical_guess=critical_guess,
         out=out,
     )
@@ -327,8 +333,6 @@ def emit_config(config: ScenarioConfig) -> dict:
         "critical_guess": list(config.critical_guess),
         "tol": config.tol,
     }
-    if config.domega is not None:
-        out["domega"] = config.domega
     if config.grid is not None:
         out["grid"] = grid_dict(config.grid)
     if config.dynamics is not None:
@@ -345,15 +349,19 @@ def emit_config(config: ScenarioConfig) -> dict:
 # grid sizing heuristics (desk scale)
 
 
-def _auto_limit_grid(dim: int, z0: float) -> Grid:
-    root = np.sqrt(z0)
-    if dim == 1:
-        extent = 24.0 / root
-        n = min(int(round(2.0 * extent / 0.01)) + 1, 24001)
-        return Grid(1, "line", extent, n)
-    extent = 28.0 / root
-    n = min(int(round(extent / 0.01)) + 1, 4001)
-    return Grid(dim, "radial", extent, n)
+LIMIT_H = 0.01  # node spacing of an automatic limit grid, below its cap
+
+
+def _auto_limit_grid(dim: int, z0: float) -> tuple[Grid, bool]:
+    """The limit grid at h = LIMIT_H below a node cap (24001 on a line,
+    4001 radial), and whether the cap bound; a cap that binds warns."""
+    line = dim == 1
+    extent = (24.0 if line else 28.0) / np.sqrt(z0)
+    n = int(round((2.0 * extent if line else extent) / LIMIT_H)) + 1
+    cap = 24001 if line else 4001
+    if n > cap:
+        log.warning("limit grid: h = %g needs %d nodes, capped at %d", LIMIT_H, n, cap)
+    return Grid(dim, "line" if line else "radial", extent, min(n, cap)), n > cap
 
 
 def _auto_box_grid(dim: int, z0: float) -> Grid:
@@ -438,10 +446,7 @@ def _epsilon_block(
     def slope(with_numeric: bool):
         if profile is None:
             raise SkippedError("no profile")
-        return st.build_slope_report(
-            profile, params, pair, z, limit, domega=config.domega, tol=config.tol,
-            with_numeric=with_numeric,
-        )
+        return st.build_slope_report(profile, params, pair, z, limit, with_numeric=with_numeric)
 
     def spectrum():
         if profile is None:
@@ -565,10 +570,13 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
         return report, 1
 
     limit_grid = config.grid if (config.grid and config.grid.geometry != "box") else None
+    capped = False
     if limit_grid is None:
-        limit_grid = _auto_limit_grid(params.dimension, z.z0)
+        limit_grid, capped = _auto_limit_grid(params.dimension, z.z0)
     limit = solve_limit_ground_state(z.z0, params.p, limit_grid, tol=config.tol)
     report["limit"] = _profile_summary(limit)
+    if capped:
+        report["limit"]["h_requested"] = LIMIT_H
 
     box_limit = None
     if params.dimension == 2 and any(
@@ -681,7 +689,7 @@ def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     if getattr(args, "tol", None) is not None:
-        config = replace(config, tol=args.tol)
+        config = replace(config, tol=_positive(args.tol, "/tol"))
     if getattr(args, "seed", None) is not None and config.dynamics is not None:
         config = replace(config, dynamics=replace(config.dynamics, seed=args.seed))
     if getattr(args, "out", None) is not None:

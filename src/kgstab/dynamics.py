@@ -219,12 +219,10 @@ def charge(state: FieldState) -> float:
     return float(state.epsilon**state.grid.dimension * q)
 
 
-def energy(state: FieldState, params: ProblemParams, pair: PotentialPair) -> float:
+def energy(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndarray) -> float:
+    """The conserved energy; vv and ww hold V and W on the state's nodes."""
     g = state.grid
     w = g.weights()
-    x = state.x_points()
-    vv, _, _ = pair.V(x)
-    ww, _, _ = pair.W(x)
     kin = 0.5 * np.sum(w * np.abs(state.v - 1j * vv * state.u) ** 2)
     grad = 0.5 * _dirichlet_inner(g, state.u, state.u).real
     au = np.abs(state.u)
@@ -373,7 +371,7 @@ def evolve(
     def sample() -> float:
         write_back()
         times.append(state.t)
-        e_ser.append(energy(state, params, pair))
+        e_ser.append(energy(state, params, vv, ww))
         q_ser.append(charge(state))
         r_ser.append(
             float(np.sqrt(epsn * np.sum(w_int * np.abs(v - 1j * (state.omega + v_int) * u) ** 2)))

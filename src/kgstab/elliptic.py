@@ -59,6 +59,7 @@ from .potentials import EffectiveZ, PotentialPair, ProblemParams, eval_Z
 log = logging.getLogger("kgstab")
 
 BOUNDARY_DECAY_REL = 1e-5
+IDENTITY_RTOL = 1e-6  # largest ||L R - chi|| / ||phi|| that `compute_R_omega` returns
 
 
 @dataclass
@@ -287,9 +288,9 @@ def factor_ldl(a):
 
     Minimum-degree ordering on A + A^T and pivots taken from the
     diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    Box grids factor here: Newton's Jacobians, L in `compute_R_omega` and
-    the shift-invert operators of `spectrum.eig_low`. It is the one
-    caller of `splu`.
+    Box grids factor here: Newton's Jacobians, the parity block of L
+    that `compute_R_omega` solves with, and the shift-invert operators of
+    `spectrum.eig_low`. It is the one caller of `splu`.
     """
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
@@ -310,8 +311,8 @@ def factor_banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> Ban
     """LU with partial pivoting of the tridiagonal matrix with these bands.
 
     Line and radial grids factor here, in O(n) and with no sparse matrix:
-    Newton's Jacobians, the limit operator and L in `compute_R_omega`. A
-    zero pivot raises `SingularOperator`.
+    Newton's Jacobians, the limit operator and the folded L of
+    `compute_R_omega`. A zero pivot raises `SingularOperator`.
     """
     *factors, info = dgttrf(lower, main, upper)
     if info > 0:
@@ -366,9 +367,9 @@ def _newton(
 ):
     """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
 
-    Every finite-difference solve runs through here: the limit state
-    (constant z = c), each continuation step in epsilon and the omega
-    re-solves. On the axes in which z is even (`even_axes`) it solves on
+    Every nonlinear finite-difference solve runs through here: the limit
+    state (constant z = c), each continuation step in epsilon and the
+    omega re-solves. On the axes in which z is even (`even_axes`) it solves on
     the kept nodes of `grids.fold_maps`, the half line or the quarter box,
     with a mirror ghost node at each plane, and returns the even
     extension. The residual norm weighs a kept node by its full-box
@@ -517,8 +518,9 @@ def resolve_at_omega(
     """Re-solve on the profile's grid at params.omega (same epsilon, same
     coordinate frame): warm Newton start from the given profile.
 
-    This is what the frequency-derivative stencils use, so the center is
-    deliberately NOT re-derived from the new omega.
+    The center is deliberately NOT re-derived from the new omega, so
+    that difference quotients in omega, the reference the tests hold the
+    frequency derivative to, stay on one coordinate frame.
     """
     grid = profile.grid
     w = grids.extract_interior(grid, grid.weights())
@@ -618,54 +620,50 @@ def assemble_L(
     return LinearizedOperator(grid=grid, diagonal=diag, epsilon=profile.epsilon)
 
 
-def compute_R_omega(
-    profile: Profile,
-    params: ProblemParams,
-    pair: PotentialPair,
-    method: str = "linear-solve",
-    domega: float | None = None,
-    tol_id: float = 1e-6,
-):
-    """Frequency derivative R = d phi / d omega.
+def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair):
+    """Frequency derivative R = d phi / d omega, from one solve with L.
 
-    "linear-solve" (default) solves the linearized equation
+    Differentiating the profile equation in omega gives
 
-        L_eps R = 2 (omega + V(x)) phi
+        L_eps R = chi,   chi = 2 (omega + V(x)) phi,
 
-    directly, with L factored as in Newton (`_operator`: banded on a
-    line, LDL^T on a box); "finite-difference" re-solves the profile at
-    omega +- d and differences. Returns (R, info) where info carries the
-    identity residual  ||L_eps R - rhs|| / ||phi||  and the method used.
+    exactly along the discrete branch. Where L and chi are both even in
+    an axis (`even_axes`), as they are where Z and V are, so is R, and
+    the solve runs on the kept nodes of `grids.fold_maps` as in
+    `_newton`: the half line or the quarter box. It takes one
+    factorization (`_operator`) and one step of iterative refinement,
+    the operator being nearly singular for small epsilon. An identity
+    residual ||L_eps R - chi|| above IDENTITY_RTOL ||phi|| raises
+    `SingularOperator`. Returns (R, info): info holds that residual, the
+    parity, and on the full grid chi ("rhs") and the refinement
+    correction dR ("correction"), which prices the solve's error.
     """
     grid = profile.grid
     w = grids.extract_interior(grid, grid.weights())
-    phi_int = grids.extract_interior(grid, profile.values)
-    x = profile.sample_points()
-    v, _, _ = pair.V(x)
-    rhs_full = 2.0 * (params.omega + v) * profile.values
-    rhs = grids.extract_interior(grid, rhs_full)
-    apply_L, factor, _ = _operator(grid, None, assemble_L(profile, params, pair).diagonal)
+    v, _, _ = pair.V(profile.sample_points())
+    rhs = grids.extract_interior(grid, 2.0 * (params.omega + v) * profile.values)
+    diagonal = assemble_L(profile, params, pair).diagonal
+    parity = tuple(map(min, even_axes(grid, diagonal), even_axes(grid, rhs)))
+    restrict, extend = grids.fold_maps(grid, parity)
+    mu = grids.multiplicity(grid, parity)
+    apply_L, factor, _ = _operator(grid, parity, restrict(diagonal))
+    chi = restrict(rhs)
+    lu = factor()
+    r = lu.solve(chi)
+    dr = lu.solve(chi - apply_L(r))
+    r = r + dr
 
-    if method == "linear-solve":
-        lu = factor()
-        r_int = lu.solve(rhs)
-        # one step of iterative refinement; the operator is nearly
-        # singular for small epsilon and this buys a few digits
-        r_int = r_int + lu.solve(rhs - apply_L(r_int))
-    elif method == "finite-difference":
-        if domega is None:
-            domega = 1e-3 * max(1.0, abs(params.omega))
-        plus = resolve_at_omega(profile, replace(params, omega=params.omega + domega), pair)
-        minus = resolve_at_omega(profile, replace(params, omega=params.omega - domega), pair)
-        r_int = grids.extract_interior(grid, (plus.values - minus.values) / (2.0 * domega))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    resid = float(np.sqrt(np.sum(w * (apply_L(r_int) - rhs) ** 2)))
-    phinorm = float(np.sqrt(np.sum(w * phi_int**2)))
-    info = {"method": method, "identity_residual": resid, "relative_residual": resid / phinorm}
-    if method == "linear-solve" and resid > tol_id * phinorm:
+    resid = float(np.sqrt(np.sum(restrict(w) * ((apply_L(r) - chi) / mu) ** 2)))
+    phinorm = float(np.sqrt(np.sum(w * grids.extract_interior(grid, profile.values) ** 2)))
+    rhs = grids.insert_interior(grid, rhs)
+    dr = grids.insert_interior(grid, extend(dr))
+    log.debug(
+        "R_omega done: parity %s, %d unknowns, identity residual %.3e, <chi, dR> %.3e",
+        parity, mu.size, resid, float(np.sum(grid.weights() * rhs * dr)),
+    )
+    if resid > IDENTITY_RTOL * phinorm:
         raise SingularOperator(
-            f"identity residual {resid:.2e} exceeds {tol_id:.1e} * ||phi||"
+            f"identity residual {resid:.2e} exceeds {IDENTITY_RTOL:.1e} * ||phi||"
         )
-    return grids.insert_interior(grid, r_int), info
+    info = {"identity_residual": resid, "parity": parity, "rhs": rhs, "correction": dr}
+    return grids.insert_interior(grid, extend(r)), info

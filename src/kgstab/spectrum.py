@@ -5,9 +5,9 @@ classification is
 
     L = -lap + Z(x0 + eps y) - p |phi|^(p-1)
 
-on the profile's grid with Dirichlet walls (assembled once, by
-`elliptic.assemble_L`, for both the spectrum and the frequency
-derivative).  Its negative-eigenvalue
+on the profile's grid with Dirichlet walls (assembled by
+`elliptic.assemble_L`; the frequency derivative R of the slope solves
+L R = 2 (omega + V) phi with the same diagonal).  Its negative-eigenvalue
 count combines with the slope sign: one negative eigenvalue plus a
 negative slope gives stability, while an odd value of
 n_negative - p(omega) gives instability (p(omega) = 1 when the slope is

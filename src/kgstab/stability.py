@@ -5,9 +5,10 @@ The conserved charge of a standing wave is
     Q = eps^N (omega ||phi||^2 + integral V(x0 + eps y) phi^2 dy).
 
 Its derivative in omega decides one half of the stability classification.
-Two independent routes are provided: a Richardson-extrapolated difference
-quotient through re-solved profiles, and the semiclassical leading-order
-coefficient built from the limit ground state.  The scaled slope
+Two independent routes are provided: the exact derivative along the
+discrete branch, from one solve with the linearized operator
+(`slope_numeric`), and the semiclassical leading-order coefficient built
+from the limit ground state.  The scaled slope
 eps^(-N) dQ/domega tends to
 
     (1 + (omega + V0)^2 / Z0 * (N - 4/(p-1))) ||psi||^2
@@ -22,19 +23,21 @@ coefficient implemented here is
     beta = 2 (omega + V0) / Z0.
 
 The inner factor is often quoted with beta replaced by 1, which only
-agrees when beta = 1; the form above is the one the difference-quotient
-route reproduces (checked to a few percent at eps = 0.025 on the critical
+agrees when beta = 1; the form above is the one the numeric route
+reproduces (checked to a few percent at eps = 0.025 on the critical
 test family).  Both the bare discriminant and the full signed coefficient
 are reported so the classification can be audited either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import Profile, resolve_at_omega
+from .elliptic import Profile, compute_R_omega
+# bench/tracing.py traces its target elliptic.resolve_at_omega under this name
+from .elliptic import resolve_at_omega  # noqa: F401
 from .potentials import EffectiveZ, PotentialPair, ProblemParams
 
 REGIME_RTOL = 1e-6  # |noncritical discriminant| below this (times scale) => critical
@@ -75,32 +78,27 @@ def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) 
 
 
 def slope_numeric(
-    profile: Profile,
-    params: ProblemParams,
-    pair: PotentialPair,
-    domega: float | None = None,
-    tol: float = 1e-10,
+    profile: Profile, params: ProblemParams, pair: PotentialPair
 ) -> tuple[float, float]:
-    """d/domega of the full charge Q by Richardson-extrapolated differences.
+    """(dQ/domega, its error) for the full charge Q, from one solve with L.
 
-    Four profiles are re-solved at omega +- domega and omega +- domega/2,
-    each warm-started from `profile`; the two central quotients combine to
-    a fourth-order estimate and their disagreement prices the error.
+    Along the discrete branch
+
+        eps^(-N) dQ/domega = ||phi||^2 + <chi, R>,   L R = chi = 2 (omega + V) phi,
+
+    the exact derivative of the discrete charge, with R from
+    `compute_R_omega`. The error prices the linear solve: |<chi, dR>| for
+    the refinement correction dR, plus 1e-12 of the two terms, which
+    cancel where the slope changes sign.
     """
-    if domega is None:
-        domega = 1e-3 * max(1.0, abs(params.omega))
-
-    def q(om: float) -> float:
-        pp = replace(params, omega=om)
-        return charge_scaled(resolve_at_omega(profile, pp, pair, tol=tol), pp, pair)
-
-    om = params.omega
-    d1 = (q(om + domega) - q(om - domega)) / (2.0 * domega)
-    d2 = (q(om + 0.5 * domega) - q(om - 0.5 * domega)) / domega
-    scaled = (4.0 * d2 - d1) / 3.0
-    err = abs(d2 - d1) / 3.0 + 1e-12 * abs(scaled) + 1e-15
+    r, info = compute_R_omega(profile, params, pair)
+    w = profile.grid.weights()
+    mass = float(np.sum(w * profile.values**2))
+    chi_r = float(np.sum(w * info["rhs"] * r))
+    chi_dr = float(np.sum(w * info["rhs"] * info["correction"]))
+    err = abs(chi_dr) + 1e-12 * (mass + abs(chi_r))
     epsn = params.epsilon**params.dimension
-    return epsn * scaled, epsn * err
+    return epsn * (mass + chi_r), epsn * err
 
 
 def limit_norms(limit: Profile) -> tuple[float, float]:
@@ -179,30 +177,24 @@ def build_slope_report(
     pair: PotentialPair,
     z: EffectiveZ,
     limit: Profile,
-    domega: float | None = None,
-    tol: float = 1e-10,
     with_numeric: bool = True,
 ) -> SlopeReport:
     """Assemble the full slope side of the classification at one (omega, eps)."""
     q_scaled = charge_scaled(profile, params, pair)
     regime, nd, cd, coeff, scaled_pred = slope_asymptotic(z, params, limit)
+    slope = err = slope_sc = None
+    sign = "indeterminate"
     if with_numeric and params.epsilon > 0.0:
-        slope, err = slope_numeric(profile, params, pair, domega=domega, tol=tol)
-        epsn = params.epsilon**params.dimension
+        slope, err = slope_numeric(profile, params, pair)
         sign = numeric_sign(slope, err)
-        slope_sc = slope / epsn
-        err_out: float | None = err
-        slope_out: float | None = slope
-    else:
-        slope_out = err_out = slope_sc = None
-        sign = "indeterminate"
+        slope_sc = slope / params.epsilon**params.dimension
     return SlopeReport(
         omega=params.omega,
         epsilon=params.epsilon,
         charge=params.epsilon**params.dimension * q_scaled,
         charge_scaled=q_scaled,
-        slope_numeric=slope_out,
-        slope_numeric_error=err_out,
+        slope_numeric=slope,
+        slope_numeric_error=err,
         slope_scaled=slope_sc,
         regime=regime,
         noncritical_discriminant=nd,

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kgstab.elliptic import continue_profile, solve_limit_ground_state
+from kgstab.elliptic import continue_profile, resolve_at_omega, solve_limit_ground_state
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
@@ -10,6 +12,7 @@ from kgstab.potentials import (
     find_critical_point,
     resolve_potentials,
 )
+from kgstab.stability import charge_scaled
 
 # Shared benchmark scenario: 1d cubic problem with a single gaussian bump
 # in W, omega deep in the stable range.  Reused across the slope and
@@ -42,3 +45,39 @@ def free_limit():
 
 def sech_exact(c, y):
     return np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * y)
+
+
+# References the frequency derivative is held to: difference quotients
+# in omega through Newton re-solves of the profile (`resolve_at_omega`,
+# warm-started, on the profile's frame).
+
+
+def fd_R_omega(profile, params, pair, domega):
+    """R = d phi / d omega by a central difference of two re-solves."""
+    om = params.omega
+    plus = resolve_at_omega(profile, replace(params, omega=om + domega), pair)
+    minus = resolve_at_omega(profile, replace(params, omega=om - domega), pair)
+    return (plus.values - minus.values) / (2.0 * domega)
+
+
+def richardson_slope(profile, params, pair):
+    """(dQ/domega, error) by Richardson-extrapolated differences.
+
+    Four profiles are re-solved at omega +- d and omega +- d/2, with
+    d = 1e-3 max(1, |omega|);
+    the two central quotients combine to a fourth-order estimate and
+    their disagreement prices the error.
+    """
+    domega = 1e-3 * max(1.0, abs(params.omega))
+
+    def q(om):
+        pp = replace(params, omega=om)
+        return charge_scaled(resolve_at_omega(profile, pp, pair), pp, pair)
+
+    om = params.omega
+    d1 = (q(om + domega) - q(om - domega)) / (2.0 * domega)
+    d2 = (q(om + 0.5 * domega) - q(om - 0.5 * domega)) / domega
+    scaled = (4.0 * d2 - d1) / 3.0
+    err = abs(d2 - d1) / 3.0 + 1e-12 * abs(scaled) + 1e-15
+    epsn = params.epsilon**params.dimension
+    return epsn * scaled, epsn * err

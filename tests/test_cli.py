@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -81,9 +82,14 @@ def test_schema_error_pointers(tmp_path):
     raw = json.loads(json.dumps(BASE))
     raw["grid"] = {"extent": 10.0, "n": 4}
     assert pointer_of(lambda: parse_scenario_dict(raw)) == "/grid/n"
-    for domega in (0, -1e-3):
+    # domega has no reader since the slope takes one solve: any value is
+    # an unknown key, a valid-looking one too
+    for domega in (0, -1e-3, 1e-3):
         raw = dict(json.loads(json.dumps(BASE)), domega=domega)
         assert pointer_of(lambda: parse_scenario_dict(raw)) == "/domega"
+    for tol in (0, -1.0, "1e-10"):
+        raw = dict(json.loads(json.dumps(BASE)), tol=tol)
+        assert pointer_of(lambda: parse_scenario_dict(raw)) == "/tol"
 
 
 def test_supercritical_p_rejected_in_3d(tmp_path):
@@ -341,6 +347,31 @@ def test_tol_and_seed_overrides(tmp_path):
     assert cfg2.dynamics.seed == 42
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_tol_override_must_be_positive(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    assert main(["analyze", str(cfg_file(tmp_path)), "--tol", tol, "--out", str(out)]) == 2
+    assert "config error at /tol: expected a number > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_capped_limit_grid_says_so(caplog):
+    # Z0 = 1 - 0.8367^2 = 0.3: h = 0.01 needs 5113 radial nodes, above the cap
+    raw = dict(BASE, dimension=2, omega=0.8367, analyses={"slope_asymptotic": True})
+    raw["potentials"] = {"W": [{"type": "quadratic", "matrix": [[-0.3, 0.0], [0.0, -0.3]]}]}
+    del raw["grid"]
+    with caplog.at_level(logging.WARNING, logger="kgstab"):
+        report, code = run_scenario(parse_scenario_dict(raw))
+    assert code == 0
+    limit = report["limit"]
+    assert (limit["geometry"], limit["n"], limit["h_requested"]) == ("radial", 4001, 0.01)
+    assert limit["extent"] / (limit["n"] - 1) > 0.0125
+    assert any("needs 5114 nodes, capped at 4001" in r.getMessage() for r in caplog.records)
+    # an uncapped automatic grid reports no requested h
+    raw["omega"] = 0.3
+    assert "h_requested" not in run_scenario(parse_scenario_dict(raw))[0]["limit"]
+
+
 def test_error_entry_keeps_solver_evidence():
     entry = _error_entry(NoConvergence("stalled", residual=3e-7, iterations=12))
     assert entry == {
@@ -504,6 +535,52 @@ def test_translation_leaves_the_analysis_unchanged(s):
         assert got["slope"][key] == ref["slope"][key], key
     lam, lam_ref = np.array(got["spectrum"]["eigenvalues"]), np.array(ref["spectrum"]["eigenvalues"])
     assert np.all(np.abs(lam - lam_ref) <= 1e-9 * np.abs(lam_ref))
+
+
+def first_block(raw: dict) -> dict:
+    return run_scenario(parse_scenario_dict(raw))[0]["blocks"][0]
+
+
+def assert_same_slope_and_count(got: dict, ref: dict) -> None:
+    assert got["slope"]["slope_sign"] == ref["slope"]["slope_sign"]
+    assert got["spectrum"]["n_negative"] == ref["spectrum"]["n_negative"]
+    slope, slope_ref = got["slope"]["slope_numeric"], ref["slope"]["slope_numeric"]
+    assert abs(slope - slope_ref) <= 1e-10 * abs(slope_ref)
+
+
+def s1_at(a: float) -> dict:
+    # S1 with its gaussian and the critical guess moved to a: Z stays even
+    # about x0 = a, so the solves fold
+    return dict(
+        BASE,
+        potentials={"W": [{"type": "gaussian", "amplitude": 0.05, "center": [a], "width": 1.0}]},
+        critical_guess=[a],
+        grid={"geometry": "line", "extent": 40.0, "n": 801},
+    )
+
+
+def mirrored(raw: dict) -> dict:
+    """The scenario under x -> -x: every centre and the guess negated."""
+    terms = {
+        key: [dict(t, center=[-c for c in t["center"]]) for t in ts]
+        for key, ts in raw["potentials"].items()
+    }
+    return dict(raw, potentials=terms, critical_guess=[-c for c in raw["critical_guess"]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=st.floats(-5.0, 5.0, allow_nan=False))
+def test_s1_translation_leaves_the_slope_unchanged(a):
+    assert_same_slope_and_count(first_block(s1_at(a)), first_block(s1_at(0.0)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=st.floats(-5.0, 5.0, allow_nan=False))
+def test_mirror_leaves_the_slope_unchanged(a):
+    # on the off-centre V of shifted_scenario the profile is not even,
+    # so the reflection maps one unfolded solve onto another
+    raw = shifted_scenario(a)
+    assert_same_slope_and_count(first_block(mirrored(raw)), first_block(raw))
 
 
 def test_unpinned_2d_dynamics_grid_is_an_error_entry():

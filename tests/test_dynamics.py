@@ -28,6 +28,7 @@ from kgstab.errors import UnstableStep
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
+    PotentialPair,
     PotentialSpec,
     ProblemParams,
     find_critical_point,
@@ -78,12 +79,32 @@ def test_invariants_conserved(wave):
     params, pair, z, prof = wave
     st = fresh_state(wave, delta=1e-3, seed=2)
     dt = stable_dt(st, params, pair)
-    q0, e0 = charge(st), energy(st, params, pair)
+    vw = (pair.V(st.x_points())[0], pair.W(st.x_points())[0])
+    q0, e0 = charge(st), energy(st, params, *vw)
     rec = evolve(st, params, pair, dt, 400 * dt, record_every=40)
     assert rec.charge_drift < 1e-11
     assert rec.energy_drift < 1e-8  # strang keeps E to O(dt^2), no growth
     assert charge(st) == pytest.approx(q0, rel=1e-12)
-    assert energy(st, params, pair) == pytest.approx(e0, rel=1e-8)
+    assert energy(st, params, *vw) == pytest.approx(e0, rel=1e-8)
+
+
+def test_evolve_evaluates_the_potentials_once(wave, monkeypatch):
+    # the per-sample energy reuses evolve's V and W: one evaluation each
+    # in stable_dt and in evolve, however many samples are recorded
+    params, pair, z, prof = wave
+    st = fresh_state(wave, delta=1e-3, seed=2)
+    dt = stable_dt(st, params, pair)
+    calls = []
+    for name in ("V", "W"):
+        real = getattr(PotentialPair, name)
+        monkeypatch.setattr(
+            PotentialPair,
+            name,
+            lambda self, x, name=name, real=real: calls.append(name) or real(self, x),
+        )
+    rec = evolve(st, params, pair, dt, 40 * dt, record_every=4)
+    assert len(rec.times) == 11
+    assert sorted(calls) == ["V", "V", "W", "W"]
 
 
 def test_phase_rotation_of_standing_wave(wave):
@@ -268,7 +289,7 @@ def reference_evolve(
     def sample():
         write_back()
         times.append(state.t)
-        e_ser.append(energy(state, params, pair))
+        e_ser.append(energy(state, params, vv, ww))
         q_ser.append(charge(state))
         r_ser.append(
             float(np.sqrt(epsn * np.sum(w_int * np.abs(v - 1j * (state.omega + v_int) * u) ** 2)))

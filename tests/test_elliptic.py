@@ -10,6 +10,7 @@ from dataclasses import replace
 from kgstab import elliptic, grids
 from kgstab.elliptic import (
     _newton,
+    assemble_L,
     compute_R_omega,
     compute_T_lambda,
     continue_profile,
@@ -20,6 +21,7 @@ from kgstab.elliptic import (
 )
 from kgstab.errors import GridTooSmall, NoConvergence, SingularOperator
 from kgstab.grids import Grid
+from kgstab.stability import build_slope_report
 from kgstab.potentials import (
     GaussianTerm,
     PotentialSpec,
@@ -31,7 +33,7 @@ from kgstab.potentials import (
 )
 
 
-from conftest import sech_exact
+from conftest import fd_R_omega, sech_exact
 
 
 def test_limit_solver_residual_and_positivity(free_limit):
@@ -399,33 +401,40 @@ def test_R_omega_free_oracle():
     limit = solve_limit_ground_state(c, 3.0, g, method="fd")
     prof = continue_profile(limit, params, pair, z, grid=g)
     oracle = -4.0 * om / np.sqrt(c)
-    for method in ("linear-solve", "finite-difference"):
-        R, info = compute_R_omega(prof, params, pair, method=method)
+    R_solve, _ = compute_R_omega(prof, params, pair)
+    R_fd = fd_R_omega(prof, params, pair, 1e-3)
+    for method, R in (("linear-solve", R_solve), ("finite-difference", R_fd)):
         got = 2.0 * float(np.sum(g.weights() * prof.values * R))
         assert got == pytest.approx(oracle, rel=1e-4), method
 
 
 def test_R_omega_methods_converge_quadratically(s1, s1_profile):
     params, pair, z, grid, limit = s1
-    R_ls, _ = compute_R_omega(s1_profile, params, pair, method="linear-solve")
+    R_ls, _ = compute_R_omega(s1_profile, params, pair)
     w = grid.weights()
     gaps = []
     for dw in (2e-3, 1e-3):
-        R_fd, _ = compute_R_omega(
-            s1_profile, params, pair, method="finite-difference", domega=dw
-        )
+        R_fd = fd_R_omega(s1_profile, params, pair, dw)
         gaps.append(float(np.sqrt(np.sum(w * (R_fd - R_ls) ** 2))))
     assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
-def test_R_omega_identity_residual(s1, s1_profile):
+def test_R_omega_identity_residual(s1, s1_profile, caplog):
     params, pair, z, grid, limit = s1
-    _, info = compute_R_omega(s1_profile, params, pair)
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        _, info = compute_R_omega(s1_profile, params, pair)
     norm = np.sqrt(np.sum(grid.weights() * s1_profile.values**2))
     assert info["identity_residual"] <= 1e-6 * norm
+    # solved on the half line, and said so in one DEBUG line
+    done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("R_omega done:")]
+    assert done == [
+        f"R_omega done: parity (1,), 3200 unknowns, identity residual "
+        f"{info['identity_residual']:.3e}, <chi, dR> "
+        f"{np.sum(grid.weights() * info['rhs'] * info['correction']):.3e}"
+    ]
 
 
-def test_R_omega_identity_residual_on_a_box():
+def test_R_omega_identity_residual_on_a_box(monkeypatch):
     # the 2d saddle of the spectrum tests on a small box: L has a pair
     # of eigenvalues near zero, factored as LDL^T
     params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
@@ -435,6 +444,28 @@ def test_R_omega_identity_residual_on_a_box():
     limit = solve_limit_ground_state(z.z0, 3.0, Grid(2, "radial", 16.0, 401))
     grid = Grid(2, "box", 14.0, 71)
     prof = continue_profile(limit, params, pair, z, grid=grid)
-    _, info = compute_R_omega(prof, params, pair)
+    R, info = compute_R_omega(prof, params, pair)
     norm = np.sqrt(np.sum(grid.weights() * prof.values**2))
     assert info["identity_residual"] <= 1e-6 * norm
+
+    # solved on the (even, even) quarter box, it is the full-box solve
+    assert info["parity"] == (1, 1)
+    L = assemble_L(prof, params, pair)
+    _, factor, _ = elliptic._operator(grid, None, L.diagonal)
+    chi = grids.extract_interior(grid, 2.0 * params.omega * prof.values)  # V = 0
+    R_full = grids.insert_interior(grid, factor().solve(chi))
+    assert np.max(np.abs(R - R_full)) <= 1e-10 * np.max(np.abs(R_full))
+
+    # the numeric slope costs one factorization, of the quarter-box block
+    shapes = []
+    real = elliptic.factor_ldl
+
+    def counted(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(elliptic, "factor_ldl", counted)
+    rep = build_slope_report(prof, params, pair, z, limit)
+    assert rep.slope_numeric is not None
+    quarter = ((grid.n - 2) // 2 + 1) ** 2
+    assert shapes == [(quarter, quarter)]

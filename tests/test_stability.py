@@ -25,6 +25,8 @@ from kgstab.stability import (
     slope_numeric,
 )
 
+from conftest import richardson_slope
+
 
 def test_limit_norms_closed_forms(free_limit):
     mass, ymom = limit_norms(free_limit)
@@ -141,6 +143,25 @@ def test_slope_numeric_matches_asymptotic(s1, s1_profile):
     scaled = slope / params.epsilon
     assert scaled == pytest.approx(-7.1626, rel=0.02)
     assert err < 0.01 * abs(slope)
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.7, 0.95])
+def test_slope_numeric_within_richardson_error(s1, omega):
+    # the one-solve slope against Richardson's four re-solves, across the
+    # S1 stability boundary; each must land inside the other's error bar
+    params, pair, z, grid, limit = s1
+    params = replace(params, omega=omega)
+    z = find_critical_point(params, pair, (0.0,))
+    extent = 24.0 / np.sqrt(z.z0)
+    g = Grid(1, "line", extent, int(round(2.0 * extent / 0.02)) + 1)
+    lim = solve_limit_ground_state(z.z0, params.p, g)
+    for eps in (0.1, 0.025):
+        pe = replace(params, epsilon=eps)
+        prof = continue_profile(lim, pe, pair, z, grid=g)
+        slope, err = slope_numeric(prof, pe, pair)
+        ref, ref_err = richardson_slope(prof, pe, pair)
+        assert abs(slope - ref) <= ref_err, (eps, slope, ref, ref_err)
+        assert err <= 1e-10 * abs(slope)
 
 
 def test_slope_report_fields(s1, s1_profile):
