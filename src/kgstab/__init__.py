@@ -26,7 +26,6 @@ from .elliptic import (
     compute_R_omega,
     compute_T_lambda,
     continue_profile,
-    rescale_profile,
     resolve_at_omega,
     solve_limit_ground_state,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "solve_limit_ground_state",
     "continue_profile",
     "resolve_at_omega",
-    "rescale_profile",
     "compute_T_lambda",
     "compute_R_omega",
     "SlopeReport",

@@ -32,9 +32,14 @@ beside the granted grid in the report's "limit"; a dynamics run that
 would need more nodes (in 2d, practically every one) records a
 GridTooSmall error in its block, and "/dynamics/grid" must be pinned.
 The pipeline per scenario: locate the concentration point, check the
-standing assumptions, solve the limit state, then per epsilon run the
-enabled analyses; failures inside one block are recorded in place of
-its results and turn the exit status nonzero without aborting the rest.
+standing assumptions, solve the limit state and settle it once, at
+epsilon = 0, on the grid the blocks analyse (`base`: the line in 1d, the
+box in 2d when slope_numeric or spectrum reads the profile), then per
+epsilon run the enabled analyses on `base` or its continuation. A 2d or
+3d scenario with only slope_asymptotic has no line or box: its blocks
+have no profile, and their charge is null. Failures inside one block
+are recorded in place of its results and turn the exit status nonzero
+without aborting the rest.  `python -m kgstab` runs `main`.
 
 Subcommands: analyze, evolve (dynamics only), sweep (requires a top
 level "omegas" list; every point is parsed before the first runs),
@@ -422,12 +427,12 @@ def _guarded(block: dict, key: str, run, entry=lambda result: result):
 
 
 def _epsilon_block(
-    config: ScenarioConfig,
-    z: EffectiveZ,
-    limit: Profile,
-    box_limit: Profile | None,
-    epsilon: float,
+    config: ScenarioConfig, z: EffectiveZ, limit: Profile, base: Profile | None, epsilon: float
 ) -> dict:
+    """One epsilon's analyses. `base` is the scenario's epsilon = 0 state on
+    the grid the block analyses, None where no block reads a profile or,
+    in 2d and 3d runs with only slope_asymptotic, where there is no line
+    or box: the slope then holds only the asymptotic fields."""
     params = replace(config.params, epsilon=epsilon)
     pair = config.pair
     block: dict = {"epsilon": epsilon}
@@ -438,26 +443,28 @@ def _epsilon_block(
     want_dynamics = "dynamics" in config.analyses
 
     def solve_profile():
-        base = box_limit if box_limit is not None else limit
         if epsilon == 0.0:
             return base
-        return continue_profile(base, params, pair, z, tol=config.tol)
+        return continue_profile(base, params, pair, z, base.grid, tol=config.tol)
+
+    def analysed():
+        if base is not None and profile is None:
+            raise SkippedError("no profile")
+        return profile
 
     def slope(with_numeric: bool):
-        if profile is None:
-            raise SkippedError("no profile")
-        return st.build_slope_report(profile, params, pair, z, limit, with_numeric=with_numeric)
+        return st.build_slope_report(
+            analysed(), params, pair, z, limit, with_numeric=with_numeric
+        )
 
     def spectrum():
-        if profile is None:
-            raise SkippedError("no profile")
-        spec_report = spx.build_spectrum_report(profile, params, pair, z, limit)
+        spec_report = spx.build_spectrum_report(analysed(), params, pair, z, limit)
         return spx.gss_classify(
             spec_report, slope_report if slope_report is not None else slope(False)
         )
 
     profile = slope_report = None
-    if want_slope or want_spectrum:
+    if base is not None:
         profile = _guarded(block, "profile", solve_profile, _profile_summary)
     if want_slope:
         with_numeric = "slope_numeric" in config.analyses and epsilon > 0.0
@@ -495,7 +502,6 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         record_every=opts.record_every,
         profile=profile,
         tube_exit=opts.tube_exit * opts.delta * phi_h1 if opts.delta > 0 else None,
-        delta=opts.delta,
         order=opts.order,
     )
     evolve_s = time.perf_counter() - t0
@@ -578,19 +584,20 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
     if capped:
         report["limit"]["h_requested"] = LIMIT_H
 
-    box_limit = None
-    if params.dimension == 2 and any(
-        a in config.analyses for a in ("slope_numeric", "spectrum")
-    ):
-        box_grid = config.grid if (config.grid and config.grid.geometry == "box") else None
-        if box_grid is None:
-            box_grid = _auto_box_grid(params.dimension, z.z0)
-        box_limit = continue_profile(
-            limit, replace(params, epsilon=0.0), pair, z, grid=box_grid, tol=config.tol
-        )
+    # the one epsilon = 0 state of the scenario, on the grid its blocks
+    # analyse: the line in 1d, the box in 2d where a block reads L or R
+    grid = None
+    if params.dimension == 1:
+        grid = limit.grid
+    elif "slope_numeric" in config.analyses or "spectrum" in config.analyses:
+        pinned = config.grid is not None and config.grid.geometry == "box"
+        grid = config.grid if pinned else _auto_box_grid(params.dimension, z.z0)
+    base = None
+    if grid is not None and config.analyses != ("dynamics",):
+        base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=config.tol)
 
     def one(eps: float) -> dict:
-        return _epsilon_block(config, z, limit, box_limit, eps)
+        return _epsilon_block(config, z, limit, base, eps)
 
     if threads > 1 and len(config.epsilons) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -88,8 +88,6 @@ class TrajectoryRecord:
     v_residual: np.ndarray
     dt: float
     steps: int
-    delta: float
-    tube_exit: float | None
     verdict: str  # "stayed-in-tube" | "exited-tube"
     exit_time: float | None = None
     max_distance: float = 0.0
@@ -287,7 +285,6 @@ def evolve(
     record_every: int = 10,
     profile: Profile | None = None,
     tube_exit: float | None = None,
-    delta: float = 0.0,
     order: int = 2,
 ) -> TrajectoryRecord:
     """March (u, v) over [t, t + T] and record invariants and distance.
@@ -437,8 +434,6 @@ def evolve(
         v_residual=np.asarray(r_ser),
         dt=dt,
         steps=step_count,
-        delta=delta,
-        tube_exit=tube_exit,
         verdict=verdict,
         exit_time=exit_time,
         max_distance=max_d,

@@ -43,7 +43,7 @@ symmetric-mode SuperLU (`factor_ldl`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -220,19 +220,16 @@ def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
 
 
 def solve_limit_ground_state(
-    c: float,
-    p: float,
-    grid: Grid,
-    tol: float = 1e-10,
-    method: str = "auto",
-    omega: float = float("nan"),
-    center: tuple | None = None,
+    c: float, p: float, grid: Grid, tol: float = 1e-10, method: str = "auto"
 ) -> Profile:
     """Positive decaying solution of -lap psi + c psi = psi^p.
 
     method: "fd" (second-order stencil, matches the continuation family),
     "sine" (spectral in space, line grids only), or "auto" which picks
-    "sine" on line grids and "fd" otherwise.
+    "sine" on line grids and "fd" otherwise. The profile is centred at
+    the origin, with omega NaN: `continue_profile` sets both, and
+    settles a sine state on the finite-difference branch that L and the
+    continuation solve.
     """
     if not (c > 0):
         raise ValueError("need c > 0")
@@ -248,9 +245,8 @@ def solve_limit_ground_state(
         raise ValueError(f"unknown method {method!r}")
     if np.min(psi_int) < 0 and abs(np.min(psi_int)) > 1e-10 * np.max(psi_int):
         raise LostPositivity("limit solver produced a sign-changing profile")
-    if center is None:
-        center = (0.0,) * grid.dimension
-    profile = _profile(grid, np.maximum(psi_int, 0.0), res, omega, 0.0, p, center)
+    origin = (0.0,) * grid.dimension
+    profile = _profile(grid, np.maximum(psi_int, 0.0), res, float("nan"), 0.0, p, origin)
     _decay_check(grid, profile.values)
     return profile
 
@@ -449,25 +445,27 @@ def continue_profile(
     params: ProblemParams,
     pair: PotentialPair,
     z: EffectiveZ,
-    grid: Grid | None = None,
+    grid: Grid,
     tol: float = 1e-10,
 ) -> Profile:
-    """March the limit state from epsilon = 0 to params.epsilon.
+    """The profile at params.epsilon on `grid`, marched from the limit state.
 
-    Geometric epsilon schedule with step halving on Newton failure; each
-    accepted step must keep the profile positive. When the limit state
-    lives on a radial grid, `grid` selects the box the continuation runs
-    on and the profile is transplanted by radial interpolation.
+    The limit state is first settled on the grid's own finite-difference
+    branch at epsilon = 0 (Newton at constant Z(x0)), which is the result
+    at epsilon = 0: the state that L at epsilon = 0 linearizes about. A
+    limit state on a radial grid is transplanted to `grid` by radial
+    interpolation. From there a geometric epsilon schedule with step
+    halving on Newton failure marches to params.epsilon; each accepted
+    step must keep the profile positive. A radial grid samples
+    Z(x0 + eps y) along one axis only, so it raises ValueError at
+    epsilon > 0.
     """
     target = params.epsilon
-    if grid is None:
-        grid = limit.grid
+    if target > 0.0 and grid.geometry == "radial":
+        raise ValueError("continuation to epsilon > 0 needs a line or box grid")
     center = tuple(z.x0)
 
     if limit.grid == grid:
-        if target == 0.0:
-            # identity case: the limit state already is the epsilon = 0 member
-            return replace(limit, omega=params.omega, center=center)
         psi = grids.extract_interior(grid, limit.values)
     elif limit.grid.geometry == "radial":
         radii = grid.radii()
@@ -534,37 +532,9 @@ def resolve_at_omega(
 # derivative fields
 
 
-def rescale_profile(profile: Profile, lam: float) -> Profile:
-    """Scaling family member phi_lam with phi(x) = lam^(1/(p-1)) phi_lam(sqrt(lam) x).
-
-    Returned on the dilated grid (extent * sqrt(lam)), where the identity
-    holds node-for-node without interpolation. At epsilon = 0 the result
-    solves the limit problem with coefficient c / lam.
-    """
-    if not (lam > 0):
-        raise ValueError("lam must be positive")
-    root = np.sqrt(lam)
-    new_grid = Grid(
-        dimension=profile.grid.dimension,
-        geometry=profile.grid.geometry,
-        extent=profile.grid.extent * root,
-        n=profile.grid.n,
-    )
-    scale = lam ** (-1.0 / (profile.p - 1.0))
-    return Profile(
-        grid=new_grid,
-        values=scale * profile.values,
-        omega=profile.omega,
-        epsilon=profile.epsilon,
-        p=profile.p,
-        center=profile.center,
-        residual=profile.residual * scale * lam,
-        peak=tuple(root * np.asarray(profile.peak)),
-    )
-
-
 def compute_T_lambda(profile: Profile) -> np.ndarray:
-    """Derivative of the scaling family at lam = 1:
+    """Derivative at lam = 1 of the scaling family
+    phi_lam(y) = lam^(-1/(p-1)) phi(y / sqrt(lam)):
 
         T = -phi/(p-1) - (1/2) y . grad phi
 
@@ -585,7 +555,6 @@ class LinearizedOperator:
 
     grid: Grid
     diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on the unknowns
-    epsilon: float
     parity: tuple | None = None
 
     def matrix(self) -> sp.csr_array:
@@ -617,7 +586,7 @@ def assemble_L(
     zvals = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     phi = grids.extract_interior(grid, profile.values)
     diag = zvals - params.p * np.abs(phi) ** (params.p - 1.0)
-    return LinearizedOperator(grid=grid, diagonal=diag, epsilon=profile.epsilon)
+    return LinearizedOperator(grid=grid, diagonal=diag)
 
 
 def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair):

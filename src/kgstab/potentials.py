@@ -10,8 +10,8 @@ has a nondegenerate critical point x0 with Z(x0) > 0. Everything the
 asymptotic analysis needs about the potentials at x0 (value, Hessian,
 Laplacians) is collected in `EffectiveZ`.
 
-Potentials are sums of Gaussian bumps and quadratic forms plus a
-constant offset; all derivatives are evaluated analytically.
+Potentials are sums of Gaussian bumps and quadratic forms; all
+derivatives are evaluated analytically.
 """
 
 from __future__ import annotations
@@ -55,18 +55,13 @@ class QuadraticTerm:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Sum of terms plus a constant offset, in a fixed dimension."""
+    """Sum of terms in a fixed dimension; no terms is the zero potential."""
 
     dimension: int
     terms: tuple = ()
-    offset: float = 0.0
-
-    @classmethod
-    def zero(cls, dimension: int) -> "PotentialSpec":
-        return cls(dimension=dimension)
 
     def is_zero(self) -> bool:
-        return not self.terms and self.offset == 0.0
+        return not self.terms
 
     def evaluate(self, x: np.ndarray):
         """Value, gradient and Hessian at points x of shape (..., dim).
@@ -78,7 +73,7 @@ class PotentialSpec:
         if x.shape[-1] != d:
             raise ValueError(f"points have dimension {x.shape[-1]}, spec has {d}")
         base = x.shape[:-1]
-        val = np.full(base, self.offset)
+        val = np.zeros(base)
         grad = np.zeros(base + (d,))
         hess = np.zeros(base + (d, d))
         eye = np.eye(d)
@@ -156,7 +151,7 @@ class PotentialPair:
 
 def resolve_potentials(params: ProblemParams, spec_V: PotentialSpec | None, spec_W: PotentialSpec | None) -> PotentialPair:
     d = params.dimension
-    zero = PotentialSpec.zero(d)
+    zero = PotentialSpec(d)
     if params.mode == "schrodinger":
         if spec_V is not None and not spec_V.is_zero():
             raise SchemaError("/potentials/V", "schrodinger mode forces V = 0")

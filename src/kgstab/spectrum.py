@@ -14,7 +14,8 @@ n_negative - p(omega) gives instability (p(omega) = 1 when the slope is
 negative, else 0).
 
 The count and the low eigenvalues come from `eig_low`, run on each
-parity block of L when Z is even in some axes (`parity_blocks`): the
+parity block of L when its diagonal Z - p |phi|^(p-1) is even in some
+axes (`elliptic.even_axes`, `parity_blocks`): the
 block counts add up to n(L), and the blocks' lowest eigenvalues merge
 into L's.  On a line grid a block is tridiagonal and solved from its
 bands.
@@ -151,7 +152,7 @@ def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray) -> np.ndarray:
 def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
     """L split into 2^s blocks, one per even/odd choice on its s even axes.
 
-    `even` marks the axes in which L's coefficient Z is even. A block's
+    `even` marks the axes in which L's diagonal is even. A block's
     diagonal is the reflection average of L's on its kept nodes, which
     drops the roundoff asymmetry of the profile; L itself is the one
     block when no axis is even. The union of the blocks' spectra is L's.
@@ -187,8 +188,7 @@ def build_spectrum_report(
     if k is None:
         k = params.dimension + 3
     op = assemble_L(profile, params, pair)
-    z_int = elliptic._z_on_grid(params, pair, op.grid, profile.center, profile.epsilon)
-    blocks = parity_blocks(op, elliptic.even_axes(op.grid, z_int))
+    blocks = parity_blocks(op, elliptic.even_axes(op.grid, op.diagonal))
     log.debug("spectrum: parity blocks of %s unknowns", [b.diagonal.size for b in blocks])
     vals = np.sort(np.concatenate([eig_low(b, k) for b in blocks]))[:k]
     floor = 1e-10 * max(1.0, abs(float(vals[0])))

@@ -48,8 +48,8 @@ SIGN_MARGIN = 10.0  # numeric sign must clear its own error estimate by this fac
 class SlopeReport:
     omega: float
     epsilon: float
-    charge: float
-    charge_scaled: float
+    charge: float | None  # None without a profile (2d/3d asymptotic-only runs)
+    charge_scaled: float | None
     slope_numeric: float | None
     slope_numeric_error: float | None
     slope_scaled: float | None
@@ -151,7 +151,7 @@ def slope_asymptotic(
     return regime, nd, cd, coeff, scaled
 
 
-def classify_slope(regime: str, coefficient: float) -> str:
+def classify_slope(coefficient: float) -> str:
     """Predicted slope sign from the asymptotic coefficient.
 
     The noncritical coefficient equals mass * discriminant / Z0, so its
@@ -172,26 +172,32 @@ def numeric_sign(slope: float, error: float) -> str:
 
 
 def build_slope_report(
-    profile: Profile,
+    profile: Profile | None,
     params: ProblemParams,
     pair: PotentialPair,
     z: EffectiveZ,
     limit: Profile,
     with_numeric: bool = True,
 ) -> SlopeReport:
-    """Assemble the full slope side of the classification at one (omega, eps)."""
-    q_scaled = charge_scaled(profile, params, pair)
+    """Assemble the full slope side of the classification at one (omega, eps).
+
+    Without a profile only the asymptotic fields are filled: the charge
+    and the numeric slope are None.
+    """
     regime, nd, cd, coeff, scaled_pred = slope_asymptotic(z, params, limit)
-    slope = err = slope_sc = None
+    q_scaled = q = slope = err = slope_sc = None
     sign = "indeterminate"
-    if with_numeric and params.epsilon > 0.0:
-        slope, err = slope_numeric(profile, params, pair)
-        sign = numeric_sign(slope, err)
-        slope_sc = slope / params.epsilon**params.dimension
+    if profile is not None:
+        q_scaled = charge_scaled(profile, params, pair)
+        q = params.epsilon**params.dimension * q_scaled
+        if with_numeric and params.epsilon > 0.0:
+            slope, err = slope_numeric(profile, params, pair)
+            sign = numeric_sign(slope, err)
+            slope_sc = slope / params.epsilon**params.dimension
     return SlopeReport(
         omega=params.omega,
         epsilon=params.epsilon,
-        charge=params.epsilon**params.dimension * q_scaled,
+        charge=q,
         charge_scaled=q_scaled,
         slope_numeric=slope,
         slope_numeric_error=err,
@@ -202,5 +208,5 @@ def build_slope_report(
         asymptotic_coefficient=coeff,
         asymptotic_slope_scaled=scaled_pred,
         slope_sign=sign,
-        predicted_sign=classify_slope(regime, coeff),
+        predicted_sign=classify_slope(coeff),
     )

@@ -314,7 +314,7 @@ def test_criterion_11_stability_dichotomy(s1):
     t0 = time.perf_counter()
     rec_stay = evolve(
         state, pe, pair, dt, 100.0 * pe.epsilon, record_every=50,
-        profile=prof, tube_exit=10.0 * delta * norm, delta=delta,
+        profile=prof, tube_exit=10.0 * delta * norm,
     )
     t_stay = time.perf_counter() - t0
     assert rec_stay.verdict == "stayed-in-tube", rec_stay.verdict
@@ -334,7 +334,7 @@ def test_criterion_11_stability_dichotomy(s1):
     t0 = time.perf_counter()
     rec_exit = evolve(
         stateu, pu, pair, dtu, 200.0 * pu.epsilon, record_every=50,
-        profile=profu, tube_exit=100.0 * delta * normu, delta=delta,
+        profile=profu, tube_exit=100.0 * delta * normu,
     )
     t_exit = time.perf_counter() - t0
     assert rec_exit.verdict == "exited-tube", rec_exit.verdict

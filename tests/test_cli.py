@@ -1,11 +1,18 @@
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kgstab
+from kgstab import elliptic
 from kgstab.cli import (
     _DYNAMICS_FIELDS,
     _error_entry,
@@ -142,6 +149,87 @@ def test_run_scenario_report_shape(tmp_path):
     assert block["slope"]["slope_sign"] == "negative"
     assert block["spectrum"]["n_negative"] == 1
     assert report["convergence"]["slope_scaled"]
+
+
+def test_eps_zero_block_analyses_the_finite_difference_state():
+    # the eps = 0 block analysed the sine-collocation limit state with the
+    # finite-difference L: the translation eigenvalue came out negative,
+    # n(L) = 2 and the verdict "unstable" for a stable wave
+    report, code = run_scenario(parse_scenario_dict(dict(BASE, epsilons=[0, 0.1])))
+    assert code == 0
+    block = next(b for b in report["blocks"] if b["epsilon"] == 0.0)
+    assert block["spectrum"]["n_negative"] == 1
+    assert block["gss_verdict"] == "stable"
+    assert abs(block["spectrum"]["eigenvalues"][1]) < 1e-10
+
+
+def test_one_dimensional_scenario_settles_its_limit_state_once(monkeypatch, caplog):
+    # every block settled the sine limit state on the line again; now the
+    # scenario settles it once, and each block's settle takes no step
+    newton = elliptic._newton
+    constant_z = []
+
+    def recording(grid, z_int, *args, **kwargs):
+        out = newton(grid, z_int, *args, **kwargs)
+        constant_z.append(bool(np.all(z_int == z_int[0])))
+        return out
+
+    monkeypatch.setattr(elliptic, "_newton", recording)
+    cfg = parse_scenario_dict(dict(BASE, epsilons=[0.1, 0.05, 0.025]))
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        assert run_scenario(cfg)[1] == 0
+    done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
+    assert len(done) == len(constant_z)
+    steps = [int(re.search(r", (\d+) iterations", m).group(1)) for m in done]
+    assert sum(1 for c, n in zip(constant_z, steps) if c and n > 0) == 1
+
+
+SADDLE_2D = {
+    "dimension": 2,
+    "p": 3.0,
+    "m": 1.0,
+    "omega": 0.5,
+    "potentials": {
+        "W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, -0.3]], "center": [0.0, 0.0]}]
+    },
+    "epsilons": [0.2, 0.05],
+    "analyses": {"slope_asymptotic": True},
+}
+
+
+def test_2d_asymptotic_only_run_has_no_profile():
+    # these blocks continued on the radial limit grid, which samples Z
+    # along one axis only: eps = 0.2 lost positivity and the run exited 1
+    report, code = run_scenario(parse_scenario_dict(SADDLE_2D))
+    assert code == 0
+    for block in report["blocks"]:
+        assert "profile" not in block
+        assert block["slope"]["charge"] is None
+        assert block["slope"]["charge_scaled"] is None
+        assert block["slope"]["predicted_sign"] == "positive"
+
+
+def test_3d_asymptotic_only_run_has_no_profile():
+    raw = json.loads(json.dumps(BASE))
+    raw.update({"dimension": 3, "omega": 0.5, "analyses": {"slope_asymptotic": True}})
+    raw["potentials"]["W"][0]["center"] = [0.0, 0.0, 0.0]
+    del raw["grid"]
+    report, code = run_scenario(parse_scenario_dict(raw))
+    assert code == 0
+    block = report["blocks"][0]
+    assert "profile" not in block
+    assert block["slope"]["charge"] is None
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(kgstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgstab", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "analyze" in proc.stdout
 
 
 def test_run_scenario_assumption_failure(tmp_path):

@@ -162,7 +162,7 @@ def test_tube_exit_detection(wave):
     # radius below the initial distance: must exit on the first sample
     rec = evolve(
         st, params, pair, dt, 100 * dt, record_every=5,
-        profile=prof, tube_exit=0.5e-3 * norm, delta=1e-3,
+        profile=prof, tube_exit=0.5e-3 * norm,
     )
     assert rec.verdict == "exited-tube"
     assert rec.exit_time is not None
@@ -176,7 +176,7 @@ def test_stayed_in_tube_verdict(wave):
     dt = stable_dt(st, params, pair)
     rec = evolve(
         st, params, pair, dt, 100 * dt, record_every=10,
-        profile=prof, tube_exit=1e-2 * norm, delta=1e-4,
+        profile=prof, tube_exit=1e-2 * norm,
     )
     assert rec.verdict == "stayed-in-tube"
     assert rec.exit_time is None
@@ -223,7 +223,7 @@ def test_random_smooth_varies_along_every_axis_in_3d():
 
 def reference_evolve(
     state, params, pair, dt, T, record_every=10, profile=None,
-    tube_exit=None, delta=0.0, order=2,
+    tube_exit=None, order=2,
 ):
     """The unmerged kernel: every step is kick/rotate/kick with the
     rotation coefficients recomputed per substep and a CSR Laplacian."""
@@ -324,7 +324,7 @@ def reference_evolve(
     return TrajectoryRecord(
         times=np.asarray(times), energy=e_arr, charge=q_arr,
         distance=np.asarray(d_ser), v_residual=np.asarray(r_ser), dt=dt,
-        steps=step_count, delta=delta, tube_exit=tube_exit, verdict=verdict,
+        steps=step_count, verdict=verdict,
         exit_time=exit_time, max_distance=max_d, blow_up=blow_up,
         boundary_touched=boundary_touched,
         energy_drift=float(np.max(np.abs(e_arr - e_arr[0])) / abs(e_arr[0])),

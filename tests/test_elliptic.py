@@ -14,7 +14,6 @@ from kgstab.elliptic import (
     compute_R_omega,
     compute_T_lambda,
     continue_profile,
-    rescale_profile,
     resolve_at_omega,
     sech_ground_state,
     solve_limit_ground_state,
@@ -326,6 +325,18 @@ def test_continuation_identity_at_zero(s1):
     assert np.array_equal(out.values, limit.values)
 
 
+def test_continuation_needs_a_line_or_box_grid():
+    # a radial grid samples Z(x0 + eps y) along one axis only
+    params = ProblemParams(dimension=2, p=3.0, m=1.0, omega=0.5, epsilon=0.05)
+    spec_w = PotentialSpec(2, (GaussianTerm(0.05, (0.0, 0.0), 1.0),))
+    pair = resolve_potentials(params, None, spec_w)
+    z = find_critical_point(params, pair, (0.0, 0.0))
+    radial = Grid(2, "radial", 40.0, 801)
+    limit = solve_limit_ground_state(z.z0, params.p, radial)
+    with pytest.raises(ValueError, match="line or box"):
+        continue_profile(limit, params, pair, z, radial)
+
+
 def test_continuation_second_order_in_epsilon(s1):
     params, pair, z, grid, limit = s1
     w = grid.weights()
@@ -352,25 +363,6 @@ def test_resolve_at_omega_moves_the_branch(s1, s1_profile):
     assert shifted.residual <= 1e-10
     # mass grows as omega decreases toward the stable side here
     assert shifted.mass() > s1_profile.mass()
-
-
-def test_rescale_identity_and_mass_scaling(free_limit):
-    assert np.array_equal(rescale_profile(free_limit, 1.0).values, free_limit.values)
-    lam = 2.0
-    resc = rescale_profile(free_limit, lam)
-    # d = 1, p = 3: ||phi_lam||^2 = lam^(N/2 - 2/(p-1)) ||phi||^2
-    assert resc.mass() / free_limit.mass() == pytest.approx(lam**-0.5, rel=1e-10)
-
-
-def test_rescale_solves_rescaled_equation(free_limit):
-    lam = 4.0
-    resc = rescale_profile(free_limit, lam)
-    g = resc.grid
-    A = grids.neg_laplacian(g)
-    phi = grids.extract_interior(g, resc.values)
-    w = grids.extract_interior(g, g.weights())
-    f = A @ phi + (1.0 / lam) * phi - np.abs(phi) ** 2 * phi
-    assert float(np.sqrt(np.sum(w * f * f))) < 1e-9
 
 
 def test_T_lambda_pointwise(free_limit):

@@ -148,7 +148,7 @@ def _box_operator(n, diagonal, extent=6.0):
     """L = -lap + diagonal(x, y) on the interior of a small 2d box."""
     g = Grid(2, "box", extent, n)
     x, y = np.meshgrid(g.axis[1:-1], g.axis[1:-1], indexing="ij")
-    return LinearizedOperator(g, np.asarray(diagonal(x, y), dtype=float).ravel(), 0.0)
+    return LinearizedOperator(g, np.asarray(diagonal(x, y), dtype=float).ravel())
 
 
 def _well(depth, width):
@@ -298,7 +298,7 @@ def test_box_spectrum_invariant_under_axis_maps(inputs, townes_coarse):
 
 def _line_operator(n, diagonal, extent=6.0):
     g = Grid(1, "line", extent, n)
-    return LinearizedOperator(g, np.asarray(diagonal(g.axis[1:-1]), dtype=float), 0.0)
+    return LinearizedOperator(g, np.asarray(diagonal(g.axis[1:-1]), dtype=float))
 
 
 # (operator, whether the even-even block needs the second shift)

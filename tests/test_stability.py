@@ -132,9 +132,9 @@ def test_numeric_sign_margin():
 
 
 def test_classify_slope():
-    assert classify_slope("noncritical", -2.0) == "negative"
-    assert classify_slope("noncritical", 2.0) == "positive"
-    assert classify_slope("critical", -1.0) == "negative"
+    assert classify_slope(-2.0) == "negative"
+    assert classify_slope(2.0) == "positive"
+    assert classify_slope(-1.0) == "negative"
 
 
 def test_slope_numeric_matches_asymptotic(s1, s1_profile):
