@@ -65,7 +65,6 @@ from .spectrum import (
 from .stability import (
     SlopeReport,
     build_slope_report,
-    compute_charge,
     critical_discriminant,
     noncritical_discriminant,
     slope_asymptotic,
@@ -96,7 +95,6 @@ __all__ = [
     "compute_T_lambda",
     "compute_R_omega",
     "SlopeReport",
-    "compute_charge",
     "slope_numeric",
     "slope_asymptotic",
     "noncritical_discriminant",

@@ -20,11 +20,12 @@ A scenario is a JSON file:
     }
 
 Potential terms are `gaussian` (amplitude, center, width) or `quadratic`
-(matrix, center).  Unknown keys are rejected with a JSON pointer to the
-key.  Each part of the schema is defined once (the key tuples, the term
-classes and `_DYNAMICS_FIELDS`, whose defaults are those of
-`DynamicsOptions`), and both `parse_scenario_dict` and `emit_config`
-read it.  Epsilons are deduplicated and sorted descending so each
+(matrix, center).  Unknown keys, and numbers that are not finite, are
+rejected with a JSON pointer to the key.  Each part of the schema is
+defined once (the key tuples, the term classes and `_DYNAMICS_FIELDS`,
+whose defaults are those of `DynamicsOptions`), and both
+`parse_scenario_dict` and `emit_config` read it.  Epsilons are
+deduplicated and sorted descending so each
 continuation re-marches from the limit state toward harder targets
 last.  Automatic grids have a desk-scale size cap.  A limit grid that
 would need more nodes runs coarser, with a warning and the requested h
@@ -56,9 +57,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -120,7 +121,14 @@ class ScenarioConfig:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number (not a bool). `json.load` also yields NaN,
+    infinities and integers too large for a float, which are not."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v) -> bool:
@@ -541,7 +549,7 @@ def _dynamics_summary(record, opts: DynamicsOptions, grid: Grid, phi_h1: float) 
     }
 
 
-def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
+def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
     """Full pipeline; returns (report, exit_code).
 
     Exit code 0 means every enabled analysis completed, whatever the
@@ -596,14 +604,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
     if grid is not None and config.analyses != ("dynamics",):
         base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=config.tol)
 
-    def one(eps: float) -> dict:
-        return _epsilon_block(config, z, limit, base, eps)
-
-    if threads > 1 and len(config.epsilons) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, config.epsilons))
-    else:
-        blocks = [one(e) for e in config.epsilons]
+    blocks = [_epsilon_block(config, z, limit, base, e) for e in config.epsilons]
 
     trajectories = {}
     timings = []
@@ -641,12 +642,11 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> tuple[dict, int]:
     overall = distinct.pop() if len(distinct) == 1 else ("mixed" if distinct else "not-computed")
     report["verdict"] = {"by_epsilon": verdicts, "overall": overall}
 
-    failed = not assumptions.all_ok
-    for block in blocks:
-        for key in ("profile", "slope", "spectrum", "dynamics"):
-            entry = block.get(key)
-            if isinstance(entry, dict) and "error" in entry:
-                failed = True
+    failed = any(
+        isinstance(block.get(key), dict) and "error" in block[key]
+        for block in blocks
+        for key in ("profile", "slope", "spectrum", "dynamics")
+    )
     # stripped before serialization
     report["_trajectories"] = trajectories
     report["_dynamics_timings"] = timings
@@ -713,7 +713,7 @@ def _cmd_run(args) -> int:
             raise SchemaError("/analyses/dynamics", "evolve requires the dynamics analysis")
         config = replace(config, analyses=("dynamics",))
     t0 = time.perf_counter()
-    report, code = run_scenario(config, threads=args.threads)
+    report, code = run_scenario(config)
     meta = {"command": args.command, "runtime_s": time.perf_counter() - t0}
     _write_outputs(report, config.out or "kgstab-out", meta)
     if evolve:
@@ -748,7 +748,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     worst = 0
     for om, name, config in zip(omegas, names, configs):
-        report, code = run_scenario(config, threads=args.threads)
+        report, code = run_scenario(config)
         worst = max(worst, code)
         report.pop("_trajectories", None)
         meta = _sidecar(report, {"command": "sweep"})
@@ -796,7 +796,6 @@ def main(argv=None) -> int:
     def common(sp):
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--tol", type=float, help="solver tolerance override")
-        sp.add_argument("--threads", type=int, default=1, help="parallel epsilon blocks")
         sp.add_argument("--seed", type=int, help="perturbation seed override")
 
     pa = sub.add_parser("analyze", help="assumptions, slope, spectrum, verdict")

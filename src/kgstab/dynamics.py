@@ -237,8 +237,11 @@ def energy(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndar
 def stable_dt(state: FieldState, params: ProblemParams, pair: PotentialPair) -> float:
     """The step bound 0.5 eps h / sqrt(1 + max|Z|) of the splitting."""
     x = state.x_points()
-    vv, _, _ = pair.V(x)
-    ww, _, _ = pair.W(x)
+    return _step_bound(state, params, pair.V(x)[0], pair.W(x)[0])
+
+
+def _step_bound(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndarray) -> float:
+    """`stable_dt` from V and W on the state's nodes."""
     z = params.m - params.omega**2 - 2.0 * params.omega * vv - ww
     zmax = float(np.max(np.abs(z)))
     return 0.5 * state.epsilon * state.grid.h / np.sqrt(1.0 + zmax)
@@ -294,19 +297,17 @@ def evolve(
     in place; the returned record owns the monitor series.
     """
     g = state.grid
-    if abs(dt) > stable_dt(state, params, pair) * (1.0 + 1e-12):
-        raise UnstableStep(
-            f"dt = {abs(dt):.3e} above the splitting bound "
-            f"{stable_dt(state, params, pair):.3e}"
-        )
+    x = state.x_points()
+    vv, _, _ = pair.V(x)
+    ww, _, _ = pair.W(x)
+    bound = _step_bound(state, params, vv, ww)
+    if abs(dt) > bound * (1.0 + 1e-12):
+        raise UnstableStep(f"dt = {abs(dt):.3e} above the splitting bound {bound:.3e}")
     n_steps = int(round(T / dt)) if dt else 0
     if n_steps <= 0:
         raise UnstableStep(f"T = {T:.3e} and dt = {dt:.3e} round to no step")
 
     w_int = grids.extract_interior(g, g.weights())
-    x = state.x_points()
-    vv, _, _ = pair.V(x)
-    ww, _, _ = pair.W(x)
     v_int = grids.extract_interior(g, vv)
     kappa = grids.extract_interior(g, params.m - ww + vv**2)
     shape = tuple(np.array(g.shape) - 2)

@@ -59,6 +59,7 @@ from .potentials import EffectiveZ, PotentialPair, ProblemParams, eval_Z
 log = logging.getLogger("kgstab")
 
 BOUNDARY_DECAY_REL = 1e-5
+NEWTON_MAX_ITER = 30  # Newton steps of one nonlinear solve
 IDENTITY_RTOL = 1e-6  # largest ||L R - chi|| / ||phi|| that `compute_R_omega` returns
 
 
@@ -74,7 +75,6 @@ class Profile:
 
     grid: Grid
     values: np.ndarray
-    omega: float
     epsilon: float
     p: float
     center: tuple
@@ -136,13 +136,12 @@ def _peak_of(grid: Grid, values: np.ndarray) -> tuple:
     return tuple(float(grid.axis[i]) for i in idx)
 
 
-def _profile(grid: Grid, psi: np.ndarray, res: float, omega, epsilon, p, center) -> Profile:
+def _profile(grid: Grid, psi: np.ndarray, res: float, epsilon, p, center) -> Profile:
     """The Profile of interior values psi on grid, boundary entries zero."""
     values = grids.insert_interior(grid, psi)
     return Profile(
         grid=grid,
         values=values,
-        omega=omega,
         epsilon=epsilon,
         p=p,
         center=tuple(center),
@@ -227,9 +226,9 @@ def solve_limit_ground_state(
     method: "fd" (second-order stencil, matches the continuation family),
     "sine" (spectral in space, line grids only), or "auto" which picks
     "sine" on line grids and "fd" otherwise. The profile is centred at
-    the origin, with omega NaN: `continue_profile` sets both, and
-    settles a sine state on the finite-difference branch that L and the
-    continuation solve.
+    the origin: `continue_profile` sets the centre, and settles a sine
+    state on the finite-difference branch that L and the continuation
+    solve.
     """
     if not (c > 0):
         raise ValueError("need c > 0")
@@ -246,7 +245,7 @@ def solve_limit_ground_state(
     if np.min(psi_int) < 0 and abs(np.min(psi_int)) > 1e-10 * np.max(psi_int):
         raise LostPositivity("limit solver produced a sign-changing profile")
     origin = (0.0,) * grid.dimension
-    profile = _profile(grid, np.maximum(psi_int, 0.0), res, float("nan"), 0.0, p, origin)
+    profile = _profile(grid, np.maximum(psi_int, 0.0), res, 0.0, p, origin)
     _decay_check(grid, profile.values)
     return profile
 
@@ -359,7 +358,6 @@ def _newton(
     psi: np.ndarray,
     weights: np.ndarray,
     tol: float,
-    max_iter: int = 30,
 ):
     """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
 
@@ -404,7 +402,7 @@ def _newton(
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         if res < tol:
             break
         fresh = lu is None or res > 0.25 * res_prev
@@ -430,9 +428,9 @@ def _newton(
                 continue
             raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
     else:
-        it = max_iter
+        it = NEWTON_MAX_ITER
         if res >= 10.0 * tol:
-            raise NoConvergence("Newton did not converge", residual=res, iterations=max_iter)
+            raise NoConvergence("Newton did not converge", residual=res, iterations=it)
     log.debug(
         "newton done: %s, %d iterations, %d factorizations, residual %.3e",
         kind, it, factorizations, res,
@@ -502,7 +500,7 @@ def continue_profile(
         eps_now = eps_try
         step *= 1.5
 
-    profile = _profile(grid, np.maximum(psi, 0.0), res, params.omega, target, params.p, center)
+    profile = _profile(grid, np.maximum(psi, 0.0), res, target, params.p, center)
     _decay_check(grid, profile.values)
     return profile
 
@@ -525,7 +523,7 @@ def resolve_at_omega(
     z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     psi = grids.extract_interior(grid, profile.values)
     psi, res = _newton(grid, z_int, params.p, psi, w, tol)
-    return _profile(grid, psi, res, params.omega, profile.epsilon, params.p, profile.center)
+    return _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gamma, pi
+from math import gamma, inf, pi
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,8 +61,8 @@ class Grid:
             raise SchemaError("/grid/geometry", "box grid needs dimension >= 2")
         if self.n < 8:
             raise SchemaError("/grid/n", "need at least 8 nodes per axis")
-        if not (self.extent > 0):
-            raise SchemaError("/grid/extent", "extent must be positive")
+        if not (0 < self.extent < inf):
+            raise SchemaError("/grid/extent", "extent must be finite and positive")
 
     @property
     def h(self) -> float:

@@ -16,6 +16,7 @@ derivatives are evaluated analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ import numpy as np
 from .errors import DegenerateHessian, NoConvergence, SchemaError
 
 MODES = ("general", "schrodinger", "covariant")
+CRITICAL_TOL = 1e-12  # |grad Z| at which the critical-point search stops
+CRITICAL_MAX_ITER = 100  # Newton steps of the critical-point search
+GRAD_TOL = 1e-8  # largest |grad Z(x0)| the assumption check accepts
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ class PotentialSpec:
 @dataclass(frozen=True)
 class ProblemParams:
     """Model parameters: dimension, nonlinearity power, mass, frequency,
-    semiclassical parameter and the coupling mode."""
+    semiclassical parameter and the coupling mode. The numbers must be
+    finite."""
 
     dimension: int
     p: float
@@ -112,14 +117,16 @@ class ProblemParams:
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
             raise SchemaError("/params/dimension", "dimension must be 1, 2 or 3")
-        if not (self.p > 1):
-            raise SchemaError("/params/p", "need p > 1")
+        if not (1 < self.p < math.inf):
+            raise SchemaError("/params/p", "need finite p > 1")
         if self.dimension >= 3 and not (self.p < (self.dimension + 2) / (self.dimension - 2)):
             raise SchemaError("/params/p", "p must be Sobolev-subcritical for dimension >= 3")
-        if not (self.m > 0):
-            raise SchemaError("/params/m", "need m > 0")
-        if self.epsilon < 0:
-            raise SchemaError("/params/epsilon", "epsilon must be nonnegative")
+        if not (0 < self.m < math.inf):
+            raise SchemaError("/params/m", "need finite m > 0")
+        if not (abs(self.omega) < math.inf):
+            raise SchemaError("/params/omega", "omega must be finite")
+        if not (0 <= self.epsilon < math.inf):
+            raise SchemaError("/params/epsilon", "epsilon must be finite and nonnegative")
         if self.mode not in MODES:
             raise SchemaError("/params/mode", f"unknown mode {self.mode!r}")
 
@@ -184,7 +191,6 @@ class EffectiveZ:
     x0: tuple
     z0: float
     grad_norm: float
-    hessian: tuple
     hess_eigs: tuple  # ascending
     laplacian_Z: float
     v0: float
@@ -204,7 +210,6 @@ def effective_z_at(params: ProblemParams, pair: PotentialPair, x: np.ndarray) ->
         x0=tuple(float(c) for c in x),
         z0=float(z),
         grad_norm=float(np.linalg.norm(gz)),
-        hessian=tuple(tuple(float(e) for e in row) for row in hz),
         hess_eigs=tuple(float(e) for e in eigs),
         laplacian_Z=float(np.trace(hz)),
         v0=float(v0),
@@ -216,12 +221,11 @@ def find_critical_point(
     params: ProblemParams,
     pair: PotentialPair,
     guess: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> EffectiveZ:
-    """Damped Newton search for grad Z = 0 starting from `guess`.
+    """Damped Newton search for grad Z = 0 starting from `guess`, down to
+    |grad Z| <= CRITICAL_TOL.
 
-    Raises NoConvergence after `max_iter` iterations and
+    Raises NoConvergence after CRITICAL_MAX_ITER iterations and
     DegenerateHessian when the Hessian at the iterate (or the converged
     point) is singular at relative scale 1e-8.
     """
@@ -231,10 +235,10 @@ def find_critical_point(
         scale = max(1.0, float(np.abs(hz).max()))
         return np.min(np.abs(np.linalg.eigvalsh(hz))) < 1e-8 * scale
 
-    for _ in range(max_iter):
+    for _ in range(CRITICAL_MAX_ITER):
         _, gz, hz = eval_Z(params, pair, x)
         gnorm = np.linalg.norm(gz)
-        if gnorm <= tol:
+        if gnorm <= CRITICAL_TOL:
             if degenerate(hz):
                 raise DegenerateHessian(f"singular Hessian of Z at {x.tolist()}")
             return effective_z_at(params, pair, x)
@@ -269,11 +273,11 @@ class AssumptionReport:
         return self.critical_point_ok and self.hessian_nondegenerate and self.positivity_ok
 
 
-def check_assumptions(z: EffectiveZ, grad_tol: float = 1e-8) -> AssumptionReport:
+def check_assumptions(z: EffectiveZ) -> AssumptionReport:
     msgs = []
-    crit = z.grad_norm <= grad_tol
+    crit = z.grad_norm <= GRAD_TOL
     if not crit:
-        msgs.append(f"|grad Z(x0)| = {z.grad_norm:.3e} exceeds {grad_tol:.1e}")
+        msgs.append(f"|grad Z(x0)| = {z.grad_norm:.3e} exceeds {GRAD_TOL:.1e}")
     scale = max(1.0, max(abs(e) for e in z.hess_eigs) if z.hess_eigs else 0.0)
     nondeg = all(abs(e) >= 1e-8 * scale for e in z.hess_eigs) and len(z.hess_eigs) > 0
     if not nondeg:

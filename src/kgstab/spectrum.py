@@ -183,10 +183,8 @@ def build_spectrum_report(
     pair: PotentialPair,
     z: EffectiveZ,
     limit: Profile,
-    k: int | None = None,
 ) -> SpectrumReport:
-    if k is None:
-        k = params.dimension + 3
+    k = params.dimension + 3  # the dimension + 1 near-zero and negative ones, and two more
     op = assemble_L(profile, params, pair)
     blocks = parity_blocks(op, elliptic.even_axes(op.grid, op.diagonal))
     log.debug("spectrum: parity blocks of %s unknowns", [b.diagonal.size for b in blocks])

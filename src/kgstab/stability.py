@@ -62,11 +62,6 @@ class SlopeReport:
     predicted_sign: str  # from the asymptotic coefficient
 
 
-def compute_charge(profile: Profile, params: ProblemParams, pair: PotentialPair) -> float:
-    """Charge of the standing wave, physical normalization (eps^N included)."""
-    return params.epsilon**params.dimension * charge_scaled(profile, params, pair)
-
-
 def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) -> float:
     """eps^(-N) Q: the quantity with a finite limit as eps -> 0."""
     w = profile.grid.weights()

@@ -23,6 +23,8 @@ from kgstab.cli import (
     run_scenario,
 )
 from kgstab.errors import GridTooSmall, ModeConflict, NoConvergence, SchemaError
+from kgstab.grids import Grid
+from kgstab.potentials import ProblemParams
 
 
 BASE = {
@@ -443,6 +445,65 @@ def test_tol_override_must_be_positive(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+INF, NAN = float("inf"), float("nan")
+DYNAMICS_ONLY = {"analyses": {"dynamics": True}}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, argv, pointer",
+    [
+        pytest.param("analyze", {"p": INF}, [], "/p", id="p-infinity"),
+        pytest.param("analyze", {"p": 10**400}, [], "/p", id="p-401-digits"),
+        pytest.param("analyze", {"omega": NAN}, [], "/omega", id="omega-nan"),
+        pytest.param(
+            "analyze", {"grid": {"extent": INF, "n": 2001}}, [], "/grid/extent",
+            id="extent-infinity",
+        ),
+        pytest.param("analyze", {"epsilons": [INF]}, [], "/epsilons/0", id="epsilon-infinity"),
+        pytest.param("analyze", {"tol": INF}, [], "/tol", id="tol-infinity"),
+        pytest.param("analyze", {}, ["--tol", "inf"], "/tol", id="tol-override-inf"),
+        pytest.param(
+            "evolve", dict(DYNAMICS_ONLY, dynamics={"T_over_epsilon": INF}), [],
+            "/dynamics/T_over_epsilon", id="T_over_epsilon-infinity",
+        ),
+        pytest.param(
+            "evolve",
+            dict(DYNAMICS_ONLY, dynamics={"delta": NAN, "T_over_epsilon": 1.0}),
+            [],
+            "/dynamics/delta",
+            id="delta-nan",
+        ),
+        pytest.param("sweep", {"omegas": [0.9, INF]}, [], "/omegas/1", id="omegas-infinity"),
+    ],
+)
+def test_non_finite_number_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, overrides, argv, pointer
+):
+    # json.load reads NaN, Infinity and 1e400 as floats, and these used to
+    # crash with a traceback or run to exit 0 or 1 on meaningless numbers
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(dict(BASE, **overrides)))
+    assert main([command, "scenario.json", "--out", "out", *argv]) == 2
+    assert f"config error at {pointer}:" in capsys.readouterr().err
+    assert os.listdir() == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "build, pointer",
+    [
+        (lambda: Grid(1, "line", INF, 101), "/grid/extent"),
+        (lambda: ProblemParams(1, INF, 1.0, 0.9, 0.1), "/params/p"),
+        (lambda: ProblemParams(1, 3.0, INF, 0.9, 0.1), "/params/m"),
+        (lambda: ProblemParams(1, 3.0, 1.0, NAN, 0.1), "/params/omega"),
+        (lambda: ProblemParams(1, 3.0, 1.0, -INF, 0.1), "/params/omega"),
+        (lambda: ProblemParams(1, 3.0, 1.0, 0.9, INF), "/params/epsilon"),
+        (lambda: ProblemParams(1, 3.0, 1.0, 0.9, NAN), "/params/epsilon"),
+    ],
+)
+def test_non_finite_parameter_is_rejected(build, pointer):
+    assert pointer_of(build) == pointer
+
+
 def test_capped_limit_grid_says_so(caplog):
     # Z0 = 1 - 0.8367^2 = 0.3: h = 0.01 needs 5113 radial nodes, above the cap
     raw = dict(BASE, dimension=2, omega=0.8367, analyses={"slope_asymptotic": True})
@@ -585,18 +646,6 @@ def test_unknown_key_rejected_with_pointer(edit, pointer):
     raw = json.loads(json.dumps(BASE))
     edit(raw)
     assert pointer_of(lambda: parse_scenario_dict(raw)) == pointer
-
-
-def test_run_scenario_threads_match_serial():
-    cfg = parse_scenario_dict(
-        dict(
-            BASE,
-            epsilons=[0.1, 0.05],
-            analyses={"slope_asymptotic": True, "spectrum": True},
-            grid={"geometry": "line", "extent": 40.0, "n": 801},
-        )
-    )
-    assert run_scenario(cfg, threads=2) == run_scenario(cfg, threads=1)
 
 
 def shifted_scenario(s: float) -> dict:

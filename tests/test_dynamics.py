@@ -89,8 +89,8 @@ def test_invariants_conserved(wave):
 
 
 def test_evolve_evaluates_the_potentials_once(wave, monkeypatch):
-    # the per-sample energy reuses evolve's V and W: one evaluation each
-    # in stable_dt and in evolve, however many samples are recorded
+    # the step bound and the per-sample energy reuse evolve's V and W:
+    # one evaluation each, however many samples are recorded
     params, pair, z, prof = wave
     st = fresh_state(wave, delta=1e-3, seed=2)
     dt = stable_dt(st, params, pair)
@@ -104,7 +104,7 @@ def test_evolve_evaluates_the_potentials_once(wave, monkeypatch):
         )
     rec = evolve(st, params, pair, dt, 40 * dt, record_every=4)
     assert len(rec.times) == 11
-    assert sorted(calls) == ["V", "V", "W", "W"]
+    assert sorted(calls) == ["V", "W"]
 
 
 def test_phase_rotation_of_standing_wave(wave):
@@ -207,7 +207,7 @@ def test_random_smooth_varies_along_every_axis_in_3d():
 
     g = Grid(3, "box", 4.0, 13)
     values = np.exp(-np.sum(g.points() ** 2, axis=-1))
-    prof = Profile(g, values, 0.9, EPS, 3.0, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0))
+    prof = Profile(g, values, EPS, 3.0, (0.0, 0.0, 0.0), 0.0, (0.0, 0.0, 0.0))
     field = _perturbation_field(prof, Perturbation("random-smooth", 1e-3, 5))
     assert field.shape == g.shape
     s = _rms_width(prof)
@@ -362,7 +362,7 @@ def signed_kappa_setup(grid, eps=0.1, p=3.0):
     u0[mask] = 0.0
     vv = pair.V(y * eps)[0]
     v0 = 1j * (params.omega + vv) * u0 + 0.05 * u0
-    prof = Profile(grid, phi, params.omega, eps, params.p, (0.0,) * grid.dimension, 0.0,
+    prof = Profile(grid, phi, eps, params.p, (0.0,) * grid.dimension, 0.0,
                    (0.0,) * grid.dimension)
 
     def state():

@@ -359,7 +359,6 @@ def test_continuation_keeps_even_symmetry(s1_profile):
 def test_resolve_at_omega_moves_the_branch(s1, s1_profile):
     params, pair, z, grid, limit = s1
     shifted = resolve_at_omega(s1_profile, replace(params, omega=0.89), pair)
-    assert shifted.omega == 0.89
     assert shifted.residual <= 1e-10
     # mass grows as omega decreases toward the stable side here
     assert shifted.mass() > s1_profile.mass()

@@ -76,7 +76,6 @@ def test_eig_low_free_operator():
     zero = Profile(
         grid=g,
         values=np.zeros(g.n),
-        omega=params.omega,
         epsilon=0.05,
         p=3.0,
         center=(0.0,),

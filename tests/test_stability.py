@@ -16,7 +16,6 @@ from kgstab.stability import (
     build_slope_report,
     charge_scaled,
     classify_slope,
-    compute_charge,
     critical_discriminant,
     limit_norms,
     noncritical_discriminant,
@@ -40,9 +39,8 @@ def test_charge_definition(s1, s1_profile):
     q_sc = charge_scaled(s1_profile, params, pair)
     # V = 0 in this scenario, so the scaled charge is omega * mass
     assert q_sc == pytest.approx(params.omega * s1_profile.mass(), rel=1e-12)
-    assert compute_charge(s1_profile, params, pair) == pytest.approx(
-        params.epsilon * q_sc
-    )
+    slope = build_slope_report(s1_profile, params, pair, z, limit, with_numeric=False)
+    assert slope.charge == pytest.approx(params.epsilon * q_sc)
 
 
 def test_charge_includes_potential_term():
@@ -103,7 +101,6 @@ def _z_data(z0, v0=0.0, lap_z=0.0, lap_v=0.0):
         x0=(0.0,),
         z0=z0,
         grad_norm=0.0,
-        hessian=((lap_z,),),
         hess_eigs=(lap_z,),
         laplacian_Z=lap_z,
         v0=v0,
