@@ -64,6 +64,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import dynamics as dyn
 from . import io as kio
@@ -362,19 +363,37 @@ def emit_config(config: ScenarioConfig) -> dict:
 # grid sizing heuristics (desk scale)
 
 
-LIMIT_H = 0.01  # node spacing of an automatic limit grid, below its cap
+LIMIT_H = 0.01  # largest node spacing of an automatic limit grid, below its cap
+
+
+def _fft_nodes(count: int) -> int:
+    """The smallest n >= count of count's parity with n - 1 a fast FFT size:
+    a DST-I on n - 2 unknowns runs an FFT of length 2 (n - 1)."""
+    m = scipy.fft.next_fast_len(count - 1)
+    while m % 2 != (count - 1) % 2:
+        m = scipy.fft.next_fast_len(m + 1)
+    return m + 1
 
 
 def _auto_limit_grid(dim: int, z0: float) -> tuple[Grid, bool]:
-    """The limit grid at h = LIMIT_H below a node cap (24001 on a line,
-    4001 radial), and whether the cap bound; a cap that binds warns."""
+    """The limit grid at h <= LIMIT_H below a node cap (24001 on a line,
+    4001 radial), and whether the cap bound; a cap that binds warns.
+
+    A line's LIMIT_H count rounds up to `_fft_nodes`: h only shrinks (n
+    grows by at most 6% for z0 <= 1) and the centre node stays. The cap
+    binds only when that count exceeds it; an even count above 23626 gets
+    the cap.
+    """
     line = dim == 1
     extent = (24.0 if line else 28.0) / np.sqrt(z0)
-    n = int(round((2.0 * extent if line else extent) / LIMIT_H)) + 1
+    count = int(round((2.0 * extent if line else extent) / LIMIT_H)) + 1
     cap = 24001 if line else 4001
-    if n > cap:
-        log.warning("limit grid: h = %g needs %d nodes, capped at %d", LIMIT_H, n, cap)
-    return Grid(dim, "line" if line else "radial", extent, min(n, cap)), n > cap
+    if count > cap:
+        log.warning("limit grid: h = %g needs %d nodes, capped at %d", LIMIT_H, count, cap)
+    n = min(_fft_nodes(count) if line else count, cap)
+    grid = Grid(dim, "line" if line else "radial", extent, n)
+    log.debug("limit grid: h = %g needs %d nodes, granted %d, h = %.6g", LIMIT_H, count, n, grid.h)
+    return grid, count > cap
 
 
 def _auto_box_grid(dim: int, z0: float) -> Grid:

@@ -264,16 +264,17 @@ def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, center, e
 def even_axes(grid: Grid, z_int: np.ndarray):
     """The parity to fold by: 1 on each axis in which z is even, else 0.
 
-    Even means equal to its reflection about the axis centre within
-    1e-12 max(1, |z|), the nodes being symmetric only to roundoff. None
-    on a radial grid, which has no axes to fold.
+    Even means max |z - flip(z)| <= 1e-12 max(1, max |z|), the nodes
+    being symmetric only to roundoff. A z with a NaN or an infinity is
+    even in no axis. None on a radial grid, which has no axes to fold.
     """
     if grid.geometry == "radial":
         return None
-    scale = max(1.0, float(np.max(np.abs(z_int))))
+    top = float(np.max(np.abs(z_int)))  # NaN or inf where z is not finite
+    tol = 1e-12 * max(1.0, top)
     z = z_int.reshape((grid.n - 2,) * grid.dimension)
     return tuple(
-        int(np.allclose(z, np.flip(z, a), rtol=0.0, atol=1e-12 * scale))
+        int(top < np.inf and float(np.max(np.abs(z - np.flip(z, a)))) <= tol)
         for a in range(grid.dimension)
     )
 

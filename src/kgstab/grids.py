@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gamma, inf, pi
+from math import gamma, inf, pi, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from .errors import SchemaError
 
 GEOMETRIES = ("line", "radial", "box")
+MAX_NODES = 2**24  # nodes in all, n ** dimension on a line or box: 128 MiB per float field
 
 
 def sphere_area(dim: int) -> float:
@@ -41,7 +42,8 @@ def sphere_area(dim: int) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """Geometry descriptor. `extent` is L, `n` is nodes per axis."""
+    """Geometry descriptor. `extent` is L, `n` is nodes per axis; a grid of
+    more than MAX_NODES nodes in all is rejected before any allocation."""
 
     dimension: int
     geometry: str
@@ -61,6 +63,8 @@ class Grid:
             raise SchemaError("/grid/geometry", "box grid needs dimension >= 2")
         if self.n < 8:
             raise SchemaError("/grid/n", "need at least 8 nodes per axis")
+        if prod(self.shape) > MAX_NODES:
+            raise SchemaError("/grid/n", f"a grid has at most {MAX_NODES} nodes in all")
         if not (0 < self.extent < inf):
             raise SchemaError("/grid/extent", "extent must be finite and positive")
 

@@ -13,19 +13,22 @@ negative slope gives stability, while an odd value of
 n_negative - p(omega) gives instability (p(omega) = 1 when the slope is
 negative, else 0).
 
-The count and the low eigenvalues come from `eig_low`, run on each
-parity block of L when its diagonal Z - p |phi|^(p-1) is even in some
-axes (`elliptic.even_axes`, `parity_blocks`): the
-block counts add up to n(L), and the blocks' lowest eigenvalues merge
-into L's.  On a line grid a block is tridiagonal and solved from its
-bands.
-On a box grid the spectrum is sliced at zero (Parlett, *The Symmetric
-Eigenvalue Problem*): one symmetric LDL^T of the block gives the exact
-number of its negative eigenvalues by Sylvester's law of inertia, and
-the same factorization drives shift-invert Lanczos at zero for the
-eigenvalues around the zero cluster.  A second, short shift-invert
-below the spectrum runs only for the deep negative eigenvalues that the
-first one does not reach.
+The count and the low eigenvalues come from one `eig_low` call on the
+parity blocks of L, split where its diagonal Z - p |phi|^(p-1) is even
+in some axes (`elliptic.even_axes`, `parity_blocks`): the block counts
+add up to n(L), and the blocks' lowest eigenvalues merge into L's.  On
+a line grid the blocks are tridiagonal.  Their bands, joined by zero
+couplings, make one tridiagonal matrix, and one bisection finds its k
+lowest eigenvalues: the Sturm counts of a split tridiagonal add across
+its blocks (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), so
+LAPACK bisects k eigenvalues in all, not k per block.
+On a box grid each block's spectrum is sliced at zero (Parlett): one
+symmetric LDL^T of the block gives the exact number of its negative
+eigenvalues by Sylvester's law of inertia, and the same factorization
+drives shift-invert Lanczos at zero for the eigenvalues around the zero
+cluster.  A second, short shift-invert below the spectrum runs only for
+the deep negative eigenvalues that the first one does not reach.  The
+blocks' eigenvalues then merge.
 
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
@@ -78,20 +81,39 @@ class SpectrumReport:
     p_omega: int | None = None
 
 
-def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
-    """The k algebraically smallest eigenvalues, ascending.
+def eig_low(blocks, k: int) -> np.ndarray:
+    """The k algebraically smallest eigenvalues of the union of the blocks'
+    spectra, ascending: `blocks` is `parity_blocks(L, ...)` or [L].
 
-    Line grids pass L's bands to the symmetric tridiagonal solver
-    (machine precision), with no sparse matrix.  Box grids slice the spectrum at zero by inertia:
+    On a line grid the blocks' bands, joined by zero couplings, go to one
+    call of the tridiagonal solver (LAPACK ?stebz, machine precision),
+    which splits the matrix there and bisects k eigenvalues in all; at
+    most one fewer than the unknowns.  On a box grid each block's
+    spectrum is sliced at zero by inertia (`_eig_box`), and the results
+    merge.
+    """
+    if blocks[0].grid.geometry == "line":
+        bands = [b.bands() for b in blocks]
+        main = np.concatenate([m for m, _ in bands])
+        off = np.concatenate([np.append(o, 0.0) for _, o in bands])[:-1]
+        k = min(k, main.size - 1)
+        vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+        return np.asarray(vals)
+    return np.sort(np.concatenate([_eig_box(b, k) for b in blocks]))[:k]
 
-    1. a symmetric-mode LDL^T of L (no off-diagonal pivoting, so
+
+def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of one box-grid block, ascending; at
+    most one fewer than its unknowns.
+
+    1. a symmetric-mode LDL^T of the block (no off-diagonal pivoting, so
        perm_r == perm_c) counts the negative eigenvalues exactly, as the
        negative pivots on U's diagonal (Sylvester's law of inertia);
     2. shift-inverted Lanczos at sigma = 0, reusing that factorization,
        finds the k eigenvalues nearest zero;
     3. only if that misses some of the negatives, a second shift-invert
-       below the diagonal minimum, where L - sigma is positive definite
-       (factored the same way), finds the lowest missing ones.
+       below the diagonal minimum, where the block less sigma is positive
+       definite (factored the same way), finds the lowest missing ones.
 
     The k smallest of the union are the answer: every eigenvalue nearer
     zero than the farthest one of step 2 is in it, and the negatives it
@@ -101,10 +123,6 @@ def eig_low(op: LinearizedOperator, k: int) -> np.ndarray:
     """
     n = op.diagonal.size
     k = min(k, n - 1)
-    if op.grid.geometry == "line":
-        main, off = op.bands()
-        vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-        return np.asarray(vals)
     a = op.matrix().tocsc()
     # fixed-seed start vector: reproducible reports, generic against symmetry
     v0 = np.random.default_rng(1905).standard_normal(n)
@@ -188,7 +206,7 @@ def build_spectrum_report(
     op = assemble_L(profile, params, pair)
     blocks = parity_blocks(op, elliptic.even_axes(op.grid, op.diagonal))
     log.debug("spectrum: parity blocks of %s unknowns", [b.diagonal.size for b in blocks])
-    vals = np.sort(np.concatenate([eig_low(b, k) for b in blocks]))[:k]
+    vals = eig_low(blocks, k)
     floor = 1e-10 * max(1.0, abs(float(vals[0])))
     n_neg = int(np.sum(vals < -floor))
     shifts = predicted_shifts(limit, z)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ import kgstab
 from kgstab import elliptic
 from kgstab.cli import (
     _DYNAMICS_FIELDS,
+    LIMIT_H,
+    _auto_limit_grid,
     _error_entry,
     emit_config,
     main,
@@ -24,7 +27,7 @@ from kgstab.cli import (
 )
 from kgstab.errors import GridTooSmall, ModeConflict, NoConvergence, SchemaError
 from kgstab.grids import Grid
-from kgstab.potentials import ProblemParams
+from kgstab.potentials import ProblemParams, find_critical_point
 
 
 BASE = {
@@ -519,6 +522,95 @@ def test_capped_limit_grid_says_so(caplog):
     # an uncapped automatic grid reports no requested h
     raw["omega"] = 0.3
     assert "h_requested" not in run_scenario(parse_scenario_dict(raw))[0]["limit"]
+
+
+def _limit_count(grid):
+    """Nodes of the line at h = LIMIT_H over the grid's extent."""
+    return int(round(2.0 * grid.extent / LIMIT_H)) + 1
+
+
+# the 14 omegas of the S1 ladder and the node counts of their limit lines
+LADDER_NODES = {
+    0.3: 5185, 0.35: 5446, 0.4: 5401, 0.45: 5601, 0.5: 5776, 0.55: 6076, 0.6: 6562,
+    0.65: 6616, 0.7: 7204, 0.75: 7876, 0.8: 9076, 0.85: 10081, 0.9: 13126, 0.95: 22051,
+}
+
+
+def _ladder_z0(omega):
+    config = parse_scenario_dict(dict(BASE, omega=omega))
+    return find_critical_point(config.params, config.pair, config.critical_guess).z0
+
+
+def test_automatic_limit_line_is_fft_sized(caplog):
+    # z0 <= 1: lines of 4801 nodes and more, the shortest S1 ever needs;
+    # z0 < 0.04 binds the cap, and z0 near 0.0405 gives even counts just
+    # below it, which round past the cap to the cap itself
+    z0s = [*np.geomspace(0.02, 1.0, 300), *np.linspace(0.0400, 0.0413, 20)]
+    z0s += [_ladder_z0(om) for om in LADDER_NODES]
+    for z0 in z0s:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kgstab"):
+            grid, capped = _auto_limit_grid(1, z0)
+        n, count = grid.n, _limit_count(grid)
+        assert scipy.fft.next_fast_len(n - 1) == n - 1
+        assert n <= 24001 and capped == (count > 24001)
+        warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == int(capped)
+        (debug,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert debug == f"limit grid: h = 0.01 needs {count} nodes, granted {n}, h = {grid.h:.6g}"
+        if capped:
+            assert n == 24001
+        elif n == 24001 and count % 2 == 0:
+            assert count > 23626
+        else:
+            assert n % 2 == count % 2
+            assert count <= n <= 1.06 * count
+            assert grid.h <= 2.0 * grid.extent / (count - 1)  # h only shrinks
+
+
+def test_ladder_limit_lines_are_pinned():
+    # scipy picks the fast sizes; a version that picks others fails here
+    got = {om: _auto_limit_grid(1, _ladder_z0(om))[0].n for om in LADDER_NODES}
+    assert got == LADDER_NODES
+
+
+@pytest.mark.parametrize(
+    "command, overrides, pointer",
+    [
+        pytest.param(
+            "analyze", {"grid": {"extent": 40.0, "n": 10**400}}, "/grid/n", id="line-401-digits"
+        ),
+        pytest.param("analyze", {"grid": {"extent": 40.0, "n": 10**9}}, "/grid/n", id="line-1e9"),
+        pytest.param(
+            "analyze",
+            {
+                "dimension": 2,
+                "potentials": {"W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, -0.3]]}]},
+                "grid": {"geometry": "box", "extent": 15.0, "n": 4097},
+            },
+            "/grid/n",
+            id="box-2d-4097",
+        ),
+        pytest.param(
+            "evolve",
+            dict(DYNAMICS_ONLY, dynamics={"grid": {"extent": 70.0, "n": 10**400}}),
+            "/dynamics/grid/n",
+            id="dynamics-line-401-digits",
+        ),
+    ],
+)
+def test_oversize_pinned_grid_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, overrides, pointer
+):
+    # a 401-digit pinned n died with a ValueError traceback from np.arange,
+    # and a large representable one tried to allocate its grid
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(dict(BASE, **overrides)))
+    assert main([command, "scenario.json", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {pointer}: a grid has at most 16777216 nodes in all" in err
+    assert "Traceback" not in err
+    assert os.listdir() == ["scenario.json"]
 
 
 def test_error_entry_keeps_solver_evidence():

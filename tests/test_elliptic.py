@@ -460,3 +460,39 @@ def test_R_omega_identity_residual_on_a_box(monkeypatch):
     assert rep.slope_numeric is not None
     quarter = ((grid.n - 2) // 2 + 1) ** 2
     assert shapes == [(quarter, quarter)]
+
+
+def _allclose_even_axes(grid, z_int):
+    """The reference rule: np.allclose of z and its mirror image."""
+    scale = max(1.0, float(np.max(np.abs(z_int))))
+    z = z_int.reshape((grid.n - 2,) * grid.dimension)
+    return tuple(
+        int(np.allclose(z, np.flip(z, a), rtol=0.0, atol=1e-12 * scale))
+        for a in range(grid.dimension)
+    )
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("amplitude", [0.0, 300.0])
+@pytest.mark.parametrize("defect", [0.0, 0.5e-12, 0.99e-12, 1.01e-12, 1e-9])
+def test_even_axes_is_the_allclose_rule(n, amplitude, defect):
+    # an even-even field, its first row moved by `defect` times the
+    # tolerance's scale: axis 0 is even only while that stays below 1e-12
+    g = Grid(2, "box", 3.0, n)
+    x, y = np.meshgrid(g.axis[1:-1], g.axis[1:-1], indexing="ij")
+    z = 0.5 + amplitude * np.exp(-(x**2) - 2.0 * y**2)
+    scale = max(1.0, float(np.max(np.abs(z))))
+    z[0] += defect * scale
+    got = elliptic.even_axes(g, z.ravel())
+    assert got == _allclose_even_axes(g, z.ravel())
+    assert got == (int(defect < 1e-12), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_even_axes_of_a_non_finite_field_is_none_of_them(bad):
+    g = Grid(1, "line", 3.0, 11)
+    z = np.ones(9)
+    z[0] = bad
+    assert elliptic.even_axes(g, z) == (0,)
+    z[-1] = bad  # a mirrored NaN or infinity is not even either
+    assert elliptic.even_axes(g, z) == (0,)

@@ -22,6 +22,30 @@ def test_geometry_validation():
         Grid(1, "line", -1.0, 101)
 
 
+@pytest.mark.parametrize(
+    "dim, geometry, n",
+    [
+        (1, "line", 10**9),
+        (1, "line", 10**400),
+        (2, "box", 4097),
+        (3, "box", 257),
+        (2, "radial", 2**24 + 1),
+    ],
+)
+def test_oversize_grid_is_rejected_before_allocation(dim, geometry, n):
+    # checked in the constructor, from the node count alone
+    with pytest.raises(SchemaError) as err:
+        Grid(dim, geometry, 10.0, n)
+    assert err.value.path == "/grid/n"
+
+
+def test_largest_grids_are_accepted():
+    assert grids.MAX_NODES == 2**24
+    largest = [(1, "line", 2**24), (2, "box", 4096), (3, "radial", 2**24)]
+    for dim, geometry, n in largest:
+        assert Grid(dim, geometry, 10.0, n).n_interior() < grids.MAX_NODES
+
+
 def test_line_axis_and_spacing():
     g = Grid(1, "line", 10.0, 201)
     assert g.h == pytest.approx(0.1)

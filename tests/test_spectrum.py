@@ -5,6 +5,7 @@ import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 from scipy.sparse.linalg import splu
 
 from kgstab import elliptic, spectrum
@@ -50,7 +51,7 @@ def test_limit_spectrum_poschl_teller(s1):
     params, pair, z, grid, limit = s1
     prof0 = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid=grid)
     op = assemble_L(prof0, replace(params, epsilon=0.0), pair)
-    vals = eig_low(op, 4)
+    vals = eig_low([op], 4)
     c = z.z0
     assert vals[0] == pytest.approx(-3.0 * c, rel=1e-4)
     assert abs(vals[1]) < 1e-6  # translation zero mode
@@ -83,7 +84,7 @@ def test_eig_low_free_operator():
         peak=(0.0,),
     )
     op = assemble_L(zero, params, pair)
-    vals = eig_low(op, 3)
+    vals = eig_low([op], 3)
     c = 1.0 - 0.81
     for k, v in enumerate(vals, start=1):
         assert v == pytest.approx(c + (np.pi * k / 20.0) ** 2, rel=1e-4)
@@ -188,7 +189,7 @@ def test_eig_low_box_matches_dense(case, monkeypatch):
     assert (int(np.sum(dense < 0)), int(np.sum(nearest < 0))) == (n_neg, m)
     splu_calls = _counting(monkeypatch, elliptic, "splu")
     eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
-    vals = eig_low(op, k)
+    vals = eig_low([op], k)
     np.testing.assert_allclose(vals, dense[:k], rtol=1e-9, atol=0.0)
     # every factorization goes through kgstab.elliptic.splu; the second
     # shift-invert runs only when the first one misses a negative
@@ -207,7 +208,7 @@ def test_eig_low_box_random_diagonal(seed, n, offset, spread):
     noise = np.random.default_rng(seed).standard_normal((n - 2, n - 2))
     op = _box_operator(n, lambda x, y: offset + spread * noise)
     dense = np.linalg.eigvalsh(op.matrix().toarray())[:5]
-    vals = eig_low(op, 5)
+    vals = eig_low([op], 5)
     scale = max(1.0, float(np.max(np.abs(dense))))
     np.testing.assert_allclose(vals, dense, rtol=1e-9, atol=1e-9 * scale)
     assert int(np.sum(vals < 0)) == int(np.sum(dense < 0))
@@ -249,7 +250,7 @@ def test_eig_low_box_failures_raise(factor, monkeypatch):
     op = _box_operator(17, _well(4.0, 1.5))
     monkeypatch.setattr(elliptic, "splu", factor)
     with pytest.raises(EigSolverFailure):
-        eig_low(op, 5)
+        eig_low([op], 5)
 
 
 @pytest.fixture(scope="module")
@@ -331,7 +332,7 @@ def test_banded_eig_low_matches_dense_on_lines(n):
         assert np.array_equal(main, a.diagonal()) and np.array_equal(off, a.diagonal(1))
         dense = np.linalg.eigvalsh(a.toarray())[:5]
         scale = float(np.max(np.abs(dense)))
-        np.testing.assert_allclose(eig_low(op, 5), dense, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(eig_low([op], 5), dense, rtol=0.0, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_CASES))
@@ -341,13 +342,14 @@ def test_parity_blocks_split_the_spectrum(case, monkeypatch):
     k = 5
     even = elliptic.even_axes(op.grid, op.diagonal)
     assert even == (1,) * op.grid.dimension
-    full = eig_low(op, k)
+    full = eig_low([op], k)
     dense = np.linalg.eigvalsh(op.matrix().toarray())[:k]
-    eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
     blocks = parity_blocks(op, even)
+    np.testing.assert_allclose(eig_low(blocks, k), full, rtol=1e-9, atol=0.0)
+    eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
     assert len(blocks) == 2**op.grid.dimension
     assert sum(b.diagonal.size for b in blocks) == op.diagonal.size
-    split = np.sort(np.concatenate([eig_low(b, k) for b in blocks]))[:k]
+    split = np.sort(np.concatenate([eig_low([b], k) for b in blocks]))[:k]
     np.testing.assert_allclose(split, full, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(split, dense, rtol=1e-9, atol=0.0)
     if op.grid.geometry == "box":
@@ -375,3 +377,56 @@ def test_debug_log_names_the_folded_axes_and_the_blocks(matrix, folded, townes_c
     assert blocks == f"spectrum: parity blocks of {sizes} unknowns"
     pivots = [m for m in messages if m.startswith("eig_low:")]
     assert len(pivots) == len(sizes)
+
+
+def _line_blocks(n, noise=0.0):
+    """The parity blocks of an even line operator, each diagonal perturbed
+    by `noise` times a fixed random vector (any tridiagonal blocks will do)."""
+    blocks = parity_blocks(_line_operator(n, lambda x: 0.3 - 3.0 * np.exp(-(x**2))), (1,))
+    rng = np.random.default_rng(n)
+    noisy = [b.diagonal + noise * rng.standard_normal(b.diagonal.size) for b in blocks]
+    return [replace(b, diagonal=d) for b, d in zip(blocks, noisy)]
+
+
+def _norm_bound(blocks):
+    """Gershgorin's bound on the norm of the blocks' joined matrix."""
+    bands = [b.bands() for b in blocks]
+    return max(np.max(np.abs(m)) + 2.0 * np.max(np.abs(o), initial=0.0) for m, o in bands)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 20, 21, 40, 41])
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_joined_line_spectrum_matches_the_dense_block_diagonal(n, noise):
+    blocks = _line_blocks(n, noise)
+    t = block_diag(*[b.matrix().toarray() for b in blocks])
+    dense = np.linalg.eigvalsh(t)
+    vals = eig_low(blocks, 4)
+    assert vals.size == 4
+    np.testing.assert_allclose(vals, dense[:4], rtol=0.0, atol=1e-12 * np.linalg.norm(t, 2))
+
+
+def test_joined_line_spectrum_is_the_per_block_merge():
+    # as many values as the merge of per-block solves, at the k of a 1d
+    # report (dimension + 3), and the same values to roundoff
+    for n in range(8, 80):
+        blocks = _line_blocks(n, 0.5)
+        merged = np.sort(np.concatenate([eig_low([b], 4) for b in blocks]))[:4]
+        joined = eig_low(blocks, 4)
+        assert joined.size == merged.size
+        np.testing.assert_allclose(joined, merged, rtol=0.0, atol=1e-12 * _norm_bound(blocks))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(6, 30), min_size=1, max_size=4),
+    k=st.integers(1, 6),
+)
+def test_joined_line_spectrum_ignores_block_order(data, sizes, k):
+    blocks = []
+    for m in sizes:
+        diagonal = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
+        blocks.append(LinearizedOperator(Grid(1, "line", 3.0, m + 2), np.array(diagonal)))
+    shuffled = data.draw(st.permutations(blocks))
+    atol = 1e-12 * _norm_bound(blocks)
+    np.testing.assert_allclose(eig_low(shuffled, k), eig_low(blocks, k), rtol=0.0, atol=atol)
