@@ -252,7 +252,7 @@ def _axis_bands(m: int, h: float, parity: int):
     """
     if parity == 0:
         return np.full(m, 2.0 / h**2), np.full(m - 1, -1.0 / h**2), np.ones(m)
-    r = _mirror(m, parity)[0].size
+    r = m - (m // 2 + (m % 2) * (parity < 0))  # `_mirror`'s kept node count
     main, off, mass = np.full(r, 4.0 / h**2), np.full(r - 1, -2.0 / h**2), np.full(r, 2.0)
     main[0] = (2.0 if parity > 0 else 6.0 - 2.0 * (m % 2)) / h**2
     if parity > 0 and m % 2:

@@ -28,7 +28,10 @@ eigenvalues by Sylvester's law of inertia, and the same factorization
 drives shift-invert Lanczos at zero for the eigenvalues around the zero
 cluster.  A second, short shift-invert below the spectrum runs only for
 the deep negative eigenvalues that the first one does not reach.  The
-blocks' eigenvalues then merge.
+blocks' eigenvalues then merge.  Lanczos stops at the residual bound
+`LANCZOS_RTOL`, not at machine precision: a Ritz value's error is at most
+the square of its residual over its gap (Kato-Temple; Parlett), so the
+eigenvalues are as exact as the factorization allows.
 
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
@@ -65,6 +68,14 @@ from .potentials import EffectiveZ, PotentialPair, ProblemParams
 from .stability import SlopeReport
 
 log = logging.getLogger("kgstab")
+
+# ARPACK stops when a Ritz value theta of OP = (A - sigma)^-1 has residual
+# at most tol |theta| (Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*).
+# For a symmetric OP, theta is then off by at most tol^2 |theta|^2 / delta,
+# delta its gap in theta (Kato-Temple), so lambda - sigma = 1/theta moves
+# by less than 1e-15 relative wherever delta > 1e-3 |theta|: below the
+# LDL^T's own backward error, eps ||A|| (about 5e-13 on a 481^2 box).
+LANCZOS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,12 @@ def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
 
     The k smallest of the union are the answer: every eigenvalue nearer
     zero than the farthest one of step 2 is in it, and the negatives it
-    lacks are the lowest ones.  A failed factorization, a pivoted one, or
-    a result whose negative count disagrees with the inertia raises
+    lacks are the lowest ones.  Both Lanczos runs stop at the residual
+    bound `LANCZOS_RTOL` |theta|, which leaves an eigenvalue off by less
+    than 1e-15 relative wherever its gap exceeds 1e-3 |theta| (see the
+    constant).  One DEBUG line per block gives its shift-invert solves
+    and Lanczos runs.  A failed factorization, a pivoted one, or a result
+    whose negative count disagrees with the inertia raises
     `EigSolverFailure`.
     """
     n = op.diagonal.size
@@ -131,13 +146,16 @@ def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
         raise EigSolverFailure("LDL^T factorization pivoted off the diagonal: inertia unknown")
     n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     log.debug("eig_low: parity %s, %d unknowns, %d negative pivots", op.parity, n, n_neg)
-    vals = _shift_invert(a, k, 0.0, lu, v0)
+    vals, solves = _shift_invert(a, k, 0.0, lu, v0)
     missing = n_neg - int(np.count_nonzero(vals < 0.0))
     if missing > 0:
         del lu  # never hold two large factorizations at once
         sigma = float(np.min(op.diagonal)) - 1.0
         lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
-        vals = np.concatenate([vals, _shift_invert(a, min(missing, k), sigma, lu, v0)])
+        deep, deep_solves = _shift_invert(a, min(missing, k), sigma, lu, v0)
+        vals, solves = np.concatenate([vals, deep]), solves + deep_solves
+    done = "eig_low done: parity %s, %d shift-invert solves, %d Lanczos runs"
+    log.debug(done, op.parity, solves, 1 + (missing > 0))
     vals = np.sort(vals)[:k]
     found = int(np.count_nonzero(vals < 0.0))
     if found != min(n_neg, k):
@@ -154,17 +172,26 @@ def _factor(a):
         raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
 
 
-def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray) -> np.ndarray:
-    """The k eigenvalues of `a` nearest sigma; `lu` factors a - sigma I."""
-    op_inv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray):
+    """(the k eigenvalues of `a` nearest sigma, the solves with `lu` it
+    took); `lu` factors a - sigma I."""
+    solves = 0
+
+    def solve(v):
+        nonlocal solves
+        solves += 1
+        return lu.solve(v)
+
+    op_inv = LinearOperator(a.shape, matvec=solve, dtype=a.dtype)
     try:
-        return eigsh(
-            a, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv, return_eigenvectors=False
+        vals = eigsh(
+            a, k, sigma=sigma, v0=v0, OPinv=op_inv, tol=LANCZOS_RTOL, return_eigenvectors=False
         )
     except ArpackNoConvergence as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos stalled: {exc}") from exc
     except RuntimeError as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos failed: {exc}") from exc
+    return vals, solves
 
 
 def parity_blocks(op: LinearizedOperator, even: tuple) -> list:

@@ -173,6 +173,31 @@ def test_folded_stencils_are_the_restriction_of_the_full_laplacian(dim, n):
         assert np.array_equal(got, got.T)
 
 
+def _axis_bands_from_mirror(m, h, parity):
+    """`grids._axis_bands` as it was when it sized the folded bands from
+    `_mirror`'s kept nodes."""
+    r = grids._mirror(m, parity)[0].size
+    main, off, mass = np.full(r, 4.0 / h**2), np.full(r - 1, -2.0 / h**2), np.full(r, 2.0)
+    main[0] = (2.0 if parity > 0 else 6.0 - 2.0 * (m % 2)) / h**2
+    if parity > 0 and m % 2:
+        mass[0] = 1.0
+    return main, off, mass
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+def test_axis_bands_count_kept_nodes_without_the_mirror(parity, monkeypatch):
+    h = 0.37
+    expected = {m: _axis_bands_from_mirror(m, h, parity) for m in range(3, 42)}
+    calls = []
+    mirror = grids._mirror
+    monkeypatch.setattr(grids, "_mirror", lambda *args: calls.append(args) or mirror(*args))
+    for m, bands in expected.items():
+        got = grids._axis_bands(m, h, parity)
+        for a, b in zip(got, bands):
+            assert np.array_equal(a, b), m
+    assert calls == []
+
+
 def test_gradient_accuracy():
     g = Grid(1, "line", 6.0, 1201)
     f = np.exp(-g.axis**2)

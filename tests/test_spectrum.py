@@ -1,12 +1,14 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import block_diag
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from kgstab import elliptic, spectrum
 from kgstab.elliptic import LinearizedOperator, continue_profile, solve_limit_ground_state
@@ -253,6 +255,52 @@ def test_eig_low_box_failures_raise(factor, monkeypatch):
         eig_low([op], 5)
 
 
+class _CountingSolves:
+    """A factorization that counts its solves in `solves`."""
+
+    def __init__(self, lu, solves):
+        self.lu, self.solves = lu, solves
+        self.perm_r, self.perm_c, self.U = lu.perm_r, lu.perm_c, lu.U
+
+    def solve(self, v):
+        self.solves.append(1)
+        return self.lu.solve(v)
+
+
+def _eigsh_to_machine_precision(a, k, sigma, v0):
+    """scipy's eigsh at its default tol=0 on the LDL^T of a - sigma I, and
+    the solves it took."""
+    shifted = a - sigma * sp.eye_array(a.shape[0], format="csc")
+    lu = _CountingSolves(elliptic.factor_ldl(shifted), [])
+    op_inv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+    vals = eigsh(a, k, sigma=sigma, v0=v0, OPinv=op_inv, tol=0, return_eigenvectors=False)
+    return vals, len(lu.solves)
+
+
+def test_lanczos_stops_at_the_ritz_value_bound(monkeypatch):
+    # a deep ground state below the shift-0 window, so the second shift
+    # runs, and a low pair 1e-6 apart
+    op = _box_operator(25, lambda x, y: 0.3 - 6.0 * np.exp(-(x**2 + (1.0 + 2.5e-6) * y**2)))
+    k = 5
+    a = op.matrix().tocsc()
+    dense = np.linalg.eigvalsh(a.toarray())
+    assert dense[0] < 0.0 < dense[1] and 5e-7 < dense[2] - dense[1] < 2e-6
+    # eig_low's fixed-seed start vector
+    v0 = np.random.default_rng(1905).standard_normal(a.shape[0])
+    near, near_solves = _eigsh_to_machine_precision(a, k, 0.0, v0)
+    assert np.all(near > 0.0)
+    deep, deep_solves = _eigsh_to_machine_precision(a, 1, float(np.min(op.diagonal)) - 1.0, v0)
+    exact = np.sort(np.concatenate([near, deep]))[:k]
+    solves = []
+    factor = elliptic.factor_ldl
+    monkeypatch.setattr(elliptic, "factor_ldl", lambda m: _CountingSolves(factor(m), solves))
+    vals = eig_low([op], k)
+    norm = np.linalg.norm(a.toarray(), 2)
+    np.testing.assert_allclose(vals, dense[:k], rtol=0.0, atol=1e-12 * norm)
+    np.testing.assert_allclose(vals, exact, rtol=1e-14, atol=0.0)
+    assert len(solves) < near_solves + deep_solves
+
+
 @pytest.fixture(scope="module")
 def townes_coarse():
     return solve_limit_ground_state(0.75, 3.0, Grid(2, "radial", 16.0, 401))
@@ -377,6 +425,25 @@ def test_debug_log_names_the_folded_axes_and_the_blocks(matrix, folded, townes_c
     assert blocks == f"spectrum: parity blocks of {sizes} unknowns"
     pivots = [m for m in messages if m.startswith("eig_low:")]
     assert len(pivots) == len(sizes)
+    # one line per block after its solves, the same counts in a second run
+    done = _eig_low_done(messages)
+    assert [parity for parity, _, _ in done] == [re.match(PIVOTS, m)[1] for m in pivots]
+    assert all(solves > 0 and runs in (1, 2) for _, solves, runs in done)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        _saddle_spectrum(matrix, townes_coarse)
+    assert _eig_low_done([r.getMessage() for r in caplog.records]) == done
+
+
+PIVOTS = r"eig_low: parity (.*), \d+ unknowns, \d+ negative pivots"
+DONE = r"eig_low done: parity (.*), (\d+) shift-invert solves, (\d+) Lanczos runs"
+
+
+def _eig_low_done(messages):
+    """(parity, solves, Lanczos runs) of each `eig_low done:` line."""
+    found = [re.fullmatch(DONE, m) for m in messages if m.startswith("eig_low done:")]
+    assert all(found)
+    return [(f[1], int(f[2]), int(f[3])) for f in found]
 
 
 def _line_blocks(n, noise=0.0):
