@@ -38,7 +38,9 @@ epsilon = 0, on the grid the blocks analyse (`base`: the line in 1d, the
 box in 2d when slope_numeric or spectrum reads the profile), then per
 epsilon run the enabled analyses on `base` or its continuation. A 2d or
 3d scenario with only slope_asymptotic has no line or box: its blocks
-have no profile, and their charge is null. Failures inside one block
+have no profile, and their charge is null. A dynamics-only scenario
+solves no scenario limit state (each dynamics block solves its own on
+its own grid), so its report has no "limit". Failures inside one block
 are recorded in place of its results and turn the exit status nonzero
 without aborting the rest.  `python -m kgstab` runs `main`.
 
@@ -48,7 +50,8 @@ report (re-export a written report).  All read their file through one
 loader, so invalid JSON is a config error at "/".  The physics
 verdict never sets the exit status; only computational failure does.
 Each `.meta.json` sidecar lists, for every epsilon that ran dynamics,
-its steps, the wall time of `evolve` and the steps per second; the
+its steps, the wall time of `evolve`, the steps per second and the axes
+the march folded; the
 report itself holds no timing, so it stays byte-reproducible.
 """
 
@@ -454,12 +457,17 @@ def _guarded(block: dict, key: str, run, entry=lambda result: result):
 
 
 def _epsilon_block(
-    config: ScenarioConfig, z: EffectiveZ, limit: Profile, base: Profile | None, epsilon: float
+    config: ScenarioConfig,
+    z: EffectiveZ,
+    limit: Profile | None,
+    base: Profile | None,
+    epsilon: float,
 ) -> dict:
     """One epsilon's analyses. `base` is the scenario's epsilon = 0 state on
     the grid the block analyses, None where no block reads a profile or,
     in 2d and 3d runs with only slope_asymptotic, where there is no line
-    or box: the slope then holds only the asymptotic fields."""
+    or box: the slope then holds only the asymptotic fields. `limit` is
+    None, and so is `base`, where the scenario runs only dynamics."""
     params = replace(config.params, epsilon=epsilon)
     pair = config.pair
     block: dict = {"epsilon": epsilon}
@@ -540,6 +548,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         "steps": record.steps,
         "evolve_s": evolve_s,
         "steps_per_s": record.steps / evolve_s,
+        "folded_axes": list(record.folded_axes),
     }
     return out
 
@@ -602,26 +611,29 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
         report["blocks"] = []
         return report, 1
 
-    limit_grid = config.grid if (config.grid and config.grid.geometry != "box") else None
-    capped = False
-    if limit_grid is None:
-        limit_grid, capped = _auto_limit_grid(params.dimension, z.z0)
-    limit = solve_limit_ground_state(z.z0, params.p, limit_grid, tol=config.tol)
-    report["limit"] = _profile_summary(limit)
-    if capped:
-        report["limit"]["h_requested"] = LIMIT_H
+    # a dynamics run solves its own limit state on its own grid, so a
+    # dynamics-only scenario has no scenario limit state and no "limit"
+    limit = base = None
+    if config.analyses != ("dynamics",):
+        limit_grid = config.grid if (config.grid and config.grid.geometry != "box") else None
+        capped = False
+        if limit_grid is None:
+            limit_grid, capped = _auto_limit_grid(params.dimension, z.z0)
+        limit = solve_limit_ground_state(z.z0, params.p, limit_grid, tol=config.tol)
+        report["limit"] = _profile_summary(limit)
+        if capped:
+            report["limit"]["h_requested"] = LIMIT_H
 
-    # the one epsilon = 0 state of the scenario, on the grid its blocks
-    # analyse: the line in 1d, the box in 2d where a block reads L or R
-    grid = None
-    if params.dimension == 1:
-        grid = limit.grid
-    elif "slope_numeric" in config.analyses or "spectrum" in config.analyses:
-        pinned = config.grid is not None and config.grid.geometry == "box"
-        grid = config.grid if pinned else _auto_box_grid(params.dimension, z.z0)
-    base = None
-    if grid is not None and config.analyses != ("dynamics",):
-        base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=config.tol)
+        # the one epsilon = 0 state of the scenario, on the grid its blocks
+        # analyse: the line in 1d, the box in 2d where a block reads L or R
+        grid = None
+        if params.dimension == 1:
+            grid = limit.grid
+        elif "slope_numeric" in config.analyses or "spectrum" in config.analyses:
+            pinned = config.grid is not None and config.grid.geometry == "box"
+            grid = config.grid if pinned else _auto_box_grid(params.dimension, z.z0)
+        if grid is not None:
+            base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=config.tol)
 
     blocks = [_epsilon_block(config, z, limit, base, e) for e in config.epsilons]
 
@@ -698,7 +710,7 @@ def _write_convergence_csvs(out: Path, conv: dict) -> None:
 
 
 def _sidecar(report: dict, meta: dict) -> dict:
-    """meta plus each dynamics run's steps, evolve_s and steps_per_s."""
+    """meta plus each dynamics run's steps, evolve_s, steps_per_s and folded_axes."""
     timings = report.pop("_dynamics_timings", [])
     return dict(meta, dynamics=timings) if timings else meta
 

@@ -31,6 +31,20 @@ the second-order stencil: v += s u with s = c (|u|^(p-1) - 2N/h^2),
 t = (c/h^2) u added to v shifted by one node along each axis of the
 interior array, the same on line and box grids.
 
+The march runs on the mirror half of each axis in which the whole run
+is even: the coefficients kappa = m - W + V^2 and V and both initial
+fields, by the 1e-12 test of `elliptic.even_axes` (Bossavit's reduction,
+as in the elliptic solvers).  It keeps the nodes of `grids.kept_nodes`;
+the kick adds, per folded axis, the mirror ghost of the first kept node
+(the node itself on an even count of interior nodes, kept node 1 on an
+odd one), and samples extend the state to the full grid by
+`grids.fold_maps`, so the monitored quantities are those of the full
+grid.  The boundary flag tests the real walls only.  An exactly even run
+therefore stays in the even subspace: its odd modes are never excited,
+not even by roundoff.  A run meant to probe odd instabilities needs a
+perturbation that breaks the symmetry (`random-smooth`).  Runs even in
+no axis march the whole grid through the same code.
+
 The orbital distance to the standing-wave orbit is the phase-minimized
 H1 distance, taken directly at the minimizing phase; the H1 inner
 product carries the eps-scaled gradient matching the conserved energy.
@@ -40,15 +54,18 @@ trajectory, never exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grids
-from .elliptic import Profile
+from .elliptic import Profile, even_axes
 from .errors import UnstableStep
 from .grids import Grid
 from .potentials import PotentialPair, ProblemParams
+
+log = logging.getLogger("kgstab")
 
 BOUNDARY_FLAG_REL = 1e-8  # |u| at the wall above this (times peak) ends the run
 BLOWUP_FACTOR = 1e3  # L2 norm growth that counts as blow-up
@@ -95,6 +112,7 @@ class TrajectoryRecord:
     boundary_touched: bool = False
     energy_drift: float = 0.0
     charge_drift: float = 0.0
+    folded_axes: tuple = ()  # the axes the march ran on the mirror half of
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +265,17 @@ def _step_bound(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np
     return 0.5 * state.epsilon * state.grid.h / np.sqrt(1.0 + zmax)
 
 
-def _boundary_ring(shape: tuple) -> np.ndarray:
+def _boundary_ring(shape: tuple, parity: tuple) -> np.ndarray:
+    """The nodes next to a wall: both ends of each axis, but only the far
+    end of a folded axis (parity 1), whose first node faces the mirror."""
     mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
+    for axis, folded in enumerate(parity):
         idx: list = [slice(None)] * len(shape)
-        idx[axis] = 0
-        mask[tuple(idx)] = True
         idx[axis] = -1
         mask[tuple(idx)] = True
+        if not folded:
+            idx[axis] = 0
+            mask[tuple(idx)] = True
     return mask.ravel()
 
 
@@ -293,7 +314,9 @@ def evolve(
     """March (u, v) over [t, t + T] and record invariants and distance.
 
     dt and T may both be negative (time reversal).  `order` selects plain
-    Strang (2) or its triple-jump composition (4).  The state is updated
+    Strang (2) or its triple-jump composition (4).  Axes in which the run
+    is even are folded (see the module docstring); a DEBUG line names
+    them and the unknowns marched.  The state is updated
     in place; the returned record owns the monitor series.
     """
     g = state.grid
@@ -310,11 +333,22 @@ def evolve(
     w_int = grids.extract_interior(g, g.weights())
     v_int = grids.extract_interior(g, vv)
     kappa = grids.extract_interior(g, params.m - ww + vv**2)
-    shape = tuple(np.array(g.shape) - 2)
-    ring = _boundary_ring(shape)
-
     u = grids.extract_interior(g, state.u).astype(complex)
     v = grids.extract_interior(g, state.v).astype(complex)
+
+    # march the kept nodes of each axis in which the whole run is even:
+    # the coefficients and both fields; from here on w_int carries each
+    # kept node's multiplicity
+    parity = tuple(map(min, *(even_axes(g, f) for f in (kappa, v_int, u, v))))
+    kept = grids.kept_nodes(g, parity)
+    restrict, extend = grids.fold_maps(g, parity)
+    w_int = restrict(w_int)
+    v_int, kappa, u, v = v_int[kept], kappa[kept], u[kept], v[kept]
+    m = g.n - 2
+    shape = tuple(m - m // 2 if s else m for s in parity)
+    ring = _boundary_ring(shape, parity)
+    folded = [a for a, s in enumerate(parity) if s]
+    log.debug("evolve: folded axes %s, %d of %d unknowns", folded, u.size, g.n_interior())
     eps = state.epsilon
 
     # work arrays of the march, allocated once: the rotation writes u's
@@ -325,10 +359,17 @@ def evolve(
     s = np.empty(u.size)
     sq = np.empty(2 * u.size)
     t_nd, v_nd = t.reshape(shape), v.reshape(shape)
-    neighbours = [
-        ((slice(None),) * axis + (slice(None, -1),), (slice(None),) * axis + (slice(1, None),))
-        for axis in range(len(shape))
-    ]
+    # (to, from) of each neighbour add: the left neighbours, on a folded
+    # axis the mirror ghost of the first kept node (itself where m is even,
+    # kept node 1 where m is odd, as in `grids._axis_bands`), the right ones
+    adds = []
+    for axis in range(len(shape)):
+        lead = (slice(None),) * axis
+        lo, hi = lead + (slice(None, -1),), lead + (slice(1, None),)
+        adds.append((hi, lo))
+        if axis in folded:
+            adds.append((lead + (slice(0, 1),), lead + (slice(m % 2, m % 2 + 1),)))
+        adds.append((lo, hi))
     power = 0.5 * (params.p - 1.0)
     inv_h2 = 1.0 / g.h**2
     centre = 2.0 * len(shape) * inv_h2
@@ -336,7 +377,8 @@ def evolve(
     def kick(c: float) -> None:
         """v += c (lap u + |u|^(p-1) u), the Laplacian's slicing stencil
         split into its centre, folded into the local term s u, and the
-        neighbours, added as t = (c/h^2) u shifted along each axis."""
+        neighbours, added as t = (c/h^2) u shifted along each axis, with
+        the mirror ghosts of `adds` on folded axes."""
         np.square(u.view(float), out=sq)
         np.add(sq[0::2], sq[1::2], out=s)
         if power != 1.0:
@@ -346,9 +388,8 @@ def evolve(
         np.multiply(s, u, out=t)
         np.add(v, t, out=v)
         np.multiply(u, c * inv_h2, out=t)
-        for lo, hi in neighbours:
-            v_nd[hi] += t_nd[lo]
-            v_nd[lo] += t_nd[hi]
+        for to, src in adds:
+            v_nd[to] += t_nd[src]
 
     # one step is the substeps (half-kick, rotation, half-kick) of these
     # weights; a rotation table per distinct weight
@@ -357,8 +398,8 @@ def evolve(
     substeps = [(0.5 * (w * dt / eps), tables[w]) for w in weights]
 
     def write_back() -> None:
-        state.u = grids.insert_interior(g, u)
-        state.v = grids.insert_interior(g, v)
+        state.u = grids.insert_interior(g, extend(u))
+        state.v = grids.insert_interior(g, extend(v))
 
     epsn = eps**g.dimension
     peak0 = float(np.max(np.abs(u)))
@@ -442,4 +483,5 @@ def evolve(
         boundary_touched=boundary_touched,
         energy_drift=float(np.max(np.abs(e_arr - e_arr[0])) / e_scale),
         charge_drift=float(np.max(np.abs(q_arr - q_arr[0])) / q_scale),
+        folded_axes=tuple(folded),
     )

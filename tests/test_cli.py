@@ -397,8 +397,28 @@ def test_sidecar_records_dynamics_timing(tmp_path, command):
         assert t["steps"] == block["dynamics"]["steps"] > 0
         assert t["evolve_s"] > 0.0
         assert t["steps_per_s"] == pytest.approx(t["steps"] / t["evolve_s"])
-        assert not {"evolve_s", "steps_per_s", "_timing"} & set(block["dynamics"])
+        # S1 and its radial bump are even: the march keeps half the line
+        assert t["folded_axes"] == [0]
+        assert not {"evolve_s", "steps_per_s", "folded_axes", "_timing"} & set(block["dynamics"])
     assert "_dynamics_timings" not in report
+
+
+def test_dynamics_only_scenario_solves_no_scenario_limit_state(monkeypatch):
+    raw = dict(BASE, epsilons=[0.1, 0.05], analyses={"dynamics": True})
+    raw["dynamics"] = {"T_over_epsilon": 0.5, "grid": {"extent": 40.0, "n": 801}}
+    solved = []
+    solve = kgstab.cli.solve_limit_ground_state
+    monkeypatch.setattr(
+        kgstab.cli,
+        "solve_limit_ground_state",
+        lambda z0, p, grid, **kw: solved.append(grid) or solve(z0, p, grid, **kw),
+    )
+    report, code = run_scenario(parse_scenario_dict(raw))
+    assert code == 0
+    # one limit state per dynamics run, on its own grid, and none reported
+    assert [g.n for g in solved] == [801, 801]
+    assert "limit" not in report
+    assert all(b["dynamics"]["steps"] > 0 for b in report["blocks"])
 
 
 def test_sidecar_has_no_dynamics_entry_without_dynamics(tmp_path):

@@ -1,8 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies
 
 from kgstab import grids
 from kgstab.cli import DynamicsOptions, _dynamics_summary
@@ -238,7 +240,7 @@ def reference_evolve(
     ww, _, _ = pair.W(x)
     v_int = grids.extract_interior(g, vv)
     kappa = grids.extract_interior(g, params.m - ww + vv**2)
-    ring = _boundary_ring(tuple(np.array(g.shape) - 2))
+    ring = _boundary_ring(tuple(np.array(g.shape) - 2), (0,) * g.dimension)
     u = grids.extract_interior(g, state.u).astype(complex)
     v = grids.extract_interior(g, state.v).astype(complex)
     eps = state.epsilon
@@ -349,14 +351,68 @@ class SignedKappaPair:
         return self.m + v**2 - 0.8 * x[..., 0], None, None
 
 
+class EvenPair:
+    """V = 0.5 + 0.3 |x|^2 and W = m + V^2 - 0.8 (|x|^2 - 0.04), so that
+    kappa = 0.8 (|x|^2 - 0.04) changes sign at |x| = 0.2: even in every
+    axis, except that V gains 0.2 x_a on each axis a in `tilted`."""
+
+    def __init__(self, m, tilted=()):
+        self.m = m
+        self.tilted = tilted
+
+    def V(self, x):
+        r2 = np.sum(x**2, axis=-1)
+        return 0.5 + 0.3 * r2 + sum(0.2 * x[..., a] for a in self.tilted), None, None
+
+    def W(self, x):
+        r2 = np.sum(x**2, axis=-1)
+        return self.m + self.V(x)[0] ** 2 - 0.8 * (r2 - 0.04), None, None
+
+
+class MirroredPair:
+    """`pair` reflected in `axis`: its potentials at x with x_axis negated."""
+
+    def __init__(self, pair, axis):
+        self.pair = pair
+        self.axis = axis
+
+    def _reflect(self, x):
+        x = np.array(x)
+        x[..., self.axis] *= -1.0
+        return x
+
+    def V(self, x):
+        return self.pair.V(self._reflect(x))
+
+    def W(self, x):
+        return self.pair.W(self._reflect(x))
+
+
 def signed_kappa_setup(grid, eps=0.1, p=3.0):
     params = ProblemParams(grid.dimension, p, 1.0, 0.6, eps)
-    pair = SignedKappaPair(params.m)
+    return _setup(grid, params, SignedKappaPair(params.m), lambda y: 1.0 + 0.2j * y[..., 0])
+
+
+def even_setup(grid, tilted=(), p=3.0):
+    """Even potentials and an even start, both tilted along `tilted`."""
+    params = ProblemParams(grid.dimension, p, 1.0, 0.6, 0.1)
+
+    def shape(y):
+        out = 1.0 + 0.2j * np.cos(y[..., 0])
+        for a in tilted:
+            out = out * (1.0 + 0.2j * y[..., a])
+        return out
+
+    return _setup(grid, params, EvenPair(params.m, tilted), shape)
+
+
+def _setup(grid, params, pair, shape):
+    eps = params.epsilon
     y = grid.points()
     r2 = np.sum(y**2, axis=-1)
     phi = 0.9 * np.exp(-r2)
     # small enough that the focusing term does not blow the run up
-    u0 = 0.3 * np.exp(-r2) * (1.0 + 0.2j * y[..., 0]) * (1.0 + 0.1 * np.cos(2.0 * r2))
+    u0 = 0.3 * np.exp(-r2) * shape(y) * (1.0 + 0.1 * np.cos(2.0 * r2))
     mask = np.ones(grid.shape, dtype=bool)
     mask[grid.interior()] = False
     u0[mask] = 0.0
@@ -515,3 +571,133 @@ def test_evolve_builds_no_sparse_laplacian(monkeypatch):
     monkeypatch.setattr(grids, "neg_laplacian", forbidden)
     dt = stable_dt(st, params, pair)
     assert evolve(st, params, pair, dt, 3 * dt, order=4).steps == 3
+
+
+# ---------------------------------------------------------------------------
+# the march on the mirror half of each even axis against the full grid
+
+LINE_EVEN = Grid(1, "line", 16.0, 128)  # 126 interior nodes: no centre node
+BOX_EVEN = Grid(2, "box", 8.0, 32)
+
+
+# (grid, tilted axes, folded axes, steps); BOX_EVEN and the 3d box trip
+# the boundary flag at their last sample, on a real wall: a mirror face,
+# where the peak sits, would trip it at the first
+FOLDED = [
+    (LINE, (), [0], 40),
+    (LINE_EVEN, (), [0], 40),
+    (BOX, (1,), [0], 17),
+    (BOX_EVEN, (), [0, 1], 17),
+    (BOX3, (1,), [0, 2], 6),
+]
+
+
+@pytest.mark.parametrize(
+    "grid, tilted, folded, n_steps",
+    FOLDED,
+    ids=["line-odd", "line-even", "box2d-one-axis", "box2d-both-axes", "box3d"],
+)
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("order", [2, 4])
+def test_folded_march_matches_the_full_grid_reference(
+    grid, tilted, folded, n_steps, p, order, caplog
+):
+    params, pair, prof, state = even_setup(grid, tilted, p=p)
+    st, st_ref = state(), state()
+    dt = 0.9 * stable_dt(st, params, pair)
+    kw = dict(record_every=7, profile=prof, order=order)
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        rec = evolve(st, params, pair, dt, n_steps * dt, **kw)
+    ref = reference_evolve(st_ref, params, pair, dt, n_steps * dt, **kw)
+    assert rec.folded_axes == tuple(folded)
+    m = grid.n - 2
+    kept = np.prod([m - m // 2 if a in folded else m for a in range(grid.dimension)])
+    line = f"evolve: folded axes {folded}, {kept} of {m**grid.dimension} unknowns"
+    assert [r.getMessage() for r in caplog.records] == [line]
+    assert_same_run(rec, ref, st, st_ref)
+
+
+def test_uneven_run_marches_the_whole_grid(caplog):
+    params, pair, prof, state = signed_kappa_setup(BOX)
+    st = state()
+    dt = stable_dt(st, params, pair)
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        rec = evolve(st, params, pair, dt, 2 * dt)
+    assert rec.folded_axes == ()
+    assert [r.getMessage() for r in caplog.records] == ["evolve: folded axes [], 961 of 961 unknowns"]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("grid", [LINE, LINE_EVEN], ids=["odd", "even"])
+@pytest.mark.parametrize("stop", ["tube-exit", "boundary"])
+def test_folded_early_stop_matches_the_full_grid_reference(order, grid, stop):
+    params, pair, prof, state = even_setup(grid)
+    dt = 0.9 * stable_dt(state(), params, pair)
+    n_steps, every = 60, 4
+    kw = dict(record_every=every, profile=prof, order=order)
+    if stop == "tube-exit":
+        # a radius that the distance first crosses at a middle sample
+        d = reference_evolve(state(), params, pair, dt, n_steps * dt, **kw).distance
+        j = next(j for j in range(4, len(d)) if d[j] > max(d[:j]) * (1.0 + 1e-6))
+        kw["tube_exit"] = 0.5 * (max(d[:j]) + d[j])
+        make = state
+    else:
+        def make():
+            # mass planted next to both walls keeps the run even
+            st = state()
+            st.u[1] = st.u[-2] = 0.9
+            return st
+    st, st_ref = make(), make()
+    rec = evolve(st, params, pair, dt, n_steps * dt, **kw)
+    ref = reference_evolve(st_ref, params, pair, dt, n_steps * dt, **kw)
+    assert rec.folded_axes == (0,)
+    assert 0 < ref.steps < n_steps
+    if stop == "tube-exit":
+        assert ref.verdict == "exited-tube" and ref.exit_time is not None
+    else:
+        assert ref.boundary_touched
+    assert_same_run(rec, ref, st, st_ref)
+
+
+@pytest.mark.parametrize("parity", [(0,), (1,), (1, 0), (0, 1), (1, 1), (1, 0, 1)])
+def test_boundary_ring_leaves_out_the_mirror_face(parity):
+    shape = tuple(4 if s else 5 for s in parity)
+    ring = _boundary_ring(shape, parity).reshape(shape)
+    idx = np.indices(shape)
+    wall = np.zeros(shape, dtype=bool)
+    for axis, s in enumerate(parity):
+        wall |= idx[axis] == shape[axis] - 1
+        if not s:
+            wall |= idx[axis] == 0
+    assert np.array_equal(ring, wall)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    grid=strategies.sampled_from([LINE, BOX]),
+    axis=strategies.integers(0, 1),
+    order=strategies.sampled_from([2, 4]),
+    n_steps=strategies.integers(1, 12),
+    every=strategies.integers(1, 5),
+)
+def test_mirrored_run_is_the_mirror_of_the_run(grid, axis, order, n_steps, every):
+    # an uneven state under uneven potentials: the mirror image of the
+    # state, evolved under the mirrored potentials, stays the mirror image
+    axis %= grid.dimension
+    params, pair, prof, state = signed_kappa_setup(grid)
+    y = grid.points()
+    tilt = 1.0 + 0.1j * y[..., -1]
+
+    def flip(a):
+        return np.flip(a, axis).copy()
+
+    st = state()
+    st.u, st.v = st.u * tilt, st.v * tilt
+    st_m = replace(st, u=flip(st.u), v=flip(st.v))
+    prof_m = replace(prof, values=flip(prof.values))
+    pair_m = MirroredPair(pair, axis)
+    dt = 0.9 * stable_dt(st, params, pair)
+    rec = evolve(st, params, pair, dt, n_steps * dt, record_every=every, profile=prof)
+    rec_m = evolve(st_m, params, pair_m, dt, n_steps * dt, record_every=every, profile=prof_m)
+    assert rec.folded_axes == rec_m.folded_axes == ()
+    assert_same_run(rec_m, rec, st_m, replace(st, u=flip(st.u), v=flip(st.v)))
