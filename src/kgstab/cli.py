@@ -21,7 +21,8 @@ A scenario is a JSON file:
 
 Potential terms are `gaussian` (amplitude, center, width) or `quadratic`
 (matrix, center).  Unknown keys, and numbers that are not finite, are
-rejected with a JSON pointer to the key.  Each part of the schema is
+rejected with a JSON pointer to the key, and so are a negative delta
+and tube radii that are not positive.  Each part of the schema is
 defined once (the key tuples, the term classes and `_DYNAMICS_FIELDS`,
 whose defaults are those of `DynamicsOptions`), and both
 `parse_scenario_dict` and `emit_config` read it.  Epsilons are
@@ -42,7 +43,9 @@ have no profile, and their charge is null. A dynamics-only scenario
 solves no scenario limit state (each dynamics block solves its own on
 its own grid), so its report has no "limit". Failures inside one block
 are recorded in place of its results and turn the exit status nonzero
-without aborting the rest.  `python -m kgstab` runs `main`.
+without aborting the rest; a failed limit solve is recorded as the
+report's "limit", with no blocks, and a sweep runs its remaining points.
+`python -m kgstab` runs `main`.
 
 Subcommands: analyze, evolve (dynamics only), sweep (requires a top
 level "omegas" list; every point is parsed before the first runs),
@@ -146,11 +149,11 @@ _SCENARIO_KEYS = (
 )
 _GRID_KEYS = ("geometry", "extent", "n")
 _TERM_TYPES = {"gaussian": GaussianTerm, "quadratic": QuadraticTerm}
-_NUMBER = (_is_number, "expected a number")
+_NONNEGATIVE = (lambda v: _is_number(v) and v >= 0, "expected a number >= 0")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "expected a number > 0")
 # key -> (check, message); the defaults are those of DynamicsOptions
 _DYNAMICS_FIELDS = {
-    "delta": _NUMBER,
+    "delta": _NONNEGATIVE,
     "kind": (
         lambda v: v in ("radial-bump", "random-smooth", "none"),
         "expected radial-bump | random-smooth | none",
@@ -160,8 +163,8 @@ _DYNAMICS_FIELDS = {
     "dt_factor": _POSITIVE,
     "order": (lambda v: _is_int(v) and v in (2, 4), "expected 2 or 4"),
     "record_every": (lambda v: _is_int(v) and v > 0, "expected a positive integer"),
-    "tube_stay": _NUMBER,
-    "tube_exit": _NUMBER,
+    "tube_stay": _POSITIVE,
+    "tube_exit": _POSITIVE,
 }
 
 
@@ -173,6 +176,16 @@ def _expect(cond: bool, ptr: str, msg: str) -> None:
 def _reject_unknown(raw: dict, known, ptr: str) -> None:
     for key in raw:
         _expect(key in known, f"{ptr}/{key}", f"unknown key (valid: {', '.join(known)})")
+
+
+def _rerooted(prefix: str, ptr: str, build, *args):
+    """build(*args), its SchemaError moved from under `prefix` to under `ptr`:
+    the dataclasses report "/potential/<field>", "/grid/<field>" and
+    "/params/<field>", wherever in the config they were read."""
+    try:
+        return build(*args)
+    except SchemaError as exc:
+        raise SchemaError(ptr + exc.path.removeprefix(prefix), exc.reason) from None
 
 
 def _positive(value, ptr: str) -> float:
@@ -210,11 +223,7 @@ def _parse_term(t, dim: int, tp: str):
         m = t.get("matrix")
         _expect(isinstance(m, list) and len(m) == dim, f"{tp}/matrix", f"expected a {dim}x{dim} matrix")
         args = (tuple(_vector(r, dim, f"{tp}/matrix/{j}") for j, r in enumerate(m)), center)
-    try:
-        return cls(*args)
-    except SchemaError as exc:
-        # the term reports "/potential/<field>"; splice into this term's pointer
-        raise SchemaError(tp + exc.path.removeprefix("/potential"), exc.reason) from None
+    return _rerooted("/potential", tp, cls, *args)
 
 
 def _parse_terms(raw, dim: int, ptr: str) -> tuple:
@@ -232,12 +241,7 @@ def _parse_grid(raw, dim: int, ptr: str) -> Grid | None:
     geometry = raw.get("geometry", "line" if dim == 1 else "box")
     extent = _number(raw, "extent", ptr, required=True)
     _expect(_is_int(raw.get("n")), f"{ptr}/n", "expected an integer")
-    try:
-        return Grid(dim, geometry, extent, raw["n"])
-    except SchemaError as exc:
-        # Grid reports "/grid/<field>"; splice into this config's pointer
-        tail = exc.path.removeprefix("/grid")
-        raise SchemaError(f"{ptr}{tail}", exc.reason) from None
+    return _rerooted("/grid", ptr, Grid, dim, geometry, extent, raw["n"])
 
 
 def _parse_dynamics(raw, dim: int) -> DynamicsOptions:
@@ -266,13 +270,9 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
     nonempty = isinstance(eps_raw, list) and len(eps_raw) > 0
     _expect(nonempty, "/epsilons", "expected a nonempty array")
     for i, e in enumerate(eps_raw):
-        _expect(_is_number(e) and e >= 0.0, f"/epsilons/{i}", "expected a number >= 0")
+        _expect(_NONNEGATIVE[0](e), f"/epsilons/{i}", _NONNEGATIVE[1])
     epsilons = tuple(sorted({float(e) for e in eps_raw}, reverse=True))
-
-    try:
-        params = ProblemParams(dim, p, m, omega, epsilons[0], mode)
-    except SchemaError as exc:
-        raise SchemaError(exc.path.removeprefix("/params"), exc.reason) from None
+    params = _rerooted("/params", "", ProblemParams, dim, p, m, omega, epsilons[0], mode)
 
     pots = raw.get("potentials", {})
     _expect(isinstance(pots, dict), "/potentials", "expected an object")
@@ -523,7 +523,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
     )
     limit = solve_limit_ground_state(z.z0, params.p, grid, tol=config.tol)
     profile = continue_profile(limit, params, config.pair, z, grid=grid, tol=config.tol)
-    phi_h1 = dyn.h1_norm(grid, profile.values, epsilon, params.dimension)
+    phi_h1 = dyn.h1_norm(grid, profile.values, epsilon)
     pert = dyn.Perturbation(kind=opts.kind, delta=opts.delta, seed=opts.seed)
     state = dyn.init_perturbed_standing_wave(profile, params, config.pair, pert)
     dt = opts.dt_factor * epsilon * grid.h
@@ -581,7 +581,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
     """Full pipeline; returns (report, exit_code).
 
     Exit code 0 means every enabled analysis completed, whatever the
-    physics verdict; assumption failures or block errors give 1.
+    physics verdict; assumption failures or block errors give 1. A
+    failed critical-point search, or a failed limit or `base` solve, is
+    recorded in report["assumptions"] or report["limit"] with no blocks.
     """
     params = config.params
     pair = config.pair
@@ -619,21 +621,26 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
         capped = False
         if limit_grid is None:
             limit_grid, capped = _auto_limit_grid(params.dimension, z.z0)
-        limit = solve_limit_ground_state(z.z0, params.p, limit_grid, tol=config.tol)
-        report["limit"] = _profile_summary(limit)
-        if capped:
-            report["limit"]["h_requested"] = LIMIT_H
-
         # the one epsilon = 0 state of the scenario, on the grid its blocks
         # analyse: the line in 1d, the box in 2d where a block reads L or R
         grid = None
         if params.dimension == 1:
-            grid = limit.grid
+            grid = limit_grid
         elif "slope_numeric" in config.analyses or "spectrum" in config.analyses:
             pinned = config.grid is not None and config.grid.geometry == "box"
             grid = config.grid if pinned else _auto_box_grid(params.dimension, z.z0)
-        if grid is not None:
-            base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=config.tol)
+        try:
+            limit = solve_limit_ground_state(z.z0, params.p, limit_grid, tol=config.tol)
+            if grid is not None:
+                eps0 = replace(params, epsilon=0.0)
+                base = continue_profile(limit, eps0, pair, z, grid, tol=config.tol)
+        except KgError as exc:
+            report["limit"] = _error_entry(exc)
+            report["blocks"] = []
+            return report, 1
+        report["limit"] = _profile_summary(limit)
+        if capped:
+            report["limit"]["h_requested"] = LIMIT_H
 
     blocks = [_epsilon_block(config, z, limit, base, e) for e in config.epsilons]
 

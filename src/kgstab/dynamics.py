@@ -135,8 +135,8 @@ def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(w * np.conj(a) * b) + _dirichlet_inner(grid, a, b))
 
 
-def h1_norm(grid: Grid, a: np.ndarray, epsilon: float, dimension: int) -> float:
-    return float(np.sqrt(epsilon**dimension * h1_inner(grid, a, a).real))
+def h1_norm(grid: Grid, a: np.ndarray, epsilon: float) -> float:
+    return float(np.sqrt(epsilon**grid.dimension * h1_inner(grid, a, a).real))
 
 
 def orbital_distance(state: FieldState, profile: Profile) -> float:

@@ -1,6 +1,6 @@
 """Ground-state profiles: the limit problem, continuation in epsilon,
-the linearized operator L at a profile, and the two derivative fields
-used by the stability analysis.
+the linearized operator L at a profile, and the frequency derivative
+R = d phi / d omega that the numeric slope reads.
 
 Limit problem (constant coefficient c = Z(x0) > 0):
 
@@ -190,7 +190,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.radii()))
     psi, res, _ = _petviashvili(apply_A, factor().solve, w, psi0, p, max(tol, 1e-9))
-    return _newton(grid, z, p, psi, w, tol)
+    return _newton(grid, z, p, psi, tol)
 
 
 def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
@@ -357,7 +357,6 @@ def _newton(
     z_int: np.ndarray,
     p: float,
     psi: np.ndarray,
-    weights: np.ndarray,
     tol: float,
 ):
     """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
@@ -391,7 +390,7 @@ def _newton(
     mu = grids.multiplicity(grid, parity)
     folded = [a for a, s in enumerate(parity or ()) if s]
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
-    weights = restrict(weights)
+    weights = restrict(grids.extract_interior(grid, grid.weights()))
     apply_Az, factor, kind = _operator(grid, parity, restrict(z_int))
     psi = restrict(psi) / mu
 
@@ -473,11 +472,9 @@ def continue_profile(
     else:
         raise ValueError("limit profile lives on an incompatible grid")
 
-    w = grids.extract_interior(grid, grid.weights())
-
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
-    psi, res = _newton(grid, z0_int, params.p, psi, w, tol)
+    psi, res = _newton(grid, z0_int, params.p, psi, tol)
 
     eps_now = 0.0
     step = target / 8.0
@@ -486,7 +483,7 @@ def continue_profile(
         eps_try = min(eps_now + step, target)
         z_int = _z_on_grid(params, pair, grid, center, eps_try)
         try:
-            psi_new, res = _newton(grid, z_int, params.p, psi, w, tol)
+            psi_new, res = _newton(grid, z_int, params.p, psi, tol)
         except (NoConvergence, SingularOperator) as exc:
             step *= 0.5
             if step < min_step:
@@ -520,30 +517,10 @@ def resolve_at_omega(
     frequency derivative to, stay on one coordinate frame.
     """
     grid = profile.grid
-    w = grids.extract_interior(grid, grid.weights())
     z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     psi = grids.extract_interior(grid, profile.values)
-    psi, res = _newton(grid, z_int, params.p, psi, w, tol)
+    psi, res = _newton(grid, z_int, params.p, psi, tol)
     return _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
-
-
-# ---------------------------------------------------------------------------
-# derivative fields
-
-
-def compute_T_lambda(profile: Profile) -> np.ndarray:
-    """Derivative at lam = 1 of the scaling family
-    phi_lam(y) = lam^(-1/(p-1)) phi(y / sqrt(lam)):
-
-        T = -phi/(p-1) - (1/2) y . grad phi
-
-    with the gradient taken by centered differences.
-    """
-    g = grids.gradient(profile.grid, profile.values)
-    # radial nodes lie on the first axis, and d/dr is their one component
-    pts = profile.grid.points()
-    ydotgrad = sum(pts[..., a] * g[a] for a in range(len(g)))
-    return -profile.values / (profile.p - 1.0) - 0.5 * ydotgrad
 
 
 @dataclass(frozen=True)

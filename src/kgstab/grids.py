@@ -7,8 +7,8 @@ Three geometry names, two kinds of grid:
   radial  [0, L] with r = i*h; regularity at r = 0, Dirichlet at r = L;
           used for radially symmetric profiles in dimension >= 2
 
-A line is the one-dimensional box: shapes, weights, gradients and the
-Laplacian (a Kronecker sum of the 1d stencil over the axes) take one
+A line is the one-dimensional box: shapes, weights and the Laplacian
+(a Kronecker sum of the 1d stencil over the axes) take one
 tensor-product path for both, and only the radial grid has its own.
 Fields of one parity per axis live on the kept nodes of `fold_maps`,
 which maps to and from them by indexing; each stands for its
@@ -269,21 +269,6 @@ def insert_interior(grid: Grid, vec: np.ndarray) -> np.ndarray:
     inner = grid.interior()
     out[inner] = vec.reshape(out[inner].shape)
     return out
-
-
-def gradient(grid: Grid, field: np.ndarray) -> list[np.ndarray]:
-    """Centered second-order gradient components on the full node set.
-
-    Boundary nodes get one-sided values but every consumer integrates
-    against fields that vanish there. The radial case returns d/dr with
-    the symmetric zero at r=0.
-    """
-    h = grid.h
-    if grid.geometry == "radial":
-        g = np.gradient(field, h)
-        g[0] = 0.0  # even profile: phi'(0) = 0
-        return [g]
-    return [np.gradient(field, h, axis=a) for a in range(grid.dimension)]
 
 
 def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHessian, NoConvergence, SchemaError
+from .errors import DegenerateHessian, ModeConflict, NoConvergence, SchemaError
 
 MODES = ("general", "schrodinger", "covariant")
 CRITICAL_TOL = 1e-12  # |grad Z| at which the critical-point search stops
@@ -165,9 +165,6 @@ def resolve_potentials(params: ProblemParams, spec_V: PotentialSpec | None, spec
         return PotentialPair(zero, spec_W or zero, mode="schrodinger")
     if params.mode == "covariant":
         if spec_W is not None and not spec_W.is_zero():
-            # W is derived, never supplied
-            from .errors import ModeConflict
-
             raise ModeConflict("/potentials/W", "covariant mode derives W = V^2")
         return PotentialPair(spec_V or zero, zero, mode="covariant")
     return PotentialPair(spec_V or zero, spec_W or zero, mode="general")
@@ -217,6 +214,13 @@ def effective_z_at(params: ProblemParams, pair: PotentialPair, x: np.ndarray) ->
     )
 
 
+def nondegenerate(hess_eigs) -> bool:
+    """Whether every Hessian eigenvalue is at least 1e-8 max(1, max |eigenvalue|)
+    in size: the one rule of the critical-point search and the assumption check."""
+    size = np.abs(np.asarray(hess_eigs, dtype=float))
+    return bool(size.size and size.min() >= 1e-8 * max(1.0, size.max()))
+
+
 def find_critical_point(
     params: ProblemParams,
     pair: PotentialPair,
@@ -227,22 +231,18 @@ def find_critical_point(
 
     Raises NoConvergence after CRITICAL_MAX_ITER iterations and
     DegenerateHessian when the Hessian at the iterate (or the converged
-    point) is singular at relative scale 1e-8.
+    point) is singular by `nondegenerate`.
     """
     x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
-
-    def degenerate(hz):
-        scale = max(1.0, float(np.abs(hz).max()))
-        return np.min(np.abs(np.linalg.eigvalsh(hz))) < 1e-8 * scale
-
     for _ in range(CRITICAL_MAX_ITER):
         _, gz, hz = eval_Z(params, pair, x)
         gnorm = np.linalg.norm(gz)
+        singular = not nondegenerate(np.linalg.eigvalsh(hz))
         if gnorm <= CRITICAL_TOL:
-            if degenerate(hz):
+            if singular:
                 raise DegenerateHessian(f"singular Hessian of Z at {x.tolist()}")
             return effective_z_at(params, pair, x)
-        if degenerate(hz):
+        if singular:
             raise DegenerateHessian(f"singular Hessian of Z near {x.tolist()}")
         step = np.linalg.solve(hz, -gz)
         # backtracking on |grad Z|
@@ -278,8 +278,7 @@ def check_assumptions(z: EffectiveZ) -> AssumptionReport:
     crit = z.grad_norm <= GRAD_TOL
     if not crit:
         msgs.append(f"|grad Z(x0)| = {z.grad_norm:.3e} exceeds {GRAD_TOL:.1e}")
-    scale = max(1.0, max(abs(e) for e in z.hess_eigs) if z.hess_eigs else 0.0)
-    nondeg = all(abs(e) >= 1e-8 * scale for e in z.hess_eigs) and len(z.hess_eigs) > 0
+    nondeg = nondegenerate(z.hess_eigs)
     if not nondeg:
         msgs.append("Hessian of Z at x0 is numerically singular")
     pos = z.z0 > 0

@@ -47,6 +47,27 @@ def sech_exact(c, y):
     return np.sqrt(2.0 * c) / np.cosh(np.sqrt(c) * y)
 
 
+def compute_T_lambda(profile):
+    """Derivative at lam = 1 of the scaling family
+    phi_lam(y) = lam^(-1/(p-1)) phi(y / sqrt(lam)):
+
+        T = -phi/(p-1) - (1/2) y . grad phi
+
+    with the gradient taken by centred differences (`np.gradient`); on a
+    radial grid d/dr, whose nodes lie on the first axis, with the even
+    profile's zero at r = 0.
+    """
+    grid = profile.grid
+    if grid.geometry == "radial":
+        g = [np.gradient(profile.values, grid.h)]
+        g[0][0] = 0.0
+    else:
+        g = [np.gradient(profile.values, grid.h, axis=a) for a in range(grid.dimension)]
+    pts = grid.points()
+    ydotgrad = sum(pts[..., a] * g[a] for a in range(len(g)))
+    return -profile.values / (profile.p - 1.0) - 0.5 * ydotgrad
+
+
 # References the frequency derivative is held to: difference quotients
 # in omega through Newton re-solves of the profile (`resolve_at_omega`,
 # warm-started, on the profile's frame).

@@ -22,7 +22,6 @@ from kgstab.dynamics import (
 )
 from kgstab.elliptic import (
     compute_R_omega,
-    compute_T_lambda,
     continue_profile,
     solve_limit_ground_state,
 )
@@ -39,7 +38,7 @@ from kgstab.potentials import (
 from kgstab.spectrum import build_spectrum_report
 from kgstab.stability import slope_asymptotic, slope_numeric
 
-from conftest import sech_exact
+from conftest import compute_T_lambda, sech_exact
 
 
 def announce(num: int, detail: str) -> None:
@@ -281,7 +280,7 @@ def test_criterion_10_dynamics_consistency(s1):
         state, pe, pair, dt, steps * dt, record_every=100, profile=prof, order=4
     )
     runtime = time.perf_counter() - t0
-    norm = h1_norm(g, prof.values, pe.epsilon, 1)
+    norm = h1_norm(g, prof.values, pe.epsilon)
     T_over_eps = steps * dt / pe.epsilon
     assert T_over_eps >= 50.0
     dist_rel = rec.max_distance / norm
@@ -306,7 +305,7 @@ def test_criterion_11_stability_dichotomy(s1):
     g = Grid(1, "line", 130.0, 5201)
     lim = solve_limit_ground_state(z.z0, 3.0, g, method="fd")
     prof = continue_profile(lim, pe, pair, z, grid=g)
-    norm = h1_norm(g, prof.values, pe.epsilon, 1)
+    norm = h1_norm(g, prof.values, pe.epsilon)
     state = init_perturbed_standing_wave(
         prof, pe, pair, Perturbation("radial-bump", delta, 11)
     )
@@ -326,7 +325,7 @@ def test_criterion_11_stability_dichotomy(s1):
     gu = Grid(1, "line", 100.0, 4001)
     limu = solve_limit_ground_state(zu.z0, 3.0, gu, method="fd")
     profu = continue_profile(limu, pu, pair, zu, grid=gu)
-    normu = h1_norm(gu, profu.values, pu.epsilon, 1)
+    normu = h1_norm(gu, profu.values, pu.epsilon)
     stateu = init_perturbed_standing_wave(
         profu, pu, pair, Perturbation("radial-bump", delta, 11)
     )

@@ -226,12 +226,24 @@ def test_3d_asymptotic_only_run_has_no_profile():
     assert block["slope"]["charge"] is None
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args):
+    """`python *args` on this checkout's src/."""
     src = str(Path(kgstab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kgstab", "--help"], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_python("-m", "kgstab", "--help")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "analyze" in proc.stdout
+
+
+def test_cli_module_runs_without_a_runtime_warning():
+    # the package imported kgstab.cli, so `-m kgstab.cli` ran it a second
+    # time and warned "'kgstab.cli' found in sys.modules"
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "kgstab.cli", "--help")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "analyze" in proc.stdout
@@ -368,6 +380,30 @@ def test_sweep_subcommand(tmp_path):
     assert len(rows) == 3
     assert (out / "report_omega_0.9.json").exists()
     assert (out / "report_omega_0.3.json").exists()
+
+
+def test_sweep_records_a_failed_limit_solve_and_runs_the_rest(tmp_path, capsys):
+    # at omega 0.96 the limit state is too wide for the pinned extent 12:
+    # GridTooSmall escaped, so 0.5 never ran and no sweep.csv was written
+    raw = dict(BASE, omegas=[0.3, 0.96, 0.5], grid={"extent": 12.0, "n": 2401})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(path), "--out", str(out)]) == 1
+    reports = {om: json.loads((out / f"report_omega_{om}.json").read_text()) for om in raw["omegas"]}
+    failed = reports[0.96]
+    assert failed["limit"]["error"]["type"] == "GridTooSmall"
+    assert failed["blocks"] == []
+    assert all("error" not in reports[om]["limit"] for om in (0.3, 0.5))
+    rows = (out / "sweep.csv").read_text().strip().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["0.3", "0.1"], ["0.5", "0.1"]]
+    # analyze at the failing omega writes its report too
+    single = tmp_path / "one.json"
+    single.write_text(json.dumps(dict(BASE, omega=0.96, grid=raw["grid"])))
+    assert main(["analyze", str(single), "--out", str(tmp_path / "one")]) == 1
+    report = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert report["limit"]["error"]["type"] == "GridTooSmall"
+    assert report["blocks"] == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "evolve", "sweep"])
@@ -657,18 +693,19 @@ NUM = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
 )
 POSITIVE = st.one_of(st.integers(1, 1000), st.floats(0.0, 1e3, exclude_min=True))
+NONNEGATIVE = st.one_of(st.integers(0, 1000), st.floats(0.0, 1e3))
 DYNAMICS_BLOCKS = st.fixed_dictionaries(
     {},
     optional={
-        "delta": NUM,
+        "delta": NONNEGATIVE,
         "kind": st.sampled_from(["radial-bump", "random-smooth", "none"]),
         "seed": st.integers(0, 2**31),
         "T_over_epsilon": POSITIVE,
         "dt_factor": POSITIVE,
         "order": st.sampled_from([2, 4]),
         "record_every": st.integers(1, 10**6),
-        "tube_stay": NUM,
-        "tube_exit": NUM,
+        "tube_stay": POSITIVE,
+        "tube_exit": POSITIVE,
         "grid": st.fixed_dictionaries(
             {"extent": st.floats(0.5, 100.0), "n": st.integers(8, 5000)},
             optional={"geometry": st.just("line")},
@@ -722,7 +759,8 @@ def test_every_dynamics_field_has_a_rejection_case():
     "key, value",
     sorted(BAD_DYNAMICS.items())
     + [("record_every", 0), ("seed", 1.5), ("order", 2.0)]
-    + [("dt_factor", 0), ("dt_factor", -0.2), ("T_over_epsilon", -1), ("T_over_epsilon", 0.0)],
+    + [("dt_factor", 0), ("dt_factor", -0.2), ("T_over_epsilon", -1), ("T_over_epsilon", 0.0)]
+    + [("delta", -0.05), ("tube_stay", -1), ("tube_stay", 0), ("tube_exit", -1), ("tube_exit", 0.0)],
 )
 def test_dynamics_field_rejected_with_pointer(key, value):
     raw = json.loads(json.dumps(BASE))

@@ -64,7 +64,7 @@ def fresh_state(wave, delta=0.0, kind="radial-bump", seed=0):
 
 def test_initial_distance_matches_delta(wave):
     params, pair, z, prof = wave
-    norm = h1_norm(prof.grid, prof.values, EPS, 1)
+    norm = h1_norm(prof.grid, prof.values, EPS)
     for kind in ("radial-bump", "random-smooth"):
         st = fresh_state(wave, delta=1e-3, kind=kind, seed=4)
         d0 = orbital_distance(st, prof)
@@ -159,7 +159,7 @@ def test_step_bound_enforced(wave):
 def test_tube_exit_detection(wave):
     params, pair, z, prof = wave
     st = fresh_state(wave, delta=1e-3, seed=5)
-    norm = h1_norm(prof.grid, prof.values, EPS, 1)
+    norm = h1_norm(prof.grid, prof.values, EPS)
     dt = stable_dt(st, params, pair)
     # radius below the initial distance: must exit on the first sample
     rec = evolve(
@@ -174,7 +174,7 @@ def test_tube_exit_detection(wave):
 def test_stayed_in_tube_verdict(wave):
     params, pair, z, prof = wave
     st = fresh_state(wave, delta=1e-4, seed=5)
-    norm = h1_norm(prof.grid, prof.values, EPS, 1)
+    norm = h1_norm(prof.grid, prof.values, EPS)
     dt = stable_dt(st, params, pair)
     rec = evolve(
         st, params, pair, dt, 100 * dt, record_every=10,
@@ -533,7 +533,7 @@ def test_blown_up_run_writes_strict_json_outside_the_stable_band(every, tmp_path
     dt = 0.9 * stable_dt(st, params, pair)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = evolve(st, params, pair, dt, 2000 * dt, record_every=every, profile=prof)
-    phi_h1 = h1_norm(LINE, prof.values, params.epsilon, 1)
+    phi_h1 = h1_norm(LINE, prof.values, params.epsilon)
     entry = _dynamics_summary(rec, DynamicsOptions(delta=1e-3), LINE, phi_h1)
     write_report({"dynamics": entry}, tmp_path / "report.json")
 
@@ -553,8 +553,8 @@ def test_orbital_distance_resolves_below_the_closed_form_floor(noise):
     params, pair, prof, state = signed_kappa_setup(LINE)
     field = np.random.default_rng(11).standard_normal(LINE.shape)
     field[[0, -1]] = 0.0
-    phi_h1 = h1_norm(LINE, prof.values, params.epsilon, 1)
-    pert = noise * phi_h1 / h1_norm(LINE, field, params.epsilon, 1) * field
+    phi_h1 = h1_norm(LINE, prof.values, params.epsilon)
+    pert = noise * phi_h1 / h1_norm(LINE, field, params.epsilon) * field
     st = state()
     st.u = np.exp(0.7j) * (prof.values + pert)
     # real noise keeps the optimal phase at 0.7, so the distance is its norm

@@ -12,7 +12,6 @@ from kgstab.elliptic import (
     _newton,
     assemble_L,
     compute_R_omega,
-    compute_T_lambda,
     continue_profile,
     resolve_at_omega,
     sech_ground_state,
@@ -32,7 +31,7 @@ from kgstab.potentials import (
 )
 
 
-from conftest import fd_R_omega, sech_exact
+from conftest import compute_T_lambda, fd_R_omega, sech_exact
 
 
 def test_limit_solver_residual_and_positivity(free_limit):
@@ -155,11 +154,10 @@ def test_fd_limit_converges_positive_and_decays(dim, p, c):
 
 def test_newton_failure_carries_residual_and_iterations():
     g = Grid(1, "line", 15.0, 1501)
-    w = grids.extract_interior(g, g.weights())
     psi = grids.extract_interior(g, sech_exact(1.0, g.axis))
     # a zero tolerance is unreachable: the line search stalls at roundoff
     with pytest.raises(NoConvergence) as info:
-        _newton(g, np.ones(g.n_interior()), 3.0, psi, w, tol=0.0)
+        _newton(g, np.ones(g.n_interior()), 3.0, psi, tol=0.0)
     assert 0 < info.value.iterations < 30
     assert 0.0 < info.value.residual < 1e-10
 
@@ -182,8 +180,7 @@ def test_newton_refactors_a_stale_lu_before_giving_up(g, factor, monkeypatch):
         return entry(*bands)
 
     monkeypatch.setattr(elliptic, factor, counting_factor)
-    w = grids.extract_interior(g, g.weights())
-    psi, res = _newton(g, np.ones(g.n_interior()), 3.0, np.full(g.n_interior(), 0.501), w, 1e-12)
+    psi, res = _newton(g, np.ones(g.n_interior()), 3.0, np.full(g.n_interior(), 0.501), 1e-12)
     assert res < 1e-12
     assert np.allclose(psi, -1.0, atol=1e-4)
     assert len(factored) >= 2
@@ -199,13 +196,12 @@ def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
     y = grid.points()
     r2 = np.sum(y**2, axis=-1)
     z = grids.extract_interior(grid, 0.8 + 0.01 * r2 + 0.02 * y[..., 0] ** 2)
-    w = grids.extract_interior(grid, grid.weights())
     start = 1.5 * np.exp(-0.5 * r2) * (1.0 + 0.05 * np.tanh(y[..., 0]))
     start = grids.extract_interior(grid, start)
     assert elliptic.even_axes(grid, z) == (1,) * grid.dimension
-    folded, res_folded = _newton(grid, z, 3.0, start, w, 1e-13)
+    folded, res_folded = _newton(grid, z, 3.0, start, 1e-13)
     monkeypatch.setattr(elliptic, "even_axes", lambda grid, z_int: (0,) * grid.dimension)
-    full, res_full = _newton(grid, z, 3.0, start, w, 1e-13)
+    full, res_full = _newton(grid, z, 3.0, start, 1e-13)
     assert max(res_folded, res_full) < 1e-12
     assert np.max(np.abs(folded - full)) <= 1e-12 * np.max(np.abs(full))
     # the folded solve returns the even extension: exactly even
@@ -234,12 +230,11 @@ def test_banded_newton_matches_the_sparse_path_on_a_line(shift, monkeypatch):
     g = Grid(1, "line", 12.0, 201)
     y = g.axis[1:-1]
     z = 0.8 + 0.05 * (y - shift) ** 2
-    w = grids.extract_interior(g, g.weights())
     start = 1.5 * np.exp(-0.5 * y**2) * (1.0 + 0.05 * np.tanh(y))
     assert elliptic.even_axes(g, z) == (int(shift == 0.0),)
-    banded, res_banded = _newton(g, z, 3.0, start, w, 1e-13)
+    banded, res_banded = _newton(g, z, 3.0, start, 1e-13)
     _sparse_newton(monkeypatch)
-    sparse, res_sparse = _newton(g, z, 3.0, start, w, 1e-13)
+    sparse, res_sparse = _newton(g, z, 3.0, start, 1e-13)
     assert max(res_banded, res_sparse) < 1e-12
     assert np.max(np.abs(banded - sparse)) <= 1e-12 * np.max(np.abs(sparse))
 
@@ -278,13 +273,12 @@ _DONE = re.compile(r"newton done: (\S+), (\d+) iterations, (\d+) factorizations,
 )
 def test_debug_log_records_each_newton_solve(g, kind, factor, monkeypatch, caplog):
     z = np.full(g.n_interior(), 0.8)
-    w = grids.extract_interior(g, g.weights())
     start = grids.extract_interior(g, 1.3 * np.exp(-0.4 * g.radii() ** 2))
     calls = []
     entry = getattr(elliptic, factor)
     monkeypatch.setattr(elliptic, factor, lambda *a: calls.append(1) or entry(*a))
     with caplog.at_level(logging.DEBUG, logger="kgstab"):
-        _, res = _newton(g, z, 3.0, start, w, 1e-12)
+        _, res = _newton(g, z, 3.0, start, 1e-12)
     done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
     assert len(done) == 1
     got_kind, iterations, factorizations, residual = _DONE.match(done[0]).groups()

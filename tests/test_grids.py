@@ -198,14 +198,6 @@ def test_axis_bands_count_kept_nodes_without_the_mirror(parity, monkeypatch):
     assert calls == []
 
 
-def test_gradient_accuracy():
-    g = Grid(1, "line", 6.0, 1201)
-    f = np.exp(-g.axis**2)
-    (gx,) = grids.gradient(g, f)
-    exact = -2.0 * g.axis * f
-    assert np.max(np.abs(gx - exact)[1:-1]) < 1e-4
-
-
 def test_radial_laplacian_matches_continuum():
     # -lap on exp(-r^2) in d dimensions: (2d - 4 r^2) exp(-r^2)
     for dim in (2, 3):

@@ -140,6 +140,24 @@ def test_find_critical_point_flat_z_is_degenerate():
         find_critical_point(params, pair, (0.0,))
 
 
+@pytest.mark.parametrize("small, singular", [(7.5e-7, True), (2e-6, False)])
+def test_search_and_assumption_check_share_the_nondegeneracy_rule(small, singular):
+    # W's Hessian has eigenvalues 100 and `small` along the diagonals: its
+    # largest entry is 50, and the rule's scale is the largest eigenvalue,
+    # so both callers put the threshold at 1e-8 * 100
+    a, b = 50.0 + small / 2.0, 50.0 - small / 2.0
+    params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
+    w = PotentialSpec(2, (QuadraticTerm(((a, b), (b, a)), (0.0, 0.0)),))
+    pair = resolve_potentials(params, None, w)
+    report = check_assumptions(effective_z_at(params, pair, np.zeros(2)))
+    assert report.hessian_nondegenerate is not singular
+    if singular:
+        with pytest.raises(DegenerateHessian):
+            find_critical_point(params, pair, (0.0, 0.0))
+    else:
+        assert find_critical_point(params, pair, (0.0, 0.0)).x0 == (0.0, 0.0)
+
+
 def test_check_assumptions_flags_nonpositive_z():
     # omega too large: m - omega^2 < 0 at the critical point
     params = ProblemParams(1, 3.0, 1.0, 1.2, 0.1)
