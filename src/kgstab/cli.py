@@ -26,13 +26,14 @@ and tube radii that are not positive.  Each part of the schema is
 defined once (the key tuples, the term classes and `_DYNAMICS_FIELDS`,
 whose defaults are those of `DynamicsOptions`), and both
 `parse_scenario_dict` and `emit_config` read it.  Epsilons are
-deduplicated and sorted descending so each
-continuation re-marches from the limit state toward harder targets
-last.  Automatic grids have a desk-scale size cap.  A limit grid that
-would need more nodes runs coarser, with a warning and the requested h
-beside the granted grid in the report's "limit"; a dynamics run that
-would need more nodes (in 2d, practically every one) records a
-GridTooSmall error in its block, and "/dynamics/grid" must be pinned.
+deduplicated and sorted descending so each continuation re-marches
+from the limit state toward harder targets last; with dynamics on, two
+that name one `trajectory_eps_{eps:g}.csv` are rejected.  Automatic
+grids have a desk-scale size cap.  A limit grid that would need more
+nodes runs coarser, with a warning and the requested h beside the
+granted grid in the report's "limit"; a dynamics run that would need
+more nodes (in 2d, every one) records a GridTooSmall error in its
+block, and "/dynamics/grid" must be pinned.
 The pipeline per scenario: locate the concentration point, check the
 standing assumptions, solve the limit state and settle it once, at
 epsilon = 0, on the grid the blocks analyse (`base`: the line in 1d, the
@@ -48,14 +49,16 @@ report's "limit", with no blocks, and a sweep runs its remaining points.
 `python -m kgstab` runs `main`.
 
 Subcommands: analyze, evolve (dynamics only), sweep (requires a top
-level "omegas" list; every point is parsed before the first runs),
-report (re-export a written report).  All read their file through one
-loader, so invalid JSON is a config error at "/".  The physics
-verdict never sets the exit status; only computational failure does.
-Each `.meta.json` sidecar lists, for every epsilon that ran dynamics,
-its steps, the wall time of `evolve`, the steps per second and the axes
-the march folded; the
-report itself holds no timing, so it stays byte-reproducible.
+level "omegas" list; every point is parsed before the first runs, and
+one with no blocks gets a `sweep.csv` row whose `error` names the failed
+stage), report (re-export a written report).  All read their file
+through one loader, so invalid JSON is a config error at "/".  The
+physics verdict never sets the exit status; only computational failure
+does.  `run_scenario` returns `runs`, a (trajectory, timing) pair per
+dynamics run, beside the plain-data report: the trajectory CSVs and the
+`.meta.json` sidecar (`runtime_s`, and per run its epsilon, steps,
+`evolve` seconds, steps per second and folded axes) come from it, so
+the report holds no timing and stays byte-reproducible.
 """
 
 from __future__ import annotations
@@ -166,6 +169,11 @@ _DYNAMICS_FIELDS = {
     "tube_stay": _POSITIVE,
     "tube_exit": _POSITIVE,
 }
+
+
+def _trajectory_file(epsilon) -> str:
+    """The CSV that the dynamics run at `epsilon` writes beside its report."""
+    return f"trajectory_eps_{epsilon:g}.csv"
 
 
 def _expect(cond: bool, ptr: str, msg: str) -> None:
@@ -295,6 +303,11 @@ def parse_scenario_dict(raw: dict) -> ScenarioConfig:
     if "dynamics" in enabled:
         _expect(dim <= 2, "/analyses/dynamics", "time evolution runs in dimension 1 or 2")
         dyn_opts = _parse_dynamics(raw.get("dynamics", {}), dim)
+        files = {}  # trajectory file -> (epsilon, index) of the first that writes it
+        for i, e in enumerate(eps_raw):
+            name = _trajectory_file(e)
+            first, j = files.setdefault(name, (float(e), i))
+            _expect(first == float(e), f"/epsilons/{i}", f"{e!r} writes {name}, as /epsilons/{j} does")
 
     guess = raw.get("critical_guess")
     critical_guess = (0.0,) * dim if guess is None else _vector(guess, dim, "/critical_guess")
@@ -462,6 +475,7 @@ def _epsilon_block(
     limit: Profile | None,
     base: Profile | None,
     epsilon: float,
+    runs: list,
 ) -> dict:
     """One epsilon's analyses. `base` is the scenario's epsilon = 0 state on
     the grid the block analyses, None where no block reads a profile or,
@@ -509,12 +523,13 @@ def _epsilon_block(
         if spec_report is not None:
             block["gss_verdict"] = spec_report.gss
     if want_dynamics:
-        _guarded(block, "dynamics", lambda: _dynamics_block(config, z, epsilon))
+        _guarded(block, "dynamics", lambda: _dynamics_block(config, z, epsilon, runs))
     return block
 
 
-def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> dict:
-    opts = config.dynamics or DynamicsOptions()
+def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float, runs: list) -> dict:
+    """The report entry of one dynamics run; (record, timing) goes to `runs`."""
+    opts = config.dynamics
     params = replace(config.params, epsilon=epsilon)
     if epsilon <= 0.0:
         raise SkippedError("dynamics needs epsilon > 0")
@@ -540,17 +555,15 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float) -> di
         order=opts.order,
     )
     evolve_s = time.perf_counter() - t0
-    out = _dynamics_summary(record, opts, grid, phi_h1)
-    # stripped before serialization; the timing goes to the sidecar
-    out["_trajectory"] = record
-    out["_timing"] = {
+    timing = {
         "epsilon": epsilon,
         "steps": record.steps,
         "evolve_s": evolve_s,
         "steps_per_s": record.steps / evolve_s,
         "folded_axes": list(record.folded_axes),
     }
-    return out
+    runs.append((record, timing))
+    return _dynamics_summary(record, opts, grid, phi_h1)
 
 
 def _dynamics_summary(record, opts: DynamicsOptions, grid: Grid, phi_h1: float) -> dict:
@@ -577,8 +590,9 @@ def _dynamics_summary(record, opts: DynamicsOptions, grid: Grid, phi_h1: float) 
     }
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
-    """Full pipeline; returns (report, exit_code).
+def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
+    """Full pipeline; returns (report, exit_code, runs), `runs` holding a
+    (TrajectoryRecord, timing) pair per dynamics run, in epsilon order.
 
     Exit code 0 means every enabled analysis completed, whatever the
     physics verdict; assumption failures or block errors give 1. A
@@ -596,7 +610,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
     except KgError as exc:
         report["assumptions"] = _error_entry(exc)
         report["blocks"] = []
-        return report, 1
+        return report, 1, []
 
     assumptions = check_assumptions(z)
     report["assumptions"] = {
@@ -611,7 +625,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
     }
     if not assumptions.all_ok:
         report["blocks"] = []
-        return report, 1
+        return report, 1, []
 
     # a dynamics run solves its own limit state on its own grid, so a
     # dynamics-only scenario has no scenario limit state and no "limit"
@@ -637,20 +651,13 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
         except KgError as exc:
             report["limit"] = _error_entry(exc)
             report["blocks"] = []
-            return report, 1
+            return report, 1, []
         report["limit"] = _profile_summary(limit)
         if capped:
             report["limit"]["h_requested"] = LIMIT_H
 
-    blocks = [_epsilon_block(config, z, limit, base, e) for e in config.epsilons]
-
-    trajectories = {}
-    timings = []
-    for block in blocks:
-        dblock = block.get("dynamics")
-        if isinstance(dblock, dict) and "_trajectory" in dblock:
-            trajectories[block["epsilon"]] = dblock.pop("_trajectory")
-            timings.append(dblock.pop("_timing"))
+    runs: list = []
+    blocks = [_epsilon_block(config, z, limit, base, e, runs) for e in config.epsilons]
     report["blocks"] = blocks
 
     slope_rows = []
@@ -685,10 +692,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int]:
         for block in blocks
         for key in ("profile", "slope", "spectrum", "dynamics")
     )
-    # stripped before serialization
-    report["_trajectories"] = trajectories
-    report["_dynamics_timings"] = timings
-    return report, 1 if failed else 0
+    return report, 1 if failed else 0, runs
 
 
 # ---------------------------------------------------------------------------
@@ -716,20 +720,17 @@ def _write_convergence_csvs(out: Path, conv: dict) -> None:
         kio.write_csv(out / "shift_convergence.csv", header, rows)
 
 
-def _sidecar(report: dict, meta: dict) -> dict:
+def _sidecar(runs: list, meta: dict) -> dict:
     """meta plus each dynamics run's steps, evolve_s, steps_per_s and folded_axes."""
-    timings = report.pop("_dynamics_timings", [])
-    return dict(meta, dynamics=timings) if timings else meta
+    return dict(meta, dynamics=[timing for _, timing in runs]) if runs else meta
 
 
-def _write_outputs(report: dict, out_dir: str, meta: dict) -> None:
+def _write_outputs(report: dict, runs: list, out_dir: str, meta: dict) -> None:
     out = Path(out_dir)
-    trajectories = report.pop("_trajectories", {})
-    meta = _sidecar(report, meta)
-    kio.write_report(report, out / "report.json", meta=meta)
+    kio.write_report(report, out / "report.json", meta=_sidecar(runs, meta))
     _write_convergence_csvs(out, report.get("convergence", {}))
-    for eps, rec in trajectories.items():
-        kio.trajectory_to_csv(rec, out / f"trajectory_eps_{eps:g}.csv")
+    for record, timing in runs:
+        kio.trajectory_to_csv(record, out / _trajectory_file(timing["epsilon"]))
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -751,9 +752,9 @@ def _cmd_run(args) -> int:
             raise SchemaError("/analyses/dynamics", "evolve requires the dynamics analysis")
         config = replace(config, analyses=("dynamics",))
     t0 = time.perf_counter()
-    report, code = run_scenario(config)
+    report, code, runs = run_scenario(config)
     meta = {"command": args.command, "runtime_s": time.perf_counter() - t0}
-    _write_outputs(report, config.out or "kgstab-out", meta)
+    _write_outputs(report, runs, config.out or "kgstab-out", meta)
     if evolve:
         for block in report["blocks"]:
             d = block.get("dynamics", {})
@@ -786,27 +787,21 @@ def _cmd_sweep(args) -> int:
     rows = []
     worst = 0
     for om, name, config in zip(omegas, names, configs):
-        report, code = run_scenario(config)
+        t0 = time.perf_counter()
+        report, code, runs = run_scenario(config)
+        meta = {"command": "sweep", "runtime_s": time.perf_counter() - t0}
         worst = max(worst, code)
-        report.pop("_trajectories", None)
-        meta = _sidecar(report, {"command": "sweep"})
-        kio.write_report(report, out_dir / name, meta=meta)
+        kio.write_report(report, out_dir / name, meta=_sidecar(runs, meta))
         for block in report["blocks"]:
             sl = block.get("slope", {})
-            rows.append(
-                [
-                    om,
-                    block["epsilon"],
-                    sl.get("slope_scaled"),
-                    sl.get("slope_sign"),
-                    block.get("gss_verdict", "not-computed"),
-                ]
-            )
-    kio.write_csv(
-        out_dir / "sweep.csv",
-        ["omega", "epsilon", "slope_scaled", "slope_sign", "gss_verdict"],
-        rows,
-    )
+            verdict = block.get("gss_verdict", "not-computed")
+            rows.append([om, block["epsilon"], sl.get("slope_scaled"), sl.get("slope_sign"), verdict, None])
+        if not report["blocks"]:
+            failed = report.get("limit", report["assumptions"])
+            error = failed["error"]["type"] if "error" in failed else "assumptions"
+            rows.append([om, None, None, None, "not-computed", error])
+    header = ["omega", "epsilon", "slope_scaled", "slope_sign", "gss_verdict", "error"]
+    kio.write_csv(out_dir / "sweep.csv", header, rows)
     print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
     return worst
 

@@ -145,7 +145,7 @@ def test_round_trip(tmp_path):
 
 def test_run_scenario_report_shape(tmp_path):
     cfg = parse_scenario(cfg_file(tmp_path))
-    report, code = run_scenario(cfg)
+    report, code, _ = run_scenario(cfg)
     assert code == 0
     assert report["assumptions"]["ok"]
     assert report["verdict"]["overall"] == "stable"
@@ -160,7 +160,7 @@ def test_eps_zero_block_analyses_the_finite_difference_state():
     # the eps = 0 block analysed the sine-collocation limit state with the
     # finite-difference L: the translation eigenvalue came out negative,
     # n(L) = 2 and the verdict "unstable" for a stable wave
-    report, code = run_scenario(parse_scenario_dict(dict(BASE, epsilons=[0, 0.1])))
+    report, code, _ = run_scenario(parse_scenario_dict(dict(BASE, epsilons=[0, 0.1])))
     assert code == 0
     block = next(b for b in report["blocks"] if b["epsilon"] == 0.0)
     assert block["spectrum"]["n_negative"] == 1
@@ -205,7 +205,7 @@ SADDLE_2D = {
 def test_2d_asymptotic_only_run_has_no_profile():
     # these blocks continued on the radial limit grid, which samples Z
     # along one axis only: eps = 0.2 lost positivity and the run exited 1
-    report, code = run_scenario(parse_scenario_dict(SADDLE_2D))
+    report, code, _ = run_scenario(parse_scenario_dict(SADDLE_2D))
     assert code == 0
     for block in report["blocks"]:
         assert "profile" not in block
@@ -219,7 +219,7 @@ def test_3d_asymptotic_only_run_has_no_profile():
     raw.update({"dimension": 3, "omega": 0.5, "analyses": {"slope_asymptotic": True}})
     raw["potentials"]["W"][0]["center"] = [0.0, 0.0, 0.0]
     del raw["grid"]
-    report, code = run_scenario(parse_scenario_dict(raw))
+    report, code, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     block = report["blocks"][0]
     assert "profile" not in block
@@ -251,7 +251,7 @@ def test_cli_module_runs_without_a_runtime_warning():
 
 def test_run_scenario_assumption_failure(tmp_path):
     cfg = parse_scenario(cfg_file(tmp_path, {"omega": 1.2}))
-    report, code = run_scenario(cfg)
+    report, code, _ = run_scenario(cfg)
     assert code == 1
     assert not report["assumptions"]["ok"]
     assert report["blocks"] == []
@@ -384,7 +384,8 @@ def test_sweep_subcommand(tmp_path):
 
 def test_sweep_records_a_failed_limit_solve_and_runs_the_rest(tmp_path, capsys):
     # at omega 0.96 the limit state is too wide for the pinned extent 12:
-    # GridTooSmall escaped, so 0.5 never ran and no sweep.csv was written
+    # GridTooSmall escaped, so 0.5 never ran and no sweep.csv was written;
+    # once it ran on, sweep.csv held no row for 0.96
     raw = dict(BASE, omegas=[0.3, 0.96, 0.5], grid={"extent": 12.0, "n": 2401})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
@@ -396,7 +397,10 @@ def test_sweep_records_a_failed_limit_solve_and_runs_the_rest(tmp_path, capsys):
     assert failed["blocks"] == []
     assert all("error" not in reports[om]["limit"] for om in (0.3, 0.5))
     rows = (out / "sweep.csv").read_text().strip().splitlines()
-    assert [r.split(",")[:2] for r in rows[1:]] == [["0.3", "0.1"], ["0.5", "0.1"]]
+    assert rows[0].endswith(",gss_verdict,error")
+    assert [r.split(",")[:2] for r in rows[1:]] == [["0.3", "0.1"], ["0.96", ""], ["0.5", "0.1"]]
+    assert rows[2] == "0.96,,,,not-computed,GridTooSmall"
+    assert rows[1].endswith(",")
     # analyze at the failing omega writes its report too
     single = tmp_path / "one.json"
     single.write_text(json.dumps(dict(BASE, omega=0.96, grid=raw["grid"])))
@@ -428,6 +432,8 @@ def test_sidecar_records_dynamics_timing(tmp_path, command):
     meta = json.loads((out / f"{name}.meta.json").read_text())
     assert meta["command"] == command
     timings = meta["dynamics"]
+    # sweep sidecars had no runtime_s
+    assert meta["runtime_s"] >= sum(t["evolve_s"] for t in timings)
     assert [t["epsilon"] for t in timings] == [0.1, 0.05]
     for block, t in zip(report["blocks"], timings):
         assert t["steps"] == block["dynamics"]["steps"] > 0
@@ -449,12 +455,58 @@ def test_dynamics_only_scenario_solves_no_scenario_limit_state(monkeypatch):
         "solve_limit_ground_state",
         lambda z0, p, grid, **kw: solved.append(grid) or solve(z0, p, grid, **kw),
     )
-    report, code = run_scenario(parse_scenario_dict(raw))
+    report, code, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     # one limit state per dynamics run, on its own grid, and none reported
     assert [g.n for g in solved] == [801, 801]
     assert "limit" not in report
     assert all(b["dynamics"]["steps"] > 0 for b in report["blocks"])
+
+
+def test_report_is_plain_data():
+    # the dynamics route passed its TrajectoryRecord and timing through
+    # "_"-keys of the report, which json.dumps could not serialize
+    raw = dict(BASE, epsilons=[0.1, 0.05])
+    raw["analyses"] = dict(BASE["analyses"], dynamics=True)
+    raw["dynamics"] = {"T_over_epsilon": 0.5, "grid": {"extent": 40.0, "n": 801}}
+    result = run_scenario(parse_scenario_dict(raw))
+    report = result[0]
+    json.dumps(report, allow_nan=False)
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from keys(value)
+
+    assert not [k for k in keys(report) if k.startswith("_")]
+    _, code, runs = result
+    assert code == 0
+    assert [timing["epsilon"] for _, timing in runs] == [0.1, 0.05]
+    for block, (record, timing) in zip(report["blocks"], runs):
+        assert block["dynamics"]["steps"] == record.steps == timing["steps"] > 0
+
+
+def test_epsilons_that_name_one_trajectory_file_are_a_config_error(tmp_path, capsys):
+    # 0.2 and 0.2000001 both ran, and the second wrote over the first's
+    # trajectory_eps_0.2.csv
+    raw = dict(BASE, epsilons=[0.2, 0.2000001], analyses={"dynamics": True})
+    raw["dynamics"] = {"T_over_epsilon": 0.5, "grid": {"extent": 40.0, "n": 801}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["evolve", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /epsilons/1:" in err
+    assert "writes trajectory_eps_0.2.csv, as /epsilons/0 does" in err
+    assert not out.exists()
+    # a repeated epsilon is one run, and without dynamics no file is written
+    assert parse_scenario_dict(dict(raw, epsilons=[0.2, 0.1, 0.2])).epsilons == (0.2, 0.1)
+    no_dynamics = dict(raw, analyses={"slope_asymptotic": True})
+    assert parse_scenario_dict(no_dynamics).epsilons == (0.2000001, 0.2)
 
 
 def test_sidecar_has_no_dynamics_entry_without_dynamics(tmp_path):
@@ -569,7 +621,7 @@ def test_capped_limit_grid_says_so(caplog):
     raw["potentials"] = {"W": [{"type": "quadratic", "matrix": [[-0.3, 0.0], [0.0, -0.3]]}]}
     del raw["grid"]
     with caplog.at_level(logging.WARNING, logger="kgstab"):
-        report, code = run_scenario(parse_scenario_dict(raw))
+        report, code, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     limit = report["limit"]
     assert (limit["geometry"], limit["n"], limit["h_requested"]) == ("radial", 4001, 0.01)
@@ -884,7 +936,7 @@ def test_unpinned_2d_dynamics_grid_is_an_error_entry():
             "analyses": {"dynamics": True},
         }
     )
-    report, code = run_scenario(cfg)
+    report, code, _ = run_scenario(cfg)
     assert code == 1
     err = report["blocks"][0]["dynamics"]["error"]
     assert err["type"] == "GridTooSmall"
