@@ -59,14 +59,28 @@ dynamics run, beside the plain-data report: the trajectory CSVs and the
 `.meta.json` sidecar (`runtime_s`, and per run its epsilon, steps,
 `evolve` seconds, steps per second and folded axes) come from it, so
 the report holds no timing and stays byte-reproducible.
+
+`sweep` runs its points in worker processes, one per CPU in the
+process's affinity mask and at most one per point; they are forked, so
+they inherit the imported modules, and only on Linux: elsewhere, and
+with one worker (`taskset -c 0 kgstab sweep ...`, a serial sweep whose
+calls a tracer in this process sees), the points run in-process. This
+process parses and checks every point, then writes each report and
+sidecar in omega order as results arrive; a sidecar records `workers`
+beside the point's own `runtime_s`. A point that raises stops the sweep
+as in-process: the reports before it are written and the points not yet
+started are cancelled. Up to `workers` points are in memory at once,
+and listing the most expensive omegas first shortens the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -764,6 +778,41 @@ def _cmd_run(args) -> int:
     return code
 
 
+def _timed_run(config: ScenarioConfig) -> tuple[dict, int, list, float]:
+    """One sweep point: run_scenario's (report, code, runs) and its wall time."""
+    t0 = time.perf_counter()
+    report, code, runs = run_scenario(config)
+    return report, code, runs, time.perf_counter() - t0
+
+
+def _sweep_workers(points: int) -> int:
+    """One worker per CPU in this process's affinity mask, at most one per
+    point; 1 (in-process) off Linux, where workers could not be forked."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), points)
+
+
+@contextlib.contextmanager
+def _point_map(workers: int):
+    """A map over sweep points that yields results in input order: the
+    builtin one in-process, or one over `workers` forked processes, which
+    inherit the imported modules. On exit, points not started are
+    cancelled."""
+    if workers == 1:
+        yield map
+        return
+    # imported only here, so analyze, evolve and a serial sweep never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.config)
     _expect(isinstance(raw, dict), "", "config root must be an object")
@@ -784,22 +833,25 @@ def _cmd_sweep(args) -> int:
         _apply_overrides(parse_scenario_dict(dict(raw, omega=float(om))), args) for om in omegas
     ]
     out_dir = Path(configs[0].out or "kgstab-out")
+    workers = _sweep_workers(len(configs))
     rows = []
     worst = 0
-    for om, name, config in zip(omegas, names, configs):
-        t0 = time.perf_counter()
-        report, code, runs = run_scenario(config)
-        meta = {"command": "sweep", "runtime_s": time.perf_counter() - t0}
-        worst = max(worst, code)
-        kio.write_report(report, out_dir / name, meta=_sidecar(runs, meta))
-        for block in report["blocks"]:
-            sl = block.get("slope", {})
-            verdict = block.get("gss_verdict", "not-computed")
-            rows.append([om, block["epsilon"], sl.get("slope_scaled"), sl.get("slope_sign"), verdict, None])
-        if not report["blocks"]:
-            failed = report.get("limit", report["assumptions"])
-            error = failed["error"]["type"] if "error" in failed else "assumptions"
-            rows.append([om, None, None, None, "not-computed", error])
+    # the points run in worker processes; this process writes every
+    # output, in omega order, as each point's result arrives
+    with _point_map(workers) as point_map:
+        results = point_map(_timed_run, configs)
+        for om, name, (report, code, runs, runtime_s) in zip(omegas, names, results):
+            meta = {"command": "sweep", "runtime_s": runtime_s, "workers": workers}
+            worst = max(worst, code)
+            kio.write_report(report, out_dir / name, meta=_sidecar(runs, meta))
+            for block in report["blocks"]:
+                sl = block.get("slope", {})
+                verdict = block.get("gss_verdict", "not-computed")
+                rows.append([om, block["epsilon"], sl.get("slope_scaled"), sl.get("slope_sign"), verdict, None])
+            if not report["blocks"]:
+                failed = report.get("limit", report["assumptions"])
+                error = failed["error"]["type"] if "error" in failed else "assumptions"
+                rows.append([om, None, None, None, "not-computed", error])
     header = ["omega", "epsilon", "slope_scaled", "slope_sign", "gss_verdict", "error"]
     kio.write_csv(out_dir / "sweep.csv", header, rows)
     print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")

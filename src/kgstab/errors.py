@@ -56,6 +56,11 @@ class SchemaError(KgError):
         self.path = path
         self.reason = message
 
+    def __reduce__(self):
+        # a sweep worker's error reaches the main process by pickle,
+        # which would call __init__ with self.args: one formatted message
+        return type(self), (self.path, self.reason)
+
 
 class ModeConflict(SchemaError):
     """Scenario supplies fields that contradict the declared mode."""

@@ -1,9 +1,11 @@
 import json
 import logging
 import os
+import pickle
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgstab
-from kgstab import elliptic
+from kgstab import cli, elliptic, errors
 from kgstab.cli import (
     _DYNAMICS_FIELDS,
     LIMIT_H,
@@ -443,6 +445,107 @@ def test_sidecar_records_dynamics_timing(tmp_path, command):
         assert t["folded_axes"] == [0]
         assert not {"evolve_s", "steps_per_s", "folded_axes", "_timing"} & set(block["dynamics"])
     assert "_dynamics_timings" not in report
+
+
+def sweep_into(tmp_path, monkeypatch, cpus, omegas):
+    """`kgstab sweep` of BASE over `omegas` with `cpus` CPUs in the
+    affinity mask; (exit code, output directory)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(dict(BASE, omegas=omegas)))
+    out = tmp_path / f"cpus{cpus}"
+    return main(["sweep", str(path), "--out", str(out)]), out
+
+
+forks_workers = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="sweep workers are forked on Linux only"
+)
+
+
+@forks_workers
+def test_sweep_in_workers_writes_what_the_in_process_sweep_writes(tmp_path, monkeypatch):
+    omegas = [0.95, 0.5, 0.3]
+    run_scenario = cli.run_scenario
+
+    def slowest_first(config):  # forked workers inherit the patch
+        if config.params.omega == omegas[0]:
+            time.sleep(0.3)
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", slowest_first)
+    (serial_code, serial), (pooled_code, pooled) = (
+        sweep_into(tmp_path, monkeypatch, cpus, omegas) for cpus in (1, 2)
+    )
+    assert serial_code == pooled_code == 0
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in pooled.iterdir())
+    assert len(names) == 7
+    for name in names:
+        if name.endswith(".meta.json"):
+            meta, pooled_meta = (json.loads((d / name).read_text()) for d in (serial, pooled))
+            assert meta.keys() == pooled_meta.keys()
+            assert (meta["workers"], pooled_meta["workers"]) == (1, 2)
+        else:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    metas = [json.loads((pooled / f"report_omega_{om:g}.meta.json").read_text()) for om in omegas]
+    # each point's own time, not the wait for it
+    assert metas[0]["runtime_s"] >= 0.3 > metas[1]["runtime_s"]
+    # the first point finished last, yet the writes follow omega order
+    written = [meta["written_at"] for meta in metas]
+    assert written == sorted(written)
+
+
+@forks_workers
+def test_a_failed_point_fails_the_sweep_as_in_process(tmp_path, monkeypatch, capsys):
+    run_scenario = cli.run_scenario
+
+    def stalls_at_half(config):
+        if config.params.omega == 0.5:
+            raise NoConvergence("stalled", residual=1e-3, iterations=7)
+        return run_scenario(config)
+
+    monkeypatch.setattr(cli, "run_scenario", stalls_at_half)
+    seen = []
+    for cpus in (1, 2):
+        code, out = sweep_into(tmp_path, monkeypatch, cpus, [0.3, 0.5, 0.9])
+        seen.append((code, capsys.readouterr().err, sorted(p.name for p in out.iterdir())))
+    # the reports before the failed point are written, nothing after it
+    written = ["report_omega_0.3.json", "report_omega_0.3.meta.json"]
+    assert seen == [(1, "NoConvergence: stalled\n", written)] * 2
+
+
+@pytest.mark.parametrize(
+    "platform, omegas", [("linux", [0.9]), ("darwin", [0.9, 0.5])], ids=["one-point", "not-linux"]
+)
+def test_sweep_in_process_starts_no_process(tmp_path, monkeypatch, platform, omegas):
+    def fork():
+        raise AssertionError("sweep started a process")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(sys, "platform", platform)
+    code, out = sweep_into(tmp_path, monkeypatch, 2, omegas)
+    assert code == 0
+    for om in omegas:
+        assert json.loads((out / f"report_omega_{om:g}.meta.json").read_text())["workers"] == 1
+
+
+def test_errors_survive_a_pickle_round_trip():
+    # a sweep worker's error reaches the parent by pickle; SchemaError
+    # and ModeConflict did not rebuild from their one formatted message
+    kinds = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.KgError)]
+    assert {NoConvergence, SchemaError, ModeConflict} < set(kinds)
+    for kind in kinds:
+        if issubclass(kind, SchemaError):
+            exc = kind("/grid/n", "expected an integer")
+        elif kind is NoConvergence:
+            exc = kind("stalled", residual=1e-3, iterations=7)
+        else:
+            exc = kind("failed")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is kind
+        assert str(back) == str(exc)
+        for attr in ("path", "reason", "residual", "iterations"):
+            assert getattr(back, attr, None) == getattr(exc, attr, None)
 
 
 def test_dynamics_only_scenario_solves_no_scenario_limit_state(monkeypatch):
