@@ -48,27 +48,31 @@ without aborting the rest; a failed limit solve is recorded as the
 report's "limit", with no blocks, and a sweep runs its remaining points.
 `python -m kgstab` runs `main`.
 
-Subcommands: analyze, evolve (dynamics only), sweep (requires a top
-level "omegas" list; every point is parsed before the first runs, and
-one with no blocks gets a `sweep.csv` row whose `error` names the failed
-stage), report (re-export a written report).  All read their file
-through one loader, so invalid JSON is a config error at "/".  The
-physics verdict never sets the exit status; only computational failure
-does.  `run_scenario` returns `runs`, a (trajectory, timing) pair per
-dynamics run, beside the plain-data report: the trajectory CSVs and the
+Subcommands: analyze, evolve (dynamics only) and sweep (requires a top
+level "omegas" list and takes no "omega"; every point is parsed before
+the first runs, and one with no blocks gets a `sweep.csv` row whose
+`error` names the failed stage).  All read their file through one
+loader, so invalid JSON is a config error at "/".  The physics verdict
+never sets the exit status; only computational failure does.
+`run_scenario` returns `runs`, a (trajectory, timing) pair per dynamics
+run, beside the plain-data report: the trajectory CSVs and the
 `.meta.json` sidecar (`runtime_s`, and per run its epsilon, steps,
 `evolve` seconds, steps per second and folded axes) come from it, so
-the report holds no timing and stays byte-reproducible.
+the report holds no timing and stays byte-reproducible.  One writer,
+`_write_outputs`, writes every scenario run: the report and sidecar,
+the slope and shift convergence CSVs and the trajectory CSVs, their
+names suffixed `_omega_{om:g}` in a sweep.
 
 `sweep` runs its points in worker processes, one per CPU in the
 process's affinity mask and at most one per point; they are forked, so
 they inherit the imported modules, and only on Linux: elsewhere, and
 with one worker (`taskset -c 0 kgstab sweep ...`, a serial sweep whose
 calls a tracer in this process sees), the points run in-process. This
-process parses and checks every point, then writes each report and
-sidecar in omega order as results arrive; a sidecar records `workers`
-beside the point's own `runtime_s`. A point that raises stops the sweep
-as in-process: the reports before it are written and the points not yet
+process parses and checks every point, then writes each point's files
+in omega order as results arrive, the same files `analyze` writes for
+that omega; a sidecar records `workers` beside the point's own
+`runtime_s`. A point that raises stops the sweep as in-process: the
+files of the points before it are written and the points not yet
 started are cancelled. Up to `workers` points are in memory at once,
 and listing the most expensive omegas first shortens the run.
 """
@@ -185,9 +189,9 @@ _DYNAMICS_FIELDS = {
 }
 
 
-def _trajectory_file(epsilon) -> str:
+def _trajectory_file(epsilon, suffix: str = "") -> str:
     """The CSV that the dynamics run at `epsilon` writes beside its report."""
-    return f"trajectory_eps_{epsilon:g}.csv"
+    return f"trajectory{suffix}_eps_{epsilon:g}.csv"
 
 
 def _expect(cond: bool, ptr: str, msg: str) -> None:
@@ -713,13 +717,21 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
 # front end
 
 
-def _write_convergence_csvs(out: Path, conv: dict) -> None:
-    """slope_convergence.csv (numeric beside asymptotic scaled slopes) and
-    shift_convergence.csv (lambda_j / eps^2 beside the predicted c_j),
-    each written only when the report has rows for it."""
+def _write_outputs(report: dict, runs: list, out_dir, meta: dict, suffix: str = "") -> None:
+    """Write one scenario run into `out_dir`: report{suffix}.json with its
+    `.meta.json` sidecar (meta plus each dynamics run's timing),
+    slope_convergence{suffix}.csv (numeric beside asymptotic scaled
+    slopes) and shift_convergence{suffix}.csv (lambda_j / eps^2 beside the
+    predicted c_j), each only when the report has rows for it, and the
+    trajectory CSV of each dynamics run."""
+    out = Path(out_dir)
+    if runs:
+        meta = dict(meta, dynamics=[timing for _, timing in runs])
+    kio.write_report(report, out / f"report{suffix}.json", meta=meta)
+    conv = report.get("convergence", {})
     if conv.get("slope_scaled"):
         kio.write_csv(
-            out / "slope_convergence.csv",
+            out / f"slope_convergence{suffix}.csv",
             ["epsilon", "slope_scaled_numeric", "slope_scaled_asymptotic"],
             conv["slope_scaled"],
         )
@@ -731,20 +743,9 @@ def _write_convergence_csvs(out: Path, conv: dict) -> None:
             + [f"lambda{j + 1}_over_eps2" for j in range(npred)]
             + [f"c{j + 1}" for j in range(npred)]
         )
-        kio.write_csv(out / "shift_convergence.csv", header, rows)
-
-
-def _sidecar(runs: list, meta: dict) -> dict:
-    """meta plus each dynamics run's steps, evolve_s, steps_per_s and folded_axes."""
-    return dict(meta, dynamics=[timing for _, timing in runs]) if runs else meta
-
-
-def _write_outputs(report: dict, runs: list, out_dir: str, meta: dict) -> None:
-    out = Path(out_dir)
-    kio.write_report(report, out / "report.json", meta=_sidecar(runs, meta))
-    _write_convergence_csvs(out, report.get("convergence", {}))
+        kio.write_csv(out / f"shift_convergence{suffix}.csv", header, rows)
     for record, timing in runs:
-        kio.trajectory_to_csv(record, out / _trajectory_file(timing["epsilon"]))
+        kio.trajectory_to_csv(record, out / _trajectory_file(timing["epsilon"], suffix))
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -771,8 +772,10 @@ def _cmd_run(args) -> int:
     _write_outputs(report, runs, config.out or "kgstab-out", meta)
     if evolve:
         for block in report["blocks"]:
-            d = block.get("dynamics", {})
-            print(f"epsilon {block['epsilon']:g}: {d.get('verdict', d.get('error'))}")
+            d = block["dynamics"]
+            err = d.get("error")
+            status = f"{err['type']}: {err['message']}" if err else d["verdict"]
+            print(f"epsilon {block['epsilon']:g}: {status}")
     else:
         print(f"verdict: {report.get('verdict', {}).get('overall', 'n/a')}")
     return code
@@ -816,6 +819,7 @@ def _point_map(workers: int):
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.config)
     _expect(isinstance(raw, dict), "", "config root must be an object")
+    _expect("omega" not in raw, "/omega", "sweep takes its omegas from /omegas")
     omegas = raw.pop("omegas", None)
     nonempty = isinstance(omegas, list) and len(omegas) > 0
     _expect(nonempty, "/omegas", "sweep needs a nonempty omegas array")
@@ -840,10 +844,10 @@ def _cmd_sweep(args) -> int:
     # output, in omega order, as each point's result arrives
     with _point_map(workers) as point_map:
         results = point_map(_timed_run, configs)
-        for om, name, (report, code, runs, runtime_s) in zip(omegas, names, results):
+        for om, (report, code, runs, runtime_s) in zip(omegas, results):
             meta = {"command": "sweep", "runtime_s": runtime_s, "workers": workers}
             worst = max(worst, code)
-            kio.write_report(report, out_dir / name, meta=_sidecar(runs, meta))
+            _write_outputs(report, runs, out_dir, meta, f"_omega_{om:g}")
             for block in report["blocks"]:
                 sl = block.get("slope", {})
                 verdict = block.get("gss_verdict", "not-computed")
@@ -856,19 +860,6 @@ def _cmd_sweep(args) -> int:
     kio.write_csv(out_dir / "sweep.csv", header, rows)
     print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
     return worst
-
-
-def _cmd_report(args) -> int:
-    report = _load_json(args.report)
-    _expect(isinstance(report, dict), "", "report root must be an object")
-    if args.format == "json":
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    out = Path(args.out or ".")
-    _write_convergence_csvs(out, report.get("convergence", {}))
-    print(f"csv tables -> {out}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -897,12 +888,6 @@ def main(argv=None) -> int:
     ps.add_argument("config")
     common(ps)
     ps.set_defaults(func=_cmd_sweep)
-
-    pr = sub.add_parser("report", help="re-export a written report")
-    pr.add_argument("report")
-    pr.add_argument("--format", choices=("json", "csv"), default="json")
-    pr.add_argument("--out", help="output directory for csv")
-    pr.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
     try:

@@ -45,6 +45,8 @@ BASE = {
     "analyses": {"slope_numeric": True, "slope_asymptotic": True, "spectrum": True},
     "grid": {"geometry": "line", "extent": 40.0, "n": 2001},
 }
+# a sweep takes its omegas from "omegas", and a file that also sets "omega" is a config error
+SWEEP_BASE = {k: v for k, v in BASE.items() if k != "omega"}
 
 
 def cfg_file(tmp_path, overrides=None, drop=()):
@@ -288,19 +290,12 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "evolve", "report"])
+@pytest.mark.parametrize("command", ["analyze", "evolve"])
 def test_invalid_json_is_a_config_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main([command, str(bad)]) == 2
     assert "config error at /: invalid JSON" in capsys.readouterr().err
-
-
-def test_report_of_a_non_object_is_a_config_error(tmp_path, capsys):
-    bad = tmp_path / "report.json"
-    bad.write_text("[1, 2]")
-    assert main(["report", str(bad), "--format", "csv", "--out", str(tmp_path / "o")]) == 2
-    assert "config error at /: report root must be an object" in capsys.readouterr().err
 
 
 def test_evolve_subcommand(tmp_path, capsys):
@@ -338,6 +333,14 @@ def test_run_shorter_than_one_step_is_a_dynamics_error_entry(tmp_path):
     assert block["dynamics"]["error"]["type"] == "UnstableStep"
 
 
+def test_evolve_prints_an_error_entry_as_type_and_message(tmp_path, capsys):
+    # it printed the entry's dict repr:
+    # epsilon 0: {'type': 'SkippedError', 'message': 'dynamics needs epsilon > 0'}
+    cfg = cfg_file(tmp_path, {"epsilons": [0], "analyses": {"dynamics": True}})
+    assert main(["evolve", str(cfg), "--out", str(tmp_path / "dyn")]) == 1
+    assert capsys.readouterr().out == "epsilon 0: SkippedError: dynamics needs epsilon > 0\n"
+
+
 def test_evolve_on_a_pinned_2d_box(tmp_path, capsys):
     # the limit state on a pinned box was seeded from the 1d axis: IndexError
     path = tmp_path / "scenario.json"
@@ -370,7 +373,7 @@ def test_evolve_on_a_pinned_2d_box(tmp_path, capsys):
 
 
 def test_sweep_subcommand(tmp_path):
-    raw = json.loads(json.dumps(BASE))
+    raw = json.loads(json.dumps(SWEEP_BASE))
     raw["omegas"] = [0.9, 0.3]
     raw["analyses"] = {"slope_numeric": True, "slope_asymptotic": True}
     path = tmp_path / "sweep.json"
@@ -388,7 +391,7 @@ def test_sweep_records_a_failed_limit_solve_and_runs_the_rest(tmp_path, capsys):
     # at omega 0.96 the limit state is too wide for the pinned extent 12:
     # GridTooSmall escaped, so 0.5 never ran and no sweep.csv was written;
     # once it ran on, sweep.csv held no row for 0.96
-    raw = dict(BASE, omegas=[0.3, 0.96, 0.5], grid={"extent": 12.0, "n": 2401})
+    raw = dict(SWEEP_BASE, omegas=[0.3, 0.96, 0.5], grid={"extent": 12.0, "n": 2401})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "sw"
@@ -424,7 +427,7 @@ def test_sidecar_records_dynamics_timing(tmp_path, command):
         "grid": {"geometry": "line", "extent": 40.0, "n": 801},
     }
     if command == "sweep":
-        raw["omegas"] = [0.9]
+        raw["omegas"] = [raw.pop("omega")]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -447,12 +450,12 @@ def test_sidecar_records_dynamics_timing(tmp_path, command):
     assert "_dynamics_timings" not in report
 
 
-def sweep_into(tmp_path, monkeypatch, cpus, omegas):
-    """`kgstab sweep` of BASE over `omegas` with `cpus` CPUs in the
-    affinity mask; (exit code, output directory)."""
+def sweep_into(tmp_path, monkeypatch, cpus, omegas, **overrides):
+    """`kgstab sweep` of SWEEP_BASE, with `overrides`, over `omegas` with `cpus`
+    CPUs in the affinity mask; (exit code, output directory)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(dict(BASE, omegas=omegas)))
+    path.write_text(json.dumps(dict(SWEEP_BASE, omegas=omegas, **overrides)))
     out = tmp_path / f"cpus{cpus}"
     return main(["sweep", str(path), "--out", str(out)]), out
 
@@ -479,7 +482,8 @@ def test_sweep_in_workers_writes_what_the_in_process_sweep_writes(tmp_path, monk
     assert serial_code == pooled_code == 0
     names = sorted(p.name for p in serial.iterdir())
     assert names == sorted(p.name for p in pooled.iterdir())
-    assert len(names) == 7
+    # per omega its report, sidecar and two convergence tables, and sweep.csv
+    assert len(names) == 13
     for name in names:
         if name.endswith(".meta.json"):
             meta, pooled_meta = (json.loads((d / name).read_text()) for d in (serial, pooled))
@@ -509,9 +513,47 @@ def test_a_failed_point_fails_the_sweep_as_in_process(tmp_path, monkeypatch, cap
     for cpus in (1, 2):
         code, out = sweep_into(tmp_path, monkeypatch, cpus, [0.3, 0.5, 0.9])
         seen.append((code, capsys.readouterr().err, sorted(p.name for p in out.iterdir())))
-    # the reports before the failed point are written, nothing after it
-    written = ["report_omega_0.3.json", "report_omega_0.3.meta.json"]
+    # the files of the points before the failed one are written, nothing after it
+    written = [
+        "report_omega_0.3.json",
+        "report_omega_0.3.meta.json",
+        "shift_convergence_omega_0.3.csv",
+        "slope_convergence_omega_0.3.csv",
+    ]
     assert seen == [(1, "NoConvergence: stalled\n", written)] * 2
+
+
+@forks_workers
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_sweep_point_writes_what_analyze_writes(tmp_path, monkeypatch, cpus):
+    # a sweep point wrote only its report: its convergence tables and
+    # trajectories were computed and dropped
+    overrides = {
+        "analyses": dict(BASE["analyses"], dynamics=True),
+        "dynamics": {"T_over_epsilon": 0.5, "grid": {"extent": 40.0, "n": 801}},
+    }
+    omegas = [0.9, 0.8]
+    code, swept = sweep_into(tmp_path, monkeypatch, cpus, omegas, **overrides)
+    assert code == 0
+    written = ["sweep.csv"]
+    for om in omegas:
+        path = tmp_path / f"analyze{om:g}.json"
+        path.write_text(json.dumps(dict(BASE, omega=om, **overrides)))
+        out = tmp_path / f"analyze{om:g}"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        sfx = f"_omega_{om:g}"
+        # analyze's file -> the sweep's file for this omega
+        names = {
+            "report.json": f"report{sfx}.json",
+            "slope_convergence.csv": f"slope_convergence{sfx}.csv",
+            "shift_convergence.csv": f"shift_convergence{sfx}.csv",
+            "trajectory_eps_0.1.csv": f"trajectory{sfx}_eps_0.1.csv",
+        }
+        assert sorted(p.name for p in out.iterdir()) == sorted([*names, "report.meta.json"])
+        for name, swept_name in names.items():
+            assert (swept / swept_name).read_bytes() == (out / name).read_bytes(), swept_name
+        written += [*names.values(), f"report{sfx}.meta.json"]
+    assert sorted(p.name for p in swept.iterdir()) == sorted(written)
 
 
 @pytest.mark.parametrize(
@@ -618,16 +660,6 @@ def test_sidecar_has_no_dynamics_entry_without_dynamics(tmp_path):
     assert "dynamics" not in json.loads((out / "report.meta.json").read_text())
 
 
-def test_report_subcommand_json(tmp_path, capsys):
-    out = tmp_path / "out"
-    main(["analyze", str(cfg_file(tmp_path)), "--out", str(out)])
-    capsys.readouterr()
-    rc = main(["report", str(out / "report.json")])
-    assert rc == 0
-    parsed = json.loads(capsys.readouterr().out)
-    assert parsed["verdict"]["overall"] == "stable"
-
-
 def test_tol_and_seed_overrides(tmp_path):
     cfg = parse_scenario(
         cfg_file(
@@ -696,7 +728,8 @@ def test_non_finite_number_is_a_config_error(
     # json.load reads NaN, Infinity and 1e400 as floats, and these used to
     # crash with a traceback or run to exit 0 or 1 on meaningless numbers
     monkeypatch.chdir(tmp_path)
-    Path("scenario.json").write_text(json.dumps(dict(BASE, **overrides)))
+    base = SWEEP_BASE if command == "sweep" else BASE
+    Path("scenario.json").write_text(json.dumps(dict(base, **overrides)))
     assert main([command, "scenario.json", "--out", "out", *argv]) == 2
     assert f"config error at {pointer}:" in capsys.readouterr().err
     assert os.listdir() == ["scenario.json"]
@@ -1051,12 +1084,16 @@ def test_unpinned_2d_dynamics_grid_is_an_error_entry():
     [
         ("{not json", "/"),
         ("[1, 2]", "/"),
-        (json.dumps(dict(BASE, omegas=[0.9], out=5)), "/out"),
-        (json.dumps(dict(BASE, omegas=[0.9, "x"])), "/omegas/1"),
-        (json.dumps(dict(BASE, omegas=[])), "/omegas"),
-        (json.dumps(dict(BASE, omegas=[0.9, 0.3], grid={"extent": 1.0, "n": 2001, "m": 4})), "/grid/m"),
+        (json.dumps(dict(SWEEP_BASE, omegas=[0.9], out=5)), "/out"),
+        (json.dumps(dict(SWEEP_BASE, omegas=[0.9, "x"])), "/omegas/1"),
+        (json.dumps(dict(SWEEP_BASE, omegas=[])), "/omegas"),
+        (json.dumps(dict(SWEEP_BASE, omegas=[0.9, 0.3], grid={"extent": 1.0, "n": 2001, "m": 4})), "/grid/m"),
         # both would write report_omega_0.9.json
-        (json.dumps(dict(BASE, omegas=[0.9, 0.3, 0.9000001])), "/omegas/2"),
+        (json.dumps(dict(SWEEP_BASE, omegas=[0.9, 0.3, 0.9000001])), "/omegas/2"),
+        # unlike a repeated epsilon, a repeated omega is not one point
+        (json.dumps(dict(SWEEP_BASE, omegas=[0.9, 0.9])), "/omegas/1"),
+        # "omega" was overwritten by each of the omegas without a word
+        (json.dumps(dict(BASE, omegas=[0.9, 0.8])), "/omega"),
     ],
     ids=[
         "invalid-json",
@@ -1066,6 +1103,8 @@ def test_unpinned_2d_dynamics_grid_is_an_error_entry():
         "no-omegas",
         "unknown-grid-key",
         "report-name-collision",
+        "repeated-omega",
+        "omega-beside-omegas",
     ],
 )
 def test_sweep_config_errors(tmp_path, monkeypatch, capsys, text, pointer):
