@@ -64,10 +64,12 @@ the slope and shift convergence CSVs and the trajectory CSVs, their
 names suffixed `_omega_{om:g}` in a sweep.
 
 `sweep` runs its points in worker processes, one per CPU in the
-process's affinity mask and at most one per point; they are forked, so
-they inherit the imported modules, and only on Linux: elsewhere, and
-with one worker (`taskset -c 0 kgstab sweep ...`, a serial sweep whose
-calls a tracer in this process sees), the points run in-process. This
+process's affinity mask and at most one per point, through the pool
+helper of `kgstab.workers`, which the box spectrum's parity blocks share;
+they are forked, so they inherit the imported modules, and only on
+Linux: elsewhere, and with one worker (`taskset -c 0 kgstab sweep ...`,
+a serial sweep whose calls a tracer in this process sees), the points
+run in-process. A sweep worker solves its box blocks in-process. This
 process parses and checks every point, then writes each point's files
 in omega order as results arrive, the same files `analyze` writes for
 that omega; a sidecar records `workers` beside the point's own
@@ -80,11 +82,9 @@ and listing the most expensive omegas first shortens the run.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -111,6 +111,7 @@ from .potentials import (
     find_critical_point,
     resolve_potentials,
 )
+from .workers import worker_count, worker_map
 
 ANALYSES = ("slope_numeric", "slope_asymptotic", "spectrum", "dynamics")
 
@@ -788,34 +789,6 @@ def _timed_run(config: ScenarioConfig) -> tuple[dict, int, list, float]:
     return report, code, runs, time.perf_counter() - t0
 
 
-def _sweep_workers(points: int) -> int:
-    """One worker per CPU in this process's affinity mask, at most one per
-    point; 1 (in-process) off Linux, where workers could not be forked."""
-    if not sys.platform.startswith("linux"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), points)
-
-
-@contextlib.contextmanager
-def _point_map(workers: int):
-    """A map over sweep points that yields results in input order: the
-    builtin one in-process, or one over `workers` forked processes, which
-    inherit the imported modules. On exit, points not started are
-    cancelled."""
-    if workers == 1:
-        yield map
-        return
-    # imported only here, so analyze, evolve and a serial sweep never load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _cmd_sweep(args) -> int:
     raw = _load_json(args.config)
     _expect(isinstance(raw, dict), "", "config root must be an object")
@@ -837,12 +810,12 @@ def _cmd_sweep(args) -> int:
         _apply_overrides(parse_scenario_dict(dict(raw, omega=float(om))), args) for om in omegas
     ]
     out_dir = Path(configs[0].out or "kgstab-out")
-    workers = _sweep_workers(len(configs))
+    workers = worker_count(len(configs))
     rows = []
     worst = 0
     # the points run in worker processes; this process writes every
     # output, in omega order, as each point's result arrives
-    with _point_map(workers) as point_map:
+    with worker_map(workers) as point_map:
         results = point_map(_timed_run, configs)
         for om, (report, code, runs, runtime_s) in zip(omegas, results):
             meta = {"command": "sweep", "runtime_s": runtime_s, "workers": workers}

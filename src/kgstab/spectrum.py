@@ -28,10 +28,18 @@ eigenvalues by Sylvester's law of inertia, and the same factorization
 drives shift-invert Lanczos at zero for the eigenvalues around the zero
 cluster.  A second, short shift-invert below the spectrum runs only for
 the deep negative eigenvalues that the first one does not reach.  The
-blocks' eigenvalues then merge.  Lanczos stops at the residual bound
-`LANCZOS_RTOL`, not at machine precision: a Ritz value's error is at most
-the square of its residual over its gap (Kato-Temple; Parlett), so the
-eigenvalues are as exact as the factorization allows.
+blocks do not depend on each other: they run in forked worker
+processes (`workers.worker_map`), one per CPU in the affinity mask and
+at most one per block, each with scipy's bundled OpenBLAS (the BLAS
+under SuperLU and ARPACK) set to one thread, so that the workers do not
+oversubscribe the cores.  A run stays in-process, one block after
+another, for a single block, on one CPU (`taskset -c 0`), off Linux,
+inside a worker (a sweep point) and where no scipy OpenBLAS thread
+setter is found.  The blocks' eigenvalues then merge.  Lanczos stops
+at the residual bound `LANCZOS_RTOL`, not at machine precision: a Ritz
+value's error is at most the square of its residual over its gap
+(Kato-Temple; Parlett), so the eigenvalues are as exact as the
+factorization allows.
 
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
@@ -61,7 +69,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from . import elliptic, grids
+from . import elliptic, grids, workers
 from .elliptic import LinearizedOperator, Profile, assemble_L
 from .errors import EigSolverFailure
 from .potentials import EffectiveZ, PotentialPair, ProblemParams
@@ -101,7 +109,11 @@ def eig_low(blocks, k: int) -> np.ndarray:
     which splits the matrix there and bisects k eigenvalues in all; at
     most one fewer than the unknowns.  On a box grid each block's
     spectrum is sliced at zero by inertia (`_eig_box`), and the results
-    merge.
+    merge.  The box blocks run in forked workers, one per CPU and at most
+    one per block, each with scipy's OpenBLAS at one thread; they run
+    in-process where `workers.worker_count` gives one worker or no scipy
+    OpenBLAS thread setter is found.  This process writes each block's
+    DEBUG lines, in block order, after the last block returns.
     """
     if blocks[0].grid.geometry == "line":
         bands = [b.bands() for b in blocks]
@@ -110,12 +122,25 @@ def eig_low(blocks, k: int) -> np.ndarray:
         k = min(k, main.size - 1)
         vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
         return np.asarray(vals)
-    return np.sort(np.concatenate([_eig_box(b, k) for b in blocks]))[:k]
+    n_workers = workers.worker_count(len(blocks))
+    setter = workers.scipy_openblas_setter() if n_workers > 1 else None
+    if setter is None:
+        n_workers = 1
+    log.debug("eig_low pool: %d parity blocks in %d workers", len(blocks), n_workers)
+    with workers.worker_map(n_workers, setter, (1,)) as block_map:
+        results = list(block_map(_eig_box, blocks, [k] * len(blocks)))
+    pivots = "eig_low: parity %s, %d unknowns, %d negative pivots"
+    done = "eig_low done: parity %s, %d shift-invert solves, %d Lanczos runs"
+    for op, (_, n_neg, solves, runs) in zip(blocks, results):
+        log.debug(pivots, op.parity, op.diagonal.size, n_neg)
+        log.debug(done, op.parity, solves, runs)
+    return np.sort(np.concatenate([vals for vals, *_ in results]))[:k]
 
 
-def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of one box-grid block, ascending; at
-    most one fewer than its unknowns.
+def _eig_box(op: LinearizedOperator, k: int) -> tuple:
+    """(the k smallest eigenvalues of one box-grid block, ascending, at
+    most one fewer than its unknowns; its negative pivots; its
+    shift-invert solves; its Lanczos runs).
 
     1. a symmetric-mode LDL^T of the block (no off-diagonal pivoting, so
        perm_r == perm_c) counts the negative eigenvalues exactly, as the
@@ -131,10 +156,10 @@ def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
     lacks are the lowest ones.  Both Lanczos runs stop at the residual
     bound `LANCZOS_RTOL` |theta|, which leaves an eigenvalue off by less
     than 1e-15 relative wherever its gap exceeds 1e-3 |theta| (see the
-    constant).  One DEBUG line per block gives its shift-invert solves
-    and Lanczos runs.  A failed factorization, a pivoted one, or a result
-    whose negative count disagrees with the inertia raises
-    `EigSolverFailure`.
+    constant).  It logs nothing, as it may run in a worker, whose log
+    records never reach this process's handlers.  A failed
+    factorization, a pivoted one, or a result whose negative count
+    disagrees with the inertia raises `EigSolverFailure`.
     """
     n = op.diagonal.size
     k = min(k, n - 1)
@@ -145,7 +170,6 @@ def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigSolverFailure("LDL^T factorization pivoted off the diagonal: inertia unknown")
     n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    log.debug("eig_low: parity %s, %d unknowns, %d negative pivots", op.parity, n, n_neg)
     vals, solves = _shift_invert(a, k, 0.0, lu, v0)
     missing = n_neg - int(np.count_nonzero(vals < 0.0))
     if missing > 0:
@@ -154,15 +178,13 @@ def _eig_box(op: LinearizedOperator, k: int) -> np.ndarray:
         lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
         deep, deep_solves = _shift_invert(a, min(missing, k), sigma, lu, v0)
         vals, solves = np.concatenate([vals, deep]), solves + deep_solves
-    done = "eig_low done: parity %s, %d shift-invert solves, %d Lanczos runs"
-    log.debug(done, op.parity, solves, 1 + (missing > 0))
     vals = np.sort(vals)[:k]
     found = int(np.count_nonzero(vals < 0.0))
     if found != min(n_neg, k):
         raise EigSolverFailure(
             f"{found} negative eigenvalues among the lowest {k}, inertia counts {n_neg}"
         )
-    return vals
+    return vals, n_neg, solves, 1 + (missing > 0)
 
 
 def _factor(a):

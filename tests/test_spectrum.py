@@ -1,16 +1,22 @@
+import ctypes
+import glob
 import logging
+import multiprocessing
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy
 import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from kgstab import elliptic, spectrum
+from kgstab import elliptic, spectrum, workers
 from kgstab.elliptic import LinearizedOperator, continue_profile, solve_limit_ground_state
 from kgstab.errors import EigSolverFailure
 from kgstab.grids import Grid
@@ -239,7 +245,7 @@ def _singular(a, **options):
     raise RuntimeError("Factor is exactly singular")
 
 
-@pytest.mark.parametrize(
+FAILING_FACTORS = pytest.mark.parametrize(
     "factor",
     [
         _singular,
@@ -248,11 +254,119 @@ def _singular(a, **options):
     ],
     ids=["factorization-fails", "count-disagrees", "pivoted"],
 )
+
+
+@FAILING_FACTORS
 def test_eig_low_box_failures_raise(factor, monkeypatch):
     op = _box_operator(17, _well(4.0, 1.5))
     monkeypatch.setattr(elliptic, "splu", factor)
     with pytest.raises(EigSolverFailure):
         eig_low([op], 5)
+
+
+def _with_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _four_blocks():
+    """The four parity blocks of a small box operator even in both axes."""
+    op = _box_operator(25, _centred_well(3.0, 1.0))
+    return parity_blocks(op, (1, 1))
+
+
+def _pool_line(messages):
+    (line,) = [m for m in messages if m.startswith("eig_low pool:")]
+    return line
+
+
+forks_workers = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="block workers are forked on Linux only"
+)
+
+
+@forks_workers
+def test_blocks_in_workers_match_the_in_process_blocks(monkeypatch, caplog):
+    blocks = _four_blocks()
+    results = {}
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kgstab"):
+            results[cpus] = eig_low(blocks, 6)
+        pool = _pool_line([r.getMessage() for r in caplog.records])
+        assert pool == f"eig_low pool: 4 parity blocks in {cpus} workers"
+    # the in-process side keeps this process's BLAS threads: not bit-equal
+    np.testing.assert_allclose(results[2], results[1], rtol=1e-12, atol=0.0)
+    assert np.sum(results[2] < 0.0) == np.sum(results[1] < 0.0) > 0
+
+
+@forks_workers
+@FAILING_FACTORS
+def test_a_block_failure_in_a_worker_raises_as_in_process(factor, monkeypatch):
+    blocks = _four_blocks()
+    monkeypatch.setattr(elliptic, "splu", factor)  # forked workers inherit the patch
+    raised = []
+    for cpus in (1, 2):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(EigSolverFailure) as exc:
+            eig_low(blocks, 6)
+        raised.append((exc.type, str(exc.value)))
+    assert raised[0] == raised[1]
+
+
+def _scipy_blas_threads(op, k):
+    """In place of `_eig_box`: the threads of scipy's bundled OpenBLAS,
+    as the block's one eigenvalue."""
+    libdir = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    (lib,) = glob.glob(os.path.join(libdir, "*openblas*"))
+    handle = ctypes.CDLL(lib)
+    get = getattr(handle, "scipy_openblas_get_num_threads", None) or handle.openblas_get_num_threads
+    return np.array([float(get())]), 0, 0, 1
+
+
+@forks_workers
+def test_block_workers_run_scipy_openblas_at_one_thread(monkeypatch):
+    if workers.scipy_openblas_setter() is None:
+        pytest.skip("scipy bundles no OpenBLAS here")
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(spectrum, "_eig_box", _scipy_blas_threads)
+    assert eig_low(_four_blocks(), 4).tolist() == [1.0] * 4
+
+
+def _not_linux(monkeypatch):
+    monkeypatch.setattr(sys, "platform", "darwin")
+
+
+def _inside_a_worker(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+
+
+def _no_blas_setter(monkeypatch):
+    monkeypatch.setattr(workers, "scipy_openblas_setter", lambda: None)
+
+
+@pytest.mark.parametrize(
+    "blocks, patch",
+    [
+        pytest.param(1, lambda monkeypatch: None, id="one-block"),
+        pytest.param(4, _not_linux, id="not-linux"),
+        pytest.param(4, _inside_a_worker, id="inside-a-worker"),
+        pytest.param(4, _no_blas_setter, id="no-blas-setter"),
+    ],
+)
+def test_blocks_in_process_start_no_process(blocks, patch, monkeypatch, caplog):
+    def fork():
+        raise AssertionError("eig_low started a process")
+
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    patch(monkeypatch)
+    ops = _four_blocks()[:blocks]
+    with caplog.at_level(logging.DEBUG, logger="kgstab"):
+        vals = eig_low(ops, 6)
+    assert vals.size == 6
+    pool = _pool_line([r.getMessage() for r in caplog.records])
+    assert pool == f"eig_low pool: {blocks} parity blocks in 1 workers"
 
 
 class _CountingSolves:
@@ -406,12 +520,18 @@ def test_parity_blocks_split_the_spectrum(case, monkeypatch):
         assert len(eigsh_calls) == len(blocks) + second_shift
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1cpu", "2cpus"])
 @pytest.mark.parametrize(
     "matrix, folded",
     [(((0.3, 0.0), (0.0, -0.3)), [0, 1]), (((0.3, 0.1), (0.1, -0.3)), [])],
     ids=["diagonal-saddle", "coupled-saddle"],
 )
-def test_debug_log_names_the_folded_axes_and_the_blocks(matrix, folded, townes_coarse, caplog):
+def test_debug_log_names_the_folded_axes_and_the_blocks(
+    matrix, folded, cpus, townes_coarse, monkeypatch, caplog
+):
+    # the blocks' lines come from this process in block order, also when
+    # the blocks run in workers
+    _with_cpus(monkeypatch, cpus)
     with caplog.at_level(logging.DEBUG, logger="kgstab"):
         _saddle_spectrum(matrix, townes_coarse)
     messages = [r.getMessage() for r in caplog.records]
@@ -429,6 +549,9 @@ def test_debug_log_names_the_folded_axes_and_the_blocks(matrix, folded, townes_c
     done = _eig_low_done(messages)
     assert [parity for parity, _, _ in done] == [re.match(PIVOTS, m)[1] for m in pivots]
     assert all(solves > 0 and runs in (1, 2) for _, solves, runs in done)
+    n_workers = min(cpus, len(sizes)) if sys.platform.startswith("linux") else 1
+    pool = f"eig_low pool: {len(sizes)} parity blocks in {n_workers} workers"
+    assert _pool_line(messages) == pool
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="kgstab"):
         _saddle_spectrum(matrix, townes_coarse)
