@@ -69,7 +69,10 @@ helper of `kgstab.workers`, which the box spectrum's parity blocks share;
 they are forked, so they inherit the imported modules, and only on
 Linux: elsewhere, and with one worker (`taskset -c 0 kgstab sweep ...`,
 a serial sweep whose calls a tracer in this process sees), the points
-run in-process. A sweep worker solves its box blocks in-process. This
+run in-process. A sweep worker solves its box blocks in-process; where
+a point factors a box, each worker first sets scipy's bundled OpenBLAS
+to one thread, as the block workers do, so a box sweep writes the bytes
+of a serial one on any number of CPUs. This
 process parses and checks every point, then writes each point's files
 in omega order as results arrive, the same files `analyze` writes for
 that omega; a sidecar records `workers` beside the point's own
@@ -111,7 +114,7 @@ from .potentials import (
     find_critical_point,
     resolve_potentials,
 )
-from .workers import worker_count, worker_map
+from .workers import scipy_openblas_setter, worker_count, worker_map
 
 ANALYSES = ("slope_numeric", "slope_asymptotic", "spectrum", "dynamics")
 
@@ -782,6 +785,14 @@ def _cmd_run(args) -> int:
     return code
 
 
+def _factors_box(config: ScenarioConfig) -> bool:
+    """Whether a run of `config` factors box operators (SuperLU and ARPACK,
+    over scipy's OpenBLAS): a 2d or 3d scenario that reads L or R on its
+    box, or runs dynamics there."""
+    box_analyses = ("slope_numeric", "spectrum", "dynamics")
+    return config.params.dimension > 1 and any(a in config.analyses for a in box_analyses)
+
+
 def _timed_run(config: ScenarioConfig) -> tuple[dict, int, list, float]:
     """One sweep point: run_scenario's (report, code, runs) and its wall time."""
     t0 = time.perf_counter()
@@ -811,11 +822,16 @@ def _cmd_sweep(args) -> int:
     ]
     out_dir = Path(configs[0].out or "kgstab-out")
     workers = worker_count(len(configs))
+    # workers that factor boxes run scipy's OpenBLAS at one thread, as the
+    # box blocks' workers do: no oversubscribed cores, and the bytes of a
+    # serial sweep
+    box = workers > 1 and any(_factors_box(c) for c in configs)
+    setter = scipy_openblas_setter() if box else None
     rows = []
     worst = 0
     # the points run in worker processes; this process writes every
     # output, in omega order, as each point's result arrives
-    with worker_map(workers) as point_map:
+    with worker_map(workers, setter, (1,)) as point_map:
         results = point_map(_timed_run, configs)
         for om, (report, code, runs, runtime_s) in zip(omegas, results):
             meta = {"command": "sweep", "runtime_s": runtime_s, "workers": workers}

@@ -34,16 +34,18 @@ interior array, the same on line and box grids.
 The march runs on the mirror half of each axis in which the whole run
 is even: the coefficients kappa = m - W + V^2 and V and both initial
 fields, by the 1e-12 test of `elliptic.even_axes` (Bossavit's reduction,
-as in the elliptic solvers).  It keeps the nodes of `grids.kept_nodes`;
-the kick adds, per folded axis, the mirror ghost of the first kept node
-(the node itself on an even count of interior nodes, kept node 1 on an
-odd one), and samples extend the state to the full grid by
-`grids.fold_maps`, so the monitored quantities are those of the full
-grid.  The boundary flag tests the real walls only.  An exactly even run
-therefore stays in the even subspace: its odd modes are never excited,
-not even by roundoff.  A run meant to probe odd instabilities needs a
-perturbation that breaks the symmetry (`random-smooth`).  Runs even in
-no axis march the whole grid through the same code.
+as in the elliptic solvers).  It keeps the nodes of the run's
+`grids.fold`; the kick adds, per folded axis, the mirror ghost of the
+first kept node (the node itself on an even count of interior nodes,
+kept node 1 on an odd one).  The samples sum the full grid's energy,
+charge, residual and distance over the kept nodes, each weighted by its
+multiplicity (a `FieldState` with a `parity`); the state is extended to
+the full grid once, at the end of the run.  The boundary flag tests the
+real walls only.  An exactly even run therefore stays in the even
+subspace: its odd modes are never excited, not even by roundoff.  A run
+meant to probe odd instabilities needs a perturbation that breaks the
+symmetry (`random-smooth`).  Runs even in no axis march the whole grid
+through the same code.
 
 The orbital distance to the standing-wave orbit is the phase-minimized
 H1 distance, taken directly at the minimizing phase; the H1 inner
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -75,7 +78,13 @@ _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 
 @dataclass
 class FieldState:
-    """Field pair on the reference grid; physical positions are center + eps*y."""
+    """Field pair on the reference grid; physical positions are center + eps*y.
+
+    With `parity` None, u and v are full-grid fields. With an even parity
+    they hold the kept nodes of `grids.fold(grid, parity)`, as `evolve`
+    samples them, and `charge`, `energy` and `orbital_distance` sum over
+    those nodes the full grid's quantities.
+    """
 
     grid: Grid
     center: tuple
@@ -84,6 +93,7 @@ class FieldState:
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
+    parity: tuple | None = None
 
     def x_points(self) -> np.ndarray:
         return np.asarray(self.center) + self.epsilon * self.grid.points()
@@ -119,20 +129,47 @@ class TrajectoryRecord:
 # H1 geometry
 
 
-def _dirichlet_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
-    """sum conj(grad a) . grad b with forward differences, Dirichlet walls."""
+def _dirichlet_inner(grid: Grid, a: np.ndarray, b: np.ndarray, parity=None) -> complex:
+    """sum conj(grad a) . grad b with forward differences, Dirichlet walls.
+
+    a and b are full-grid fields or, with an even `parity`, fields on the
+    kept nodes of its fold. A difference along a folded axis then stands
+    for itself and its mirror image (the one across the plane of an even
+    field is zero), and every difference for the multiplicity of its nodes
+    along the other axes.
+    """
     acc = 0.0 + 0.0j
     scale = grid.h ** (grid.dimension - 2)
-    for axis in range(len(grid.shape)):
-        da = np.diff(a, axis=axis)
-        db = np.diff(b, axis=axis)
-        acc += scale * np.sum(np.conj(da) * db)
+    if parity is None:
+        for axis in range(len(grid.shape)):
+            da = np.diff(a, axis=axis)
+            db = np.diff(b, axis=axis)
+            acc += scale * np.sum(np.conj(da) * db)
+        return acc
+    masses = grids.fold(grid, parity).masses
+    shape = tuple(m.size for m in masses)
+    a, b = a.reshape(shape), b.reshape(shape)
+    for axis, s in enumerate(parity):
+        # the walls: the far one, and the near one of an unfolded axis
+        pad = [(0, 0)] * len(shape)
+        pad[axis] = (0 if s else 1, 1)
+        da = np.diff(np.pad(a, pad), axis=axis)
+        db = np.diff(np.pad(b, pad), axis=axis)
+        counts = list(masses)
+        counts[axis] = np.full(da.shape[axis], 2.0 if s else 1.0)
+        acc += scale * np.sum(reduce(np.multiply.outer, counts) * np.conj(da) * db)
     return acc
 
 
-def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> complex:
-    w = grid.weights()
-    return complex(np.sum(w * np.conj(a) * b) + _dirichlet_inner(grid, a, b))
+def _weights(grid: Grid, parity) -> np.ndarray:
+    """Quadrature weights of full-grid fields, or with an even `parity` of
+    fields on the kept nodes of its fold."""
+    return grid.weights() if parity is None else grids.fold(grid, parity).weights
+
+
+def h1_inner(grid: Grid, a: np.ndarray, b: np.ndarray, parity=None) -> complex:
+    w = _weights(grid, parity)
+    return complex(np.sum(w * np.conj(a) * b) + _dirichlet_inner(grid, a, b, parity))
 
 
 def h1_norm(grid: Grid, a: np.ndarray, epsilon: float) -> float:
@@ -147,10 +184,13 @@ def orbital_distance(state: FieldState, profile: Profile) -> float:
     cancels to roundoff below about 1e-8 ||phi||. Physical normalization
     (eps^N under the square root).
     """
-    g = state.grid
-    theta = np.angle(h1_inner(g, profile.values, state.u))
-    diff = state.u - np.exp(1j * theta) * profile.values
-    return float(np.sqrt(state.epsilon**g.dimension * h1_inner(g, diff, diff).real))
+    g, parity = state.grid, state.parity
+    phi = profile.values
+    if parity is not None:
+        phi = grids.extract_interior(g, phi)[grids.fold(g, parity).kept]
+    theta = np.angle(h1_inner(g, phi, state.u, parity))
+    diff = state.u - np.exp(1j * theta) * phi
+    return float(np.sqrt(state.epsilon**g.dimension * h1_inner(g, diff, diff, parity).real))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +252,7 @@ def init_perturbed_standing_wave(
         w = w * np.sqrt(pp / h1_inner(g, w, w).real)
         u0 = phi + pert.delta * w
     x = np.asarray(profile.center) + profile.epsilon * g.points()
-    v, _, _ = pair.V(x)
-    v0 = 1j * (params.omega + v) * u0
+    v0 = 1j * (params.omega + pair.V(x, derivatives=False)) * u0
     return FieldState(
         grid=g,
         center=profile.center,
@@ -230,7 +269,7 @@ def init_perturbed_standing_wave(
 
 
 def charge(state: FieldState) -> float:
-    w = state.grid.weights()
+    w = _weights(state.grid, state.parity)
     q = np.sum(w * np.imag(np.conj(state.u) * state.v))
     return float(state.epsilon**state.grid.dimension * q)
 
@@ -238,9 +277,9 @@ def charge(state: FieldState) -> float:
 def energy(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndarray) -> float:
     """The conserved energy; vv and ww hold V and W on the state's nodes."""
     g = state.grid
-    w = g.weights()
+    w = _weights(state.grid, state.parity)
     kin = 0.5 * np.sum(w * np.abs(state.v - 1j * vv * state.u) ** 2)
-    grad = 0.5 * _dirichlet_inner(g, state.u, state.u).real
+    grad = 0.5 * _dirichlet_inner(g, state.u, state.u, state.parity).real
     au = np.abs(state.u)
     pot = np.sum(
         w * (0.5 * (params.m - ww) * au**2 - au ** (params.p + 1.0) / (params.p + 1.0))
@@ -255,7 +294,7 @@ def energy(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndar
 def stable_dt(state: FieldState, params: ProblemParams, pair: PotentialPair) -> float:
     """The step bound 0.5 eps h / sqrt(1 + max|Z|) of the splitting."""
     x = state.x_points()
-    return _step_bound(state, params, pair.V(x)[0], pair.W(x)[0])
+    return _step_bound(state, params, pair.V(x, derivatives=False), pair.W(x, derivatives=False))
 
 
 def _step_bound(state: FieldState, params: ProblemParams, vv: np.ndarray, ww: np.ndarray) -> float:
@@ -321,8 +360,7 @@ def evolve(
     """
     g = state.grid
     x = state.x_points()
-    vv, _, _ = pair.V(x)
-    ww, _, _ = pair.W(x)
+    vv, ww = pair.V(x, derivatives=False), pair.W(x, derivatives=False)
     bound = _step_bound(state, params, vv, ww)
     if abs(dt) > bound * (1.0 + 1e-12):
         raise UnstableStep(f"dt = {abs(dt):.3e} above the splitting bound {bound:.3e}")
@@ -330,20 +368,19 @@ def evolve(
     if n_steps <= 0:
         raise UnstableStep(f"T = {T:.3e} and dt = {dt:.3e} round to no step")
 
-    w_int = grids.extract_interior(g, g.weights())
     v_int = grids.extract_interior(g, vv)
     kappa = grids.extract_interior(g, params.m - ww + vv**2)
     u = grids.extract_interior(g, state.u).astype(complex)
     v = grids.extract_interior(g, state.v).astype(complex)
 
     # march the kept nodes of each axis in which the whole run is even:
-    # the coefficients and both fields; from here on w_int carries each
-    # kept node's multiplicity
+    # the coefficients and both fields; w_int is each kept node's weight
+    # times its multiplicity
     parity = tuple(map(min, *(even_axes(g, f) for f in (kappa, v_int, u, v))))
-    kept = grids.kept_nodes(g, parity)
-    restrict, extend = grids.fold_maps(g, parity)
-    w_int = restrict(w_int)
+    fold = grids.fold(g, parity)
+    kept, w_int = fold.kept, fold.weights
     v_int, kappa, u, v = v_int[kept], kappa[kept], u[kept], v[kept]
+    ww_int = grids.extract_interior(g, ww)[kept]
     m = g.n - 2
     shape = tuple(m - m // 2 if s else m for s in parity)
     ring = _boundary_ring(shape, parity)
@@ -397,10 +434,6 @@ def evolve(
     tables = {w: _rotation_table(kappa, v_int, w * dt / eps) for w in set(weights)}
     substeps = [(0.5 * (w * dt / eps), tables[w]) for w in weights]
 
-    def write_back() -> None:
-        state.u = grids.insert_interior(g, extend(u))
-        state.v = grids.insert_interior(g, extend(v))
-
     epsn = eps**g.dimension
     peak0 = float(np.max(np.abs(u)))
     l2_0 = float(epsn * np.sum(w_int * np.abs(u) ** 2))
@@ -408,14 +441,15 @@ def evolve(
     times, e_ser, q_ser, d_ser, r_ser = [], [], [], [], []
 
     def sample() -> float:
-        write_back()
+        """Record the monitors, summed over the kept nodes."""
+        now = FieldState(g, state.center, eps, state.omega, u, v, state.t, parity)
         times.append(state.t)
-        e_ser.append(energy(state, params, vv, ww))
-        q_ser.append(charge(state))
+        e_ser.append(energy(now, params, v_int, ww_int))
+        q_ser.append(charge(now))
         r_ser.append(
             float(np.sqrt(epsn * np.sum(w_int * np.abs(v - 1j * (state.omega + v_int) * u) ** 2)))
         )
-        d = orbital_distance(state, profile) if profile is not None else 0.0
+        d = orbital_distance(now, profile) if profile is not None else 0.0
         d_ser.append(d)
         return d
 
@@ -463,7 +497,8 @@ def evolve(
             boundary_touched = True
             break
 
-    write_back()
+    state.u = grids.insert_interior(g, fold.extend(u))
+    state.v = grids.insert_interior(g, fold.extend(v))
     e_arr = np.asarray(e_ser)
     q_arr = np.asarray(q_ser)
     e_scale = max(abs(e_arr[0]), 1e-30)

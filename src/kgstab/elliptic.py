@@ -34,7 +34,7 @@ an even and an odd block there.
 
 Operators are kept in the form their grid makes cheapest (`_operator`).
 On line and radial grids -lap + diag is tridiagonal: it stays three
-bands (`grids.bands`), applied in O(n) and factored by LAPACK ?gttrf
+bands (`grids.Fold.bands`), applied in O(n) and factored by LAPACK ?gttrf
 (`factor_banded`), with no sparse matrix and no SuperLU. On box grids
 it is assembled as a sparse matrix, once per solve, and factored by a
 symmetric-mode SuperLU (`factor_ldl`).
@@ -43,7 +43,7 @@ symmetric-mode SuperLU (`factor_ldl`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
@@ -80,6 +80,8 @@ class Profile:
     center: tuple
     residual: float
     peak: tuple
+    # ((m, omega, pair), Z(center + epsilon y) on the interior nodes)
+    _z: tuple | None = field(default=None, init=False, repr=False)
 
     def mass(self) -> float:
         """L^2 norm squared over R^N (in y coordinates)."""
@@ -90,6 +92,16 @@ class Profile:
         """Physical x coordinates of the nodes, shape (*shape, N)."""
         pts = self.grid.points()
         return np.asarray(self.center) + self.epsilon * pts
+
+    def z_field(self, params: ProblemParams, pair: PotentialPair) -> np.ndarray:
+        """Z(center + epsilon y) on the interior nodes, for the m and omega
+        of `params`: evaluated once and kept with this profile, read-only.
+        The continuation and the omega re-solve leave the field they
+        solved at here, so L and R read it without evaluating Z again."""
+        key = _z_key(params, pair)
+        if self._z is None or self._z[0] != key:
+            self._z = (key, _z_on_grid(params, pair, self.grid, self.sample_points()))
+        return self._z[1]
 
 
 def sech_ground_state(c: float, p: float, y: np.ndarray) -> np.ndarray:
@@ -254,11 +266,17 @@ def solve_limit_ground_state(
 # semiclassical continuation
 
 
-def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, center, epsilon):
-    """Z(center + epsilon y) on the grid's interior nodes."""
-    x = np.asarray(center) + epsilon * grid.points()
-    z, _, _ = eval_Z(params, pair, x)
-    return grids.extract_interior(grid, z)
+def _z_key(params: ProblemParams, pair: PotentialPair) -> tuple:
+    """What Z depends on besides the points: m, omega and the potentials."""
+    return params.m, params.omega, pair
+
+
+def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, x: np.ndarray):
+    """Z at the nodes' points x, shape (*grid.shape, N), on the interior
+    nodes, value only and read-only."""
+    z = grids.extract_interior(grid, eval_Z(params, pair, x, derivatives=False))
+    z.flags.writeable = False
+    return z
 
 
 def even_axes(grid: Grid, z_int: np.ndarray):
@@ -322,8 +340,8 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     `factor(shift)` factors the operator less diag(shift), the operator
     itself when no shift is given, and raises `SingularOperator` where
     that is singular. Line and radial grids keep the operator as its
-    three `grids.bands`, applied in O(n) and factored by `factor_banded`;
-    box grids assemble the sparse matrix once and factor it by
+    three bands (`grids.Fold.bands`), applied in O(n) and factored by
+    `factor_banded`; box grids assemble the sparse matrix once and factor it by
     `factor_ldl`. `kind` names the factorization for the log.
     """
     if grid.geometry == "box":
@@ -336,7 +354,7 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
                 raise SingularOperator(f"sparse factorization failed: {exc}") from exc
 
         return a.__matmul__, factor_box, "LDL^T"
-    lower, main, upper = grids.bands(grid, parity)
+    lower, main, upper = grids.fold(grid, parity).bands
     main = main + diagonal
 
     def apply(v):
@@ -364,7 +382,7 @@ def _newton(
     Every nonlinear finite-difference solve runs through here: the limit
     state (constant z = c), each continuation step in epsilon and the
     omega re-solves. On the axes in which z is even (`even_axes`) it solves on
-    the kept nodes of `grids.fold_maps`, the half line or the quarter box,
+    the kept nodes of its `grids.fold`, the half line or the quarter box,
     with a mirror ghost node at each plane, and returns the even
     extension. The residual norm weighs a kept node by its full-box
     weight times its multiplicity; the Jacobian, scaled by the
@@ -386,13 +404,13 @@ def _newton(
     residual. Returns (psi, res).
     """
     parity = even_axes(grid, z_int)
-    restrict, extend = grids.fold_maps(grid, parity)
-    mu = grids.multiplicity(grid, parity)
+    fold = grids.fold(grid, parity)
+    mu = fold.multiplicity
     folded = [a for a, s in enumerate(parity or ()) if s]
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
-    weights = restrict(grids.extract_interior(grid, grid.weights()))
-    apply_Az, factor, kind = _operator(grid, parity, restrict(z_int))
-    psi = restrict(psi) / mu
+    weights = fold.weights
+    apply_Az, factor, kind = _operator(grid, parity, fold.restrict(z_int))
+    psi = fold.restrict(psi) / mu
 
     def residual(v):
         return apply_Az(v) / mu - _nonlin(v, p)
@@ -435,7 +453,7 @@ def _newton(
         "newton done: %s, %d iterations, %d factorizations, residual %.3e",
         kind, it, factorizations, res,
     )
-    return extend(psi), res
+    return fold.extend(psi), res
 
 
 def continue_profile(
@@ -476,14 +494,16 @@ def continue_profile(
     z0_int = np.full(grid.n_interior(), z.z0)
     psi, res = _newton(grid, z0_int, params.p, psi, tol)
 
+    y = grid.points()  # once per solve: Z(x0 + eps y) at each step
+    z_int = None  # the Z field of the last accepted step
     eps_now = 0.0
     step = target / 8.0
     min_step = abs(target) * 1e-4
     while eps_now < target:
         eps_try = min(eps_now + step, target)
-        z_int = _z_on_grid(params, pair, grid, center, eps_try)
+        z_try = _z_on_grid(params, pair, grid, np.asarray(center) + eps_try * y)
         try:
-            psi_new, res = _newton(grid, z_int, params.p, psi, tol)
+            psi_new, res = _newton(grid, z_try, params.p, psi, tol)
         except (NoConvergence, SingularOperator) as exc:
             step *= 0.5
             if step < min_step:
@@ -494,12 +514,14 @@ def continue_profile(
             continue
         if np.min(psi_new) < -1e-8 * np.max(np.abs(psi_new)):
             raise LostPositivity(f"profile changed sign at epsilon = {eps_try:.4g}")
-        psi = psi_new
+        psi, z_int = psi_new, z_try
         eps_now = eps_try
         step *= 1.5
 
     profile = _profile(grid, np.maximum(psi, 0.0), res, target, params.p, center)
     _decay_check(grid, profile.values)
+    if z_int is not None:
+        profile._z = (_z_key(params, pair), z_int)
     return profile
 
 
@@ -517,16 +539,18 @@ def resolve_at_omega(
     frequency derivative to, stay on one coordinate frame.
     """
     grid = profile.grid
-    z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
+    z_int = _z_on_grid(params, pair, grid, profile.sample_points())
     psi = grids.extract_interior(grid, profile.values)
     psi, res = _newton(grid, z_int, params.p, psi, tol)
-    return _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
+    out = _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
+    out._z = (_z_key(params, pair), z_int)
+    return out
 
 
 @dataclass(frozen=True)
 class LinearizedOperator:
     """L on the interior nodes, or its block on the fields of a `parity`
-    (`grids.fold_maps`) in their orthonormal basis: a mirror pair weighs
+    (`grids.fold`) in their orthonormal basis: a mirror pair weighs
     1/sqrt(2), and an even axis couples to its plane node by sqrt(2)."""
 
     grid: Grid
@@ -536,15 +560,16 @@ class LinearizedOperator:
     def matrix(self) -> sp.csr_array:
         a = grids.neg_laplacian(self.grid, self.parity)
         if self.parity is not None:
-            s = sp.diags_array(1.0 / np.sqrt(grids.multiplicity(self.grid, self.parity)))
+            s = sp.diags_array(1.0 / np.sqrt(grids.fold(self.grid, self.parity).multiplicity))
             a = s @ a @ s
         return (a + sp.diags_array(self.diagonal)).tocsr()
 
     def bands(self) -> tuple:
         """(main, off) of `matrix()` on a line grid, with no sparse matrix:
         the same products in the same order, so the same values."""
-        _, main, off = grids.bands(self.grid, self.parity)
-        s = 1.0 / np.sqrt(grids.multiplicity(self.grid, self.parity))
+        fold = grids.fold(self.grid, self.parity)
+        _, main, off = fold.bands
+        s = 1.0 / np.sqrt(fold.multiplicity)
         return (s * main) * s + self.diagonal, (s[:-1] * off) * s[1:]
 
 
@@ -559,9 +584,8 @@ def assemble_L(
     grid = profile.grid
     if grid.geometry == "radial":
         raise ValueError("assemble_L needs a line or box grid (symmetric stencil)")
-    zvals = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     phi = grids.extract_interior(grid, profile.values)
-    diag = zvals - params.p * np.abs(phi) ** (params.p - 1.0)
+    diag = profile.z_field(params, pair) - params.p * np.abs(phi) ** (params.p - 1.0)
     return LinearizedOperator(grid=grid, diagonal=diag)
 
 
@@ -574,7 +598,7 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
 
     exactly along the discrete branch. Where L and chi are both even in
     an axis (`even_axes`), as they are where Z and V are, so is R, and
-    the solve runs on the kept nodes of `grids.fold_maps` as in
+    the solve runs on the kept nodes of its `grids.fold` as in
     `_newton`: the half line or the quarter box. It takes one
     factorization (`_operator`) and one step of iterative refinement,
     the operator being nearly singular for small epsilon. An identity
@@ -585,12 +609,12 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
     """
     grid = profile.grid
     w = grids.extract_interior(grid, grid.weights())
-    v, _, _ = pair.V(profile.sample_points())
+    v = pair.V(profile.sample_points(), derivatives=False)
     rhs = grids.extract_interior(grid, 2.0 * (params.omega + v) * profile.values)
     diagonal = assemble_L(profile, params, pair).diagonal
     parity = tuple(map(min, even_axes(grid, diagonal), even_axes(grid, rhs)))
-    restrict, extend = grids.fold_maps(grid, parity)
-    mu = grids.multiplicity(grid, parity)
+    fold = grids.fold(grid, parity)
+    restrict, mu = fold.restrict, fold.multiplicity
     apply_L, factor, _ = _operator(grid, parity, restrict(diagonal))
     chi = restrict(rhs)
     lu = factor()
@@ -598,10 +622,10 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
     dr = lu.solve(chi - apply_L(r))
     r = r + dr
 
-    resid = float(np.sqrt(np.sum(restrict(w) * ((apply_L(r) - chi) / mu) ** 2)))
+    resid = float(np.sqrt(np.sum(fold.weights * ((apply_L(r) - chi) / mu) ** 2)))
     phinorm = float(np.sqrt(np.sum(w * grids.extract_interior(grid, profile.values) ** 2)))
     rhs = grids.insert_interior(grid, rhs)
-    dr = grids.insert_interior(grid, extend(dr))
+    dr = grids.insert_interior(grid, fold.extend(dr))
     log.debug(
         "R_omega done: parity %s, %d unknowns, identity residual %.3e, <chi, dR> %.3e",
         parity, mu.size, resid, float(np.sum(grid.weights() * rhs * dr)),
@@ -611,4 +635,4 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
             f"identity residual {resid:.2e} exceeds {IDENTITY_RTOL:.1e} * ||phi||"
         )
     info = {"identity_residual": resid, "parity": parity, "rhs": rhs, "correction": dr}
-    return grids.insert_interior(grid, extend(r)), info
+    return grids.insert_interior(grid, fold.extend(r)), info

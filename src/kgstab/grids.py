@@ -10,20 +10,30 @@ Three geometry names, two kinds of grid:
 A line is the one-dimensional box: shapes, weights and the Laplacian
 (a Kronecker sum of the 1d stencil over the axes) take one
 tensor-product path for both, and only the radial grid has its own.
-Fields of one parity per axis live on the kept nodes of `fold_maps`,
+Fields of one parity per axis live on the kept nodes of a `Fold`,
 which maps to and from them by indexing; each stands for its
 `multiplicity` of nodes, and `neg_laplacian` restricts to them. Line
-and radial grids also give their -lap as three `bands`, from which the
-solvers work without any sparse matrix; box grids assemble the sparse
-Kronecker sum of the same axis bands. Fields are stored on the full
-node set with boundary entries kept at zero; linear operators act on
-the interior unknowns only.
+and radial grids also give their -lap as three `bands` of their fold,
+from which the solvers work without any sparse matrix; box grids
+assemble the sparse Kronecker sum of the same axis bands. Fields are
+stored on the full node set with boundary entries kept at zero; linear
+operators act on the interior unknowns only.
+
+The memo: `fold(grid, parity)` returns one `Fold` per (grid, parity),
+the same object on every call, so the Newton solves, the slope, the
+spectrum and the time steps share its arrays. It is lazy: nothing is
+built at import, and a fold builds each of its arrays on first use. It
+is bounded: it keeps the FOLD_MEMO folds used last. Its arrays are
+read-only. It holds the index maps of the fold and arrays on its kept
+nodes (multiplicities, weights, line bands) only: the node coordinates
+of a box and its Z field are built by the solve that uses them and live
+no longer. `Grid.axis`, n numbers, is kept with its grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, lru_cache, reduce
 from math import gamma, inf, pi, prod
 
 import numpy as np
@@ -33,6 +43,7 @@ from .errors import SchemaError
 
 GEOMETRIES = ("line", "radial", "box")
 MAX_NODES = 2**24  # nodes in all, n ** dimension on a line or box: 128 MiB per float field
+FOLD_MEMO = 16  # folds `fold` keeps, the least recently used dropped first
 
 
 def sphere_area(dim: int) -> float:
@@ -74,11 +85,12 @@ class Grid:
             return self.extent / (self.n - 1)
         return 2.0 * self.extent / (self.n - 1)
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
+        """Node coordinates along one axis, built once per grid, read-only."""
         if self.geometry == "radial":
-            return np.linspace(0.0, self.extent, self.n)
-        return np.linspace(-self.extent, self.extent, self.n)
+            return _readonly(np.linspace(0.0, self.extent, self.n))
+        return _readonly(np.linspace(-self.extent, self.extent, self.n))
 
     @property
     def shape(self) -> tuple:
@@ -148,66 +160,113 @@ def _mirror(m: int, parity: int):
     return kept, source, sign
 
 
-def kept_nodes(grid: Grid, parity) -> np.ndarray:
-    """The interior nodes a field of `parity` keeps, as raveled indices."""
-    m = grid.n - 2
-    kept = [_mirror(m, s)[0] for s in parity]
-    return np.ravel_multi_index(np.ix_(*kept), (m,) * grid.dimension).ravel()
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def multiplicity(grid: Grid, parity) -> np.ndarray:
-    """diag(E^T E) for the extension E of `fold_maps`: how many interior
-    nodes each kept node stands for. Ones where nothing folds."""
-    if parity is None:
-        return np.ones(grid.n_interior())
-    masses = [_axis_bands(grid.n - 2, grid.h, s)[2] for s in parity]
-    return reduce(np.multiply.outer, masses).ravel()
-
-
-def fold_maps(grid: Grid, parity):
-    """(restrict, extend): v -> E^T v and u -> E u, for E the extension
-    from the kept nodes of `parity` to the interior nodes.
+@dataclass(frozen=True)
+class Fold:
+    """The fold of a grid's interior nodes by `parity`, whose arrays are
+    built on first use and read-only; `fold` memoises one per (grid, parity).
 
     `parity` holds one of 0 (all nodes), +1 (even) or -1 (odd about the
-    centre) per axis. E is the tensor product of the axis folds of
-    `_mirror`: each interior node is a signed copy of one kept node, so
-    E is a gather and E^T a scatter-add, with no sparse matrix. A radial
-    grid, whose parity is None, does not fold, and both maps are the
-    identity.
+    centre) per axis. The extension E from the kept nodes to the interior
+    nodes is the tensor product of the axis folds of `_mirror`: each
+    interior node is a signed copy of one kept node, so E is a gather
+    (`extend`, u -> E u) and E^T a scatter-add (`restrict`, v -> E^T v),
+    with no sparse matrix. A radial grid, whose parity is None, does not
+    fold, and both maps are the identity.
     """
-    if not parity or not any(parity):
-        return (lambda v: v), (lambda u: u)
-    kept, sources, signs = zip(*[_mirror(grid.n - 2, s) for s in parity])
-    shape = tuple(k.size for k in kept)
-    source = np.ravel_multi_index(np.ix_(*sources), shape).ravel()
-    sign = reduce(np.multiply.outer, signs).ravel()
-    # bincount adds up a kept node's images in the order of their full
-    # index, as a sparse product with E^T would: the same sums to the bit
-    return (lambda v: np.bincount(source, weights=sign * v)), (lambda u: sign * u[source])
+
+    grid: Grid
+    parity: tuple | None
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        """The interior nodes a field of the parity keeps, as raveled indices."""
+        m = self.grid.n - 2
+        kept = [_mirror(m, s)[0] for s in self.parity]
+        return _readonly(np.ravel_multi_index(np.ix_(*kept), (m,) * self.grid.dimension).ravel())
+
+    @cached_property
+    def masses(self) -> tuple:
+        """Per axis, how many nodes of the axis each kept one stands for."""
+        m, h = self.grid.n - 2, self.grid.h
+        return tuple(_readonly(_axis_bands(m, h, s)[2]) for s in self.parity)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """diag(E^T E): how many interior nodes each kept node stands for.
+        Ones where nothing folds."""
+        if self.parity is None:
+            return _readonly(np.ones(self.grid.n_interior()))
+        return _readonly(reduce(np.multiply.outer, self.masses).ravel())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """E^T of the interior quadrature weights: each kept node's weight
+        times its multiplicity."""
+        return _readonly(self.restrict(extract_interior(self.grid, self.grid.weights())))
+
+    @cached_property
+    def _gather(self):
+        """(source, sign) of E: interior node i is sign[i] times kept node
+        source[i]; None where nothing folds."""
+        if not self.parity or not any(self.parity):
+            return None
+        kept, sources, signs = zip(*[_mirror(self.grid.n - 2, s) for s in self.parity])
+        shape = tuple(k.size for k in kept)
+        source = np.ravel_multi_index(np.ix_(*sources), shape).ravel()
+        return _readonly(source), _readonly(reduce(np.multiply.outer, signs).ravel())
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """E^T v. bincount adds up a kept node's images in the order of
+        their full index, as a sparse product with E^T would: the same sums
+        to the bit."""
+        if self._gather is None:
+            return v
+        source, sign = self._gather
+        return np.bincount(source, weights=sign * v)
+
+    def extend(self, u: np.ndarray) -> np.ndarray:
+        """E u."""
+        if self._gather is None:
+            return u
+        source, sign = self._gather
+        return sign * u[source]
+
+    @cached_property
+    def bands(self) -> tuple:
+        """-lap on a line or radial grid as its bands (lower, main, upper).
+
+        On a line, the bands of `neg_laplacian(grid, parity)`; the radial
+        stencil is not symmetric.
+        """
+        grid = self.grid
+        if grid.geometry != "radial":
+            main, off, _ = _axis_bands(grid.n - 2, grid.h, self.parity[0] if self.parity else 0)
+            off = _readonly(off)
+            return off, _readonly(main), off
+        h = grid.h
+        m = grid.n - 1
+        d = grid.dimension
+        i = np.arange(1, m)
+        main = np.full(m, 2.0 / h**2)
+        upper = -(1.0 + (d - 1) / (2.0 * i)) / h**2
+        lower = -(1.0 - (d - 1) / (2.0 * i)) / h**2
+        up = np.empty(m - 1)
+        # row 0 is the regularized center: lap u(0) ~ 2d (u1 - u0)/h^2
+        main[0] = 2.0 * d / h**2
+        up[0] = -2.0 * d / h**2
+        up[1:] = upper[:-1]
+        return _readonly(lower), _readonly(main), _readonly(up)
 
 
-def bands(grid: Grid, parity=None):
-    """-lap on a line or radial grid as its bands (lower, main, upper).
-
-    On a line, the bands of `neg_laplacian(grid, parity)`; the radial
-    stencil is not symmetric.
-    """
-    if grid.geometry != "radial":
-        main, off, _ = _axis_bands(grid.n - 2, grid.h, parity[0] if parity else 0)
-        return off, main, off
-    h = grid.h
-    m = grid.n - 1
-    d = grid.dimension
-    i = np.arange(1, m)
-    main = np.full(m, 2.0 / h**2)
-    upper = -(1.0 + (d - 1) / (2.0 * i)) / h**2
-    lower = -(1.0 - (d - 1) / (2.0 * i)) / h**2
-    up = np.empty(m - 1)
-    # row 0 is the regularized center: lap u(0) ~ 2d (u1 - u0)/h^2
-    main[0] = 2.0 * d / h**2
-    up[0] = -2.0 * d / h**2
-    up[1:] = upper[:-1]
-    return lower, main, up
+@lru_cache(maxsize=FOLD_MEMO)
+def fold(grid: Grid, parity) -> Fold:
+    """The memoised `Fold` of `grid` by `parity` (a tuple, or None)."""
+    return Fold(grid, parity)
 
 
 def neg_laplacian(grid: Grid, parity=None):
@@ -217,15 +276,15 @@ def neg_laplacian(grid: Grid, parity=None):
     (dim-1)/r first-order term and the r=0 row uses the regularized
     limit  lap u(0) = dim * u''(0)  for even profiles.
 
-    On line and box grids, E^T (-lap) E for the extension E of
-    `fold_maps` (the default parity, all 0, gives -lap): the
+    On line and box grids, E^T (-lap) E for the extension E of the
+    `Fold` (the default parity, all 0, gives -lap): the
     multiplicities times the stencil with a mirror ghost node (even) or
     a Dirichlet plane (odd) at the centre, symmetric. An odd n puts a
     node on the plane, an even n two nodes astride it. Both are
-    assembled from the bands that `bands` returns.
+    assembled from the axis bands that `Fold.bands` returns on a line.
     """
     if grid.geometry == "radial":
-        lower, main, upper = bands(grid)
+        lower, main, upper = fold(grid, None).bands
         return sp.diags_array([main, upper, lower], offsets=[0, 1, -1]).tocsr()
     # line and box: Kronecker sum of the axis stencils
     axes = range(grid.dimension)
@@ -274,13 +333,39 @@ def insert_interior(grid: Grid, vec: np.ndarray) -> np.ndarray:
 def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.ndarray) -> np.ndarray:
     """Cubic interpolation of a radial profile onto arbitrary radii.
 
-    Radii beyond the radial extent map to zero (the profile has decayed
-    there by construction).
+    The clamped cubic spline (zero slope at both ends) of scipy's
+    `CubicSpline(r, values, bc_type=((1, 0.0), (1, 0.0)))`, to the bit:
+    its node slopes from the same tridiagonal system and `solve_banded`
+    call, its piecewise coefficients from the same expressions, and each
+    piece evaluated in PPoly's order, ascending powers of s = r - r_i.
+    This keeps `scipy.interpolate` (about 12 MB and 0.2 to 0.4 s to
+    import) out of the run. Radii beyond the radial extent map to zero
+    (the profile has decayed there by construction).
     """
-    from scipy.interpolate import CubicSpline
+    from scipy.linalg import solve_banded
 
-    spline = CubicSpline(radial_grid.axis, values, bc_type=((1, 0.0), (1, 0.0)))
-    out = np.where(
-        target_radii <= radial_grid.extent, spline(np.clip(target_radii, 0.0, radial_grid.extent)), 0.0
-    )
-    return out
+    x, y = radial_grid.axis, np.asarray(values, dtype=float)
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    ab[1, 0] = ab[1, -1] = 1.0  # clamped: s[0] = s[-1] = 0
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = b[-1] = 0.0
+    s = solve_banded(
+        (1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).reshape(n)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    r = np.clip(target_radii, 0.0, radial_grid.extent)
+    # the piece r lies in, [r_i, r_(i+1)), the last one closed
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, n - 2)
+    d = r - x[i]
+    d2 = d * d
+    spline = ((c3[i] + c2[i] * d) + c1[i] * d2) + c0[i] * (d2 * d)
+    return np.where(target_radii <= radial_grid.extent, spline, 0.0)

@@ -11,7 +11,13 @@ asymptotic analysis needs about the potentials at x0 (value, Hessian,
 Laplacians) is collected in `EffectiveZ`.
 
 Potentials are sums of Gaussian bumps and quadratic forms; all
-derivatives are evaluated analytically.
+derivatives are evaluated analytically, and only the critical-point
+search and `effective_z_at` read them. Every other caller asks for
+`derivatives=False`: the value alone, from the same operations in the
+same order, so bit-equal. Nothing here is memoised: a solve evaluates
+its Z field once per epsilon step and keeps the last one with its
+profile (`elliptic.Profile.z_field`), so a box-sized field lives no
+longer than the solve that uses it.
 """
 
 from __future__ import annotations
@@ -67,10 +73,12 @@ class PotentialSpec:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, x: np.ndarray):
+    def evaluate(self, x: np.ndarray, derivatives: bool = True):
         """Value, gradient and Hessian at points x of shape (..., dim).
 
-        Returns (val, grad, hess) shaped (...,), (..., d), (..., d, d).
+        Returns (val, grad, hess) shaped (...,), (..., d), (..., d, d);
+        with derivatives=False the value alone, from the same operations
+        in the same order, so bit-equal to the first of the three.
         """
         x = np.asarray(x, dtype=float)
         d = self.dimension
@@ -78,28 +86,31 @@ class PotentialSpec:
             raise ValueError(f"points have dimension {x.shape[-1]}, spec has {d}")
         base = x.shape[:-1]
         val = np.zeros(base)
-        grad = np.zeros(base + (d,))
-        hess = np.zeros(base + (d, d))
-        eye = np.eye(d)
+        if derivatives:
+            grad = np.zeros(base + (d,))
+            hess = np.zeros(base + (d, d))
+            eye = np.eye(d)
         for term in self.terms:
             if isinstance(term, GaussianTerm):
                 dx = x - np.asarray(term.center)
                 r2 = np.sum(dx**2, axis=-1)
                 g = term.amplitude * np.exp(-r2 / term.width**2)
                 val += g
-                grad += (-2.0 / term.width**2) * dx * g[..., None]
-                outer = dx[..., :, None] * dx[..., None, :]
-                hess += g[..., None, None] * (
-                    (4.0 / term.width**4) * outer - (2.0 / term.width**2) * eye
-                )
+                if derivatives:
+                    grad += (-2.0 / term.width**2) * dx * g[..., None]
+                    outer = dx[..., :, None] * dx[..., None, :]
+                    hess += g[..., None, None] * (
+                        (4.0 / term.width**4) * outer - (2.0 / term.width**2) * eye
+                    )
             else:
                 a = np.asarray(term.matrix, dtype=float)
                 dx = x - np.asarray(term.center)
                 adx = dx @ a
                 val += 0.5 * np.sum(dx * adx, axis=-1)
-                grad += adx
-                hess += np.broadcast_to(a, base + (d, d))
-        return val, grad, hess
+                if derivatives:
+                    grad += adx
+                    hess += np.broadcast_to(a, base + (d, d))
+        return (val, grad, hess) if derivatives else val
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -143,12 +154,16 @@ class PotentialPair:
     spec_W: PotentialSpec
     mode: str = "general"
 
-    def V(self, x):
-        return self.spec_V.evaluate(x)
+    def V(self, x, derivatives: bool = True):
+        """(V, grad V, hess V) at x; V alone with derivatives=False."""
+        return self.spec_V.evaluate(x, derivatives)
 
-    def W(self, x):
+    def W(self, x, derivatives: bool = True):
+        """(W, grad W, hess W) at x; W alone with derivatives=False."""
         if self.mode != "covariant":
-            return self.spec_W.evaluate(x)
+            return self.spec_W.evaluate(x, derivatives)
+        if not derivatives:
+            return self.spec_V.evaluate(x, False) ** 2
         v, gv, hv = self.spec_V.evaluate(x)
         w = v**2
         gw = 2.0 * v[..., None] * gv
@@ -170,11 +185,14 @@ def resolve_potentials(params: ProblemParams, spec_V: PotentialSpec | None, spec
     return PotentialPair(spec_V or zero, spec_W or zero, mode="general")
 
 
-def eval_Z(params: ProblemParams, pair: PotentialPair, x: np.ndarray):
-    """Effective potential and derivatives: (Z, grad Z, hess Z)."""
+def eval_Z(params: ProblemParams, pair: PotentialPair, x: np.ndarray, derivatives: bool = True):
+    """Effective potential and derivatives: (Z, grad Z, hess Z); Z alone,
+    bit-equal to the first of the three, with derivatives=False."""
+    om = params.omega
+    if not derivatives:
+        return params.m - om**2 - 2.0 * om * pair.V(x, False) - pair.W(x, False)
     v, gv, hv = pair.V(x)
     w, gw, hw = pair.W(x)
-    om = params.omega
     z = params.m - om**2 - 2.0 * om * v - w
     gz = -2.0 * om * gv - gw
     hz = -2.0 * om * hv - hw

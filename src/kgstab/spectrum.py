@@ -226,10 +226,10 @@ def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
     """
     if not any(even):
         return [op]
-    restrict, extend = grids.fold_maps(op.grid, even)
-    average = extend(restrict(op.diagonal) / grids.multiplicity(op.grid, even))
+    fold = grids.fold(op.grid, even)
+    average = fold.extend(fold.restrict(op.diagonal) / fold.multiplicity)
     parities = itertools.product(*[(1, -1) if s else (0,) for s in even])
-    return [replace(op, diagonal=average[grids.kept_nodes(op.grid, p)], parity=p) for p in parities]
+    return [replace(op, diagonal=average[grids.fold(op.grid, p).kept], parity=p) for p in parities]
 
 
 def predicted_shifts(limit: Profile, z: EffectiveZ) -> np.ndarray:

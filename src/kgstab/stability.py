@@ -68,7 +68,7 @@ def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) 
     mass = float(np.sum(w * profile.values**2))
     if pair.spec_V.is_zero():
         return params.omega * mass
-    v, _, _ = pair.V(profile.sample_points())
+    v = pair.V(profile.sample_points(), derivatives=False)
     return params.omega * mass + float(np.sum(w * v * profile.values**2))
 
 

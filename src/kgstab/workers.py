@@ -11,9 +11,9 @@ pool modules are imported only when a pool starts, so importing this
 module loads nothing beyond `os` and `sys`.
 
 `scipy_openblas_setter` finds the thread setter of scipy's bundled
-OpenBLAS, the BLAS under SuperLU and ARPACK; the block pool sets it to
-one thread in each worker, so that two workers on two cores do not run
-four BLAS threads.
+OpenBLAS, the BLAS under SuperLU and ARPACK; the block pool, and the
+sweep pool where a point factors a box, set it to one thread in each
+worker, so that two workers on two cores do not run four BLAS threads.
 """
 
 from __future__ import annotations

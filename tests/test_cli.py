@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import json
 import logging
 import os
@@ -10,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgstab
-from kgstab import cli, elliptic, errors
+from kgstab import cli, elliptic, errors, grids, workers
 from kgstab.cli import (
     _DYNAMICS_FIELDS,
     LIMIT_H,
@@ -1113,3 +1116,99 @@ def test_sweep_config_errors(tmp_path, monkeypatch, capsys, text, pointer):
     assert main(["sweep", "sweep.json"]) == 2
     assert f"config error at {pointer}:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "sweep.json"]
+
+
+def test_a_sweep_writes_the_same_bytes_with_the_fold_memo_cleared_or_warm(tmp_path, monkeypatch):
+    run_scenario = cli.run_scenario
+
+    def cold(config):
+        grids.fold.cache_clear()
+        return run_scenario(config)
+
+    outputs = {}
+    for memo in ("cleared", "priming", "warm"):
+        if memo == "cleared":
+            monkeypatch.setattr(cli, "run_scenario", cold)
+        else:
+            monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        before = grids.fold.cache_info()
+        (tmp_path / memo).mkdir()
+        code, out = sweep_into(tmp_path / memo, monkeypatch, 1, [0.9, 0.5])
+        assert code == 0
+        outputs[memo] = {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".meta.json")}
+    after = grids.fold.cache_info()
+    # the warm sweep built no fold: each came from the memo
+    assert after.misses == before.misses and after.hits > before.hits
+    assert len(outputs["cleared"]) == 7
+    assert outputs["cleared"] == outputs["warm"]
+
+
+def _scipy_blas_threads() -> int:
+    libdir = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    (lib,) = glob.glob(os.path.join(libdir, "*openblas*"))
+    handle = ctypes.CDLL(lib)
+    get = getattr(handle, "scipy_openblas_get_num_threads", None) or handle.openblas_get_num_threads
+    return int(get())
+
+
+BOX_DYNAMICS = {
+    "dimension": 2,
+    "p": 2.0,
+    "m": 1.0,
+    "potentials": {"W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, 0.2]]}]},
+    "epsilons": [0.1],
+    "analyses": {"dynamics": True},
+    "dynamics": {"T_over_epsilon": 0.2, "grid": {"geometry": "box", "extent": 20.0, "n": 41}},
+}
+
+
+@forks_workers
+@pytest.mark.parametrize("scenario", ["line", "box"])
+def test_sweep_workers_run_scipy_openblas_at_one_thread_where_a_point_factors_a_box(
+    tmp_path, monkeypatch, scenario
+):
+    if workers.scipy_openblas_setter() is None:
+        pytest.skip("scipy bundles no OpenBLAS here")
+    run_scenario = cli.run_scenario
+
+    def with_blas_threads(config):  # forked workers inherit the patch
+        report, code, runs = run_scenario(config)
+        return dict(report, blas_threads=_scipy_blas_threads()), code, runs
+
+    monkeypatch.setattr(cli, "run_scenario", with_blas_threads)
+    path = tmp_path / "sweep.json"
+    raw = dict(BOX_DYNAMICS if scenario == "box" else SWEEP_BASE, omegas=[0.5, 0.6])
+    path.write_text(json.dumps(raw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+    threads = {
+        json.loads((tmp_path / "out" / f"report_omega_{om:g}.json").read_text())["blas_threads"]
+        for om in (0.5, 0.6)
+    }
+    # a 1d sweep keeps the default threads: the limit slowed the 1d sweep
+    assert threads == ({1} if scenario == "box" else {_scipy_blas_threads()})
+
+
+def test_a_2d_analyze_does_not_import_scipy_interpolate(tmp_path):
+    # the radial limit state reaches the box by a spline that scipy's
+    # CubicSpline no longer builds
+    path = tmp_path / "box.json"
+    raw = {
+        "dimension": 2,
+        "p": 3.0,
+        "m": 1.0,
+        "omega": 0.5,
+        "potentials": {"W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, -0.3]]}]},
+        "epsilons": [0.1],
+        "analyses": {"spectrum": True, "slope_numeric": True},
+        "grid": {"geometry": "box", "extent": 14.0, "n": 71},
+    }
+    path.write_text(json.dumps(raw))
+    code = (
+        "import sys; from kgstab.cli import main; "
+        f"code = main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'scipy.interpolate' in sys.modules)"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

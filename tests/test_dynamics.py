@@ -102,7 +102,8 @@ def test_evolve_evaluates_the_potentials_once(wave, monkeypatch):
         monkeypatch.setattr(
             PotentialPair,
             name,
-            lambda self, x, name=name, real=real: calls.append(name) or real(self, x),
+            lambda self, x, derivatives=True, name=name, real=real: calls.append(name)
+            or real(self, x, derivatives),
         )
     rec = evolve(st, params, pair, dt, 40 * dt, record_every=4)
     assert len(rec.times) == 11
@@ -334,6 +335,12 @@ def reference_evolve(
     )
 
 
+def _values(value, derivatives):
+    """A stand-in pair's (value, gradient, Hessian), which has no
+    derivatives, or its value alone, as `PotentialPair.V` and `W` return."""
+    return (value, None, None) if derivatives else value
+
+
 class SignedKappaPair:
     """V = 0.5 + 0.3 x0 - 0.1 (x1 + ...) and W = m + V^2 - 0.8 x0, so that
     kappa = m - W + V^2 = 0.8 x0 changes sign across x0 = 0 and is
@@ -343,12 +350,12 @@ class SignedKappaPair:
     def __init__(self, m):
         self.m = m
 
-    def V(self, x):
-        return 0.5 + 0.3 * x[..., 0] - 0.1 * np.sum(x[..., 1:], axis=-1), None, None
+    def V(self, x, derivatives=True):
+        return _values(0.5 + 0.3 * x[..., 0] - 0.1 * np.sum(x[..., 1:], axis=-1), derivatives)
 
-    def W(self, x):
-        v = self.V(x)[0]
-        return self.m + v**2 - 0.8 * x[..., 0], None, None
+    def W(self, x, derivatives=True):
+        v = self.V(x, False)
+        return _values(self.m + v**2 - 0.8 * x[..., 0], derivatives)
 
 
 class EvenPair:
@@ -360,13 +367,13 @@ class EvenPair:
         self.m = m
         self.tilted = tilted
 
-    def V(self, x):
+    def V(self, x, derivatives=True):
         r2 = np.sum(x**2, axis=-1)
-        return 0.5 + 0.3 * r2 + sum(0.2 * x[..., a] for a in self.tilted), None, None
+        return _values(0.5 + 0.3 * r2 + sum(0.2 * x[..., a] for a in self.tilted), derivatives)
 
-    def W(self, x):
+    def W(self, x, derivatives=True):
         r2 = np.sum(x**2, axis=-1)
-        return self.m + self.V(x)[0] ** 2 - 0.8 * (r2 - 0.04), None, None
+        return _values(self.m + self.V(x, False) ** 2 - 0.8 * (r2 - 0.04), derivatives)
 
 
 class MirroredPair:
@@ -381,11 +388,11 @@ class MirroredPair:
         x[..., self.axis] *= -1.0
         return x
 
-    def V(self, x):
-        return self.pair.V(self._reflect(x))
+    def V(self, x, derivatives=True):
+        return self.pair.V(self._reflect(x), derivatives)
 
-    def W(self, x):
-        return self.pair.W(self._reflect(x))
+    def W(self, x, derivatives=True):
+        return self.pair.W(self._reflect(x), derivatives)
 
 
 def signed_kappa_setup(grid, eps=0.1, p=3.0):
@@ -415,7 +422,8 @@ def _setup(grid, params, pair, shape):
     u0 = 0.3 * np.exp(-r2) * shape(y) * (1.0 + 0.1 * np.cos(2.0 * r2))
     mask = np.ones(grid.shape, dtype=bool)
     mask[grid.interior()] = False
-    u0[mask] = 0.0
+    # a profile's boundary entries are zero, as the solvers' are
+    u0[mask] = phi[mask] = 0.0
     vv = pair.V(y * eps)[0]
     v0 = 1j * (params.omega + vv) * u0 + 0.05 * u0
     prof = Profile(grid, phi, eps, params.p, (0.0,) * grid.dimension, 0.0,
@@ -701,3 +709,43 @@ def test_mirrored_run_is_the_mirror_of_the_run(grid, axis, order, n_steps, every
     rec_m = evolve(st_m, params, pair_m, dt, n_steps * dt, record_every=every, profile=prof_m)
     assert rec.folded_axes == rec_m.folded_axes == ()
     assert_same_run(rec_m, rec, st_m, replace(st, u=flip(st.u), v=flip(st.v)))
+
+
+@pytest.mark.parametrize(
+    "grid, tilted, folded, n_steps",
+    FOLDED,
+    ids=["line-odd", "line-even", "box2d-one-axis", "box2d-both-axes", "box3d"],
+)
+def test_monitors_on_the_kept_nodes_are_the_full_grid_ones(grid, tilted, folded, n_steps):
+    # the samples sum over the kept nodes, each weighted by its multiplicity
+    params, pair, prof, state = even_setup(grid, tilted)
+    st = state()
+    x = st.x_points()
+    vv, ww = pair.V(x, derivatives=False), pair.W(x, derivatives=False)
+    parity = tuple(int(a in folded) for a in range(grid.dimension))
+    kept = grids.fold(grid, parity).kept
+
+    def on_kept(field):
+        return grids.extract_interior(grid, field)[kept]
+
+    folded_st = replace(st, u=on_kept(st.u), v=on_kept(st.v), parity=parity)
+    pairs = [
+        (charge(st), charge(folded_st)),
+        (energy(st, params, vv, ww), energy(folded_st, params, on_kept(vv), on_kept(ww))),
+        (orbital_distance(st, prof), orbital_distance(folded_st, prof)),
+    ]
+    for full, summed in pairs:
+        assert summed == pytest.approx(full, rel=1e-13, abs=0.0)
+
+
+def test_a_folded_run_extends_the_state_once(monkeypatch):
+    params, pair, prof, state = even_setup(LINE)
+    st = state()
+    extended = []
+    extend = grids.Fold.extend
+    monkeypatch.setattr(grids.Fold, "extend", lambda self, u: extended.append(u.size) or extend(self, u))
+    dt = 0.9 * stable_dt(st, params, pair)
+    rec = evolve(st, params, pair, dt, 20 * dt, record_every=2, profile=prof)
+    assert rec.folded_axes == (0,) and len(rec.times) == 11
+    # u and v, at the end of the run, not at each of the 11 samples
+    assert extended == [(LINE.n - 2) - (LINE.n - 2) // 2] * 2

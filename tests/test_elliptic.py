@@ -490,3 +490,28 @@ def test_even_axes_of_a_non_finite_field_is_none_of_them(bad):
     assert elliptic.even_axes(g, z) == (0,)
     z[-1] = bad  # a mirrored NaN or infinity is not even either
     assert elliptic.even_axes(g, z) == (0,)
+
+
+def test_an_epsilon_block_evaluates_z_once_per_continuation_step(s1, monkeypatch):
+    from kgstab.spectrum import build_spectrum_report
+
+    params, pair, z, grid, limit = s1
+    calls = []
+    z_on_grid = elliptic._z_on_grid
+    monkeypatch.setattr(elliptic, "_z_on_grid", lambda *args: calls.append(args) or z_on_grid(*args))
+    prof = continue_profile(limit, params, pair, z, grid=grid)
+    steps = len(calls)
+    assert steps > 0
+    # R and L read the field of the last continuation step
+    build_slope_report(prof, params, pair, z, limit)
+    build_spectrum_report(prof, params, pair, z, limit)
+    assert len(calls) == steps
+    kept = prof.z_field(params, pair)
+    assert not kept.flags.writeable
+    # it is the field a fresh evaluation gives, to the bit
+    fresh = replace(prof).z_field(params, pair)
+    assert len(calls) == steps + 1
+    assert fresh.tobytes() == kept.tobytes()
+    # another omega is another field
+    other = prof.z_field(replace(params, omega=0.8), pair)
+    assert len(calls) == steps + 2 and not np.array_equal(other, kept)

@@ -125,9 +125,9 @@ def _parities(dim):
 
 
 def _extension(g, parity):
-    """E of `fold_maps`, built column by column from its `extend`."""
-    _, extend = grids.fold_maps(g, parity)
-    return np.column_stack([extend(col) for col in np.eye(grids.kept_nodes(g, parity).size)])
+    """E of the fold, built column by column from its `extend`."""
+    fold = grids.fold(g, parity)
+    return np.column_stack([fold.extend(col) for col in np.eye(fold.kept.size)])
 
 
 @pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
@@ -155,10 +155,10 @@ def test_restrict_is_the_transpose_of_extend_and_multiplicity_its_gram_diagonal(
     rng = np.random.default_rng(dim * n)
     for parity in _parities(dim):
         e = _extension(g, parity)
-        restrict, _ = grids.fold_maps(g, parity)
+        fold = grids.fold(g, parity)
         v = rng.standard_normal(e.shape[0])
-        np.testing.assert_allclose(restrict(v), e.T @ v, rtol=0.0, atol=1e-14)
-        assert np.array_equal(grids.multiplicity(g, parity), (e.T @ e).diagonal()), parity
+        np.testing.assert_allclose(fold.restrict(v), e.T @ v, rtol=0.0, atol=1e-14)
+        assert np.array_equal(fold.multiplicity, (e.T @ e).diagonal()), parity
 
 
 @pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
@@ -213,3 +213,70 @@ def test_radial_laplacian_matches_continuum():
 
 def test_geometries_constant():
     assert GEOMETRIES == ("line", "radial", "box")
+
+
+def _fold_arrays(fold):
+    """Every array a fold keeps, each built by this call if it was not."""
+    arrays = [fold.kept, fold.multiplicity, fold.weights, *fold.masses, *(fold._gather or ())]
+    if fold.grid.geometry == "line":
+        arrays += list(fold.bands)
+    return arrays
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_memoised_folds_are_read_only_and_equal_a_fresh_build(dim, n):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    rng = np.random.default_rng(dim * n)
+    for parity in _parities(dim):
+        fold = grids.fold(g, parity)
+        assert grids.fold(Grid(dim, g.geometry, 3.0, n), parity) is fold  # one per (grid, parity)
+        fresh = grids.Fold(g, parity)
+        for got, want in zip(_fold_arrays(fold), _fold_arrays(fresh)):
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
+            assert got.dtype == want.dtype and np.array_equal(got, want), parity
+        v, u = rng.standard_normal(fold.grid.n_interior()), rng.standard_normal(fold.kept.size)
+        assert np.array_equal(fold.restrict(v), fresh.restrict(v))
+        assert np.array_equal(fold.extend(u), fresh.extend(u))
+
+
+def test_fold_memo_is_lazy_and_bounded():
+    grids.fold.cache_clear()
+    g = Grid(2, "box", 3.0, 11)
+    fold = grids.fold(g, (1, -1))
+    # nothing is built until it is asked for
+    assert not {"kept", "multiplicity", "weights", "_gather", "masses", "bands"} & set(vars(fold))
+    assert fold.kept.size == 5 * 4
+    assert set(vars(fold)) & {"kept", "multiplicity", "_gather"} == {"kept"}
+    for n in range(12, 12 + grids.FOLD_MEMO):
+        grids.fold(Grid(2, "box", 3.0, n), (1, -1))
+    info = grids.fold.cache_info()
+    assert info.currsize == info.maxsize == grids.FOLD_MEMO
+    # the least recently used fold was dropped
+    assert grids.fold(g, (1, -1)) is not fold
+
+
+def test_grid_axis_is_built_once_and_read_only():
+    g = Grid(1, "line", 2.0, 9)
+    assert g.axis is g.axis
+    assert not g.axis.flags.writeable
+    assert np.array_equal(g.axis, np.linspace(-2.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 401])
+def test_radial_interpolation_is_scipys_clamped_cubic_spline_to_the_bit(n):
+    from scipy.interpolate import CubicSpline
+
+    g = Grid(2, "radial", 7.5, n)
+    rng = np.random.default_rng(n)
+    values = np.exp(-g.axis**2) + 0.1 * rng.standard_normal(n)
+    inside = rng.uniform(0.0, g.extent, 300 + n % 2)  # an even count in all
+    radii = np.concatenate([inside, g.axis, [0.0, g.extent, np.nextafter(g.extent, 9.0), 9.0]])
+    radii = radii.reshape(-1, 2)  # a 2d target, as a box's radii are
+    got = grids.interpolate_radial(g, values, radii)
+    spline = CubicSpline(g.axis, values, bc_type=((1, 0.0), (1, 0.0)))
+    want = np.where(radii <= g.extent, spline(np.clip(radii, 0.0, g.extent)), 0.0)
+    assert got.shape == radii.shape
+    assert got.tobytes() == want.tobytes()

@@ -178,3 +178,38 @@ def test_saddle_counting_in_2d():
     assert z.hess_eigs == pytest.approx((-0.3, 0.3))
     assert z.hessian_negatives() == 1
     assert z.laplacian_Z == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def potential_terms(draw, d):
+    """One to three random gaussian or quadratic terms in dimension d."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = tuple(draw(finite) for _ in range(d))
+        if draw(st.booleans()):
+            terms.append(GaussianTerm(draw(st.floats(-2.0, 2.0)), center, draw(st.floats(0.3, 3.0))))
+        else:
+            upper = {(i, j): draw(finite) for i in range(d) for j in range(i, d)}
+            rows = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(d)) for i in range(d))
+            terms.append(QuadraticTerm(rows, center))
+    return PotentialSpec(d, tuple(terms))
+
+
+@given(data=st.data(), d=st.integers(1, 3), mode=st.sampled_from(["general", "schrodinger", "covariant"]))
+@settings(max_examples=60, deadline=None)
+def test_value_only_evaluation_is_bit_equal_to_the_first_of_the_three(data, d, mode):
+    # the solves read Z, V and W without derivatives: the same operations
+    # in the same order, so the same bits
+    spec_v = None if mode == "schrodinger" else data.draw(potential_terms(d))
+    spec_w = None if mode == "covariant" else data.draw(potential_terms(d))
+    params = ProblemParams(d, 3.0, 1.0, data.draw(st.floats(-2.0, 2.0)), 0.1, mode=mode)
+    pair = resolve_potentials(params, spec_v, spec_w)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    x = 3.0 * np.random.default_rng(seed).standard_normal((7, 5, d))
+    for full, value in (
+        (eval_Z(params, pair, x)[0], eval_Z(params, pair, x, derivatives=False)),
+        (pair.V(x)[0], pair.V(x, derivatives=False)),
+        (pair.W(x)[0], pair.W(x, derivatives=False)),
+    ):
+        assert value.shape == full.shape == (7, 5)
+        assert value.tobytes() == full.tobytes()
