@@ -100,7 +100,7 @@ from . import dynamics as dyn
 from . import io as kio
 from . import spectrum as spx
 from . import stability as st
-from .elliptic import Profile, continue_profile, solve_limit_ground_state
+from .elliptic import Profile, continue_profile, release_factorization, solve_limit_ground_state
 from .errors import GridTooSmall, KgError, SchemaError, SkippedError
 from .grids import Grid
 from .potentials import (
@@ -560,6 +560,7 @@ def _dynamics_block(config: ScenarioConfig, z: EffectiveZ, epsilon: float, runs:
     )
     limit = solve_limit_ground_state(z.z0, params.p, grid, tol=config.tol)
     profile = continue_profile(limit, params, config.pair, z, grid=grid, tol=config.tol)
+    release_factorization(profile)  # the time steps factor nothing
     phi_h1 = dyn.h1_norm(grid, profile.values, epsilon)
     pert = dyn.Perturbation(kind=opts.kind, delta=opts.delta, seed=opts.seed)
     state = dyn.init_perturbed_standing_wave(profile, params, config.pair, pert)

@@ -35,9 +35,17 @@ an even and an odd block there.
 Operators are kept in the form their grid makes cheapest (`_operator`).
 On line and radial grids -lap + diag is tridiagonal: it stays three
 bands (`grids.Fold.bands`), applied in O(n) and factored by LAPACK ?gttrf
-(`factor_banded`), with no sparse matrix and no SuperLU. On box grids
-it is assembled as a sparse matrix, once per solve, and factored by a
-symmetric-mode SuperLU (`factor_ldl`).
+(`factor_banded`), with no sparse matrix and no SuperLU; each Newton
+Jacobian is factored afresh, at about the cost of one solve. On box
+grids it is assembled as a sparse matrix, once per solve, and factored
+by a symmetric-mode SuperLU (`factor_ldl`), which costs as much as
+dozens of solves. So a chain of box Newton solves (the settle at
+epsilon = 0, then each continuation step and omega re-solve from it)
+holds one LDL^T, of its first Jacobian (`HeldLDL`): every later
+Jacobian on the same fold is solved by iterative refinement against it,
+to roundoff, so the Newton path is that of a fresh factorization per
+Jacobian. The slope's R and the spectrum release it before they factor
+L (`release_factorization`).
 """
 
 from __future__ import annotations
@@ -61,6 +69,9 @@ log = logging.getLogger("kgstab")
 BOUNDARY_DECAY_REL = 1e-5
 NEWTON_MAX_ITER = 30  # Newton steps of one nonlinear solve
 IDENTITY_RTOL = 1e-6  # largest ||L R - chi|| / ||phi|| that `compute_R_omega` returns
+# Refinement stops at this backward error max |b - J x| / max(|J| |x| + |b|).
+# It stagnates at about eps, so a sweep from above 8 eps still cuts it 4x.
+REFINE_FLOOR = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -82,6 +93,8 @@ class Profile:
     peak: tuple
     # ((m, omega, pair), Z(center + epsilon y) on the interior nodes)
     _z: tuple | None = field(default=None, init=False, repr=False)
+    # the LDL^T of the chain of box Newton solves this profile ends
+    _held: HeldLDL | None = field(default=None, init=False, repr=False)
 
     def mass(self) -> float:
         """L^2 norm squared over R^N (in y coordinates)."""
@@ -202,7 +215,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.radii()))
     psi, res, _ = _petviashvili(apply_A, factor().solve, w, psi0, p, max(tol, 1e-9))
-    return _newton(grid, z, p, psi, tol)
+    return _newton(grid, z, p, psi, tol, even_axes(grid, z))
 
 
 def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
@@ -302,7 +315,8 @@ def factor_ldl(a):
 
     Minimum-degree ordering on A + A^T and pivots taken from the
     diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    Box grids factor here: Newton's Jacobians, the parity block of L
+    Box grids factor here: the Jacobian a chain of Newton solves holds
+    (`HeldLDL`), the parity block of L
     that `compute_R_omega` solves with, and the shift-invert operators of
     `spectrum.eig_low`. It is the one caller of `splu`.
     """
@@ -341,19 +355,14 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     itself when no shift is given, and raises `SingularOperator` where
     that is singular. Line and radial grids keep the operator as its
     three bands (`grids.Fold.bands`), applied in O(n) and factored by
-    `factor_banded`; box grids assemble the sparse matrix once and factor it by
-    `factor_ldl`. `kind` names the factorization for the log.
+    `factor_banded`; box grids assemble the sparse matrix once
+    (`_sparse_operator`), and `factor` gives a `SparseLDL` of it, which
+    factors by `factor_ldl` at its first solve. `kind` names the
+    factorization for the log.
     """
     if grid.geometry == "box":
-        a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
-
-        def factor_box(shift=None):
-            try:
-                return factor_ldl(a if shift is None else (a - sp.diags_array(shift)).tocsc())
-            except RuntimeError as exc:
-                raise SingularOperator(f"sparse factorization failed: {exc}") from exc
-
-        return a.__matmul__, factor_box, "LDL^T"
+        a = grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)
+        return _sparse_operator(a.tocsc())
     lower, main, upper = grids.fold(grid, parity).bands
     main = main + diagonal
 
@@ -370,64 +379,154 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     return apply, factor_line, "banded"
 
 
+def _sparse_operator(a):
+    """(apply, factor, kind) of `_operator` for the CSC matrix `a`."""
+
+    def factor_sparse(shift=None):
+        return SparseLDL(a if shift is None else (a - sp.diags_array(shift)).tocsc())
+
+    return a.__matmul__, factor_sparse, "LDL^T"
+
+
+class SparseLDL:
+    """A sparse matrix and its LDL^T (`factor_ldl`), factored at the first
+    `solve`; a failed factorization raises `SingularOperator`."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self._lu = None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            try:
+                self._lu = factor_ldl(self.matrix)
+            except RuntimeError as exc:
+                raise SingularOperator(f"sparse factorization failed: {exc}") from exc
+        return self._lu.solve(b)
+
+
+class HeldLDL:
+    """The one LDL^T that a chain of box Newton solves on one grid shares.
+
+    The first Jacobian of the chain is factored and held with its fold;
+    every later Jacobian on that fold is solved by iterative refinement
+    against it (Moler, J. ACM 14, 1967; Higham, IMA J. Numer. Anal. 17,
+    1997): x += LU^-1 (b - J x) until the backward error is at its
+    roundoff floor `REFINE_FLOOR`, so each solve is exact to roundoff and
+    the Newton path is that of a fresh factorization per Jacobian. A
+    sweep that cuts that error by less than 4x, the chord rule of
+    `_newton`, drops the held factorization, then factors this Jacobian
+    and holds it instead: a singular one raises `SingularOperator`, and
+    no two are held at once. `factorizations` and `sweeps` count the
+    work done.
+    """
+
+    def __init__(self):
+        self.parity = None
+        self.system = None
+        self.factorizations = 0
+        self.sweeps = 0
+
+    def solve(self, parity, system: SparseLDL, b: np.ndarray) -> np.ndarray:
+        """x with system.matrix x = b, the system's kept nodes being those of `parity`."""
+        held = self.system if self.parity == parity else None
+        if held is system:
+            return system.solve(b)
+        if held is not None:
+            x = self._refine(held, system.matrix, b)
+            if x is not None:
+                return x
+        held = self.system = None  # drop it before factoring another
+        x = system.solve(b)
+        self.parity, self.system = parity, system
+        self.factorizations += 1
+        return x
+
+    def _refine(self, held: SparseLDL, jac, b: np.ndarray):
+        """x by refinement against `held`, or None where a sweep stalls."""
+        mag, b_mag = abs(jac), np.abs(b)
+        x = np.zeros_like(b)
+        r, err_prev = b, 1.0  # the backward error of x = 0
+        while True:
+            x = x + held.solve(r)
+            self.sweeps += 1
+            r = b - jac @ x
+            err = float(np.max(np.abs(r)) / np.max(mag @ np.abs(x) + b_mag))
+            if err <= REFINE_FLOOR:
+                return x
+            if not err <= 0.25 * err_prev:
+                return None
+            err_prev = err
+
+
 def _newton(
     grid: Grid,
     z_int: np.ndarray,
     p: float,
     psi: np.ndarray,
     tol: float,
+    parity,
+    held: HeldLDL | None = None,
 ):
     """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
 
     Every nonlinear finite-difference solve runs through here: the limit
     state (constant z = c), each continuation step in epsilon and the
-    omega re-solves. On the axes in which z is even (`even_axes`) it solves on
-    the kept nodes of its `grids.fold`, the half line or the quarter box,
-    with a mirror ghost node at each plane, and returns the even
-    extension. The residual norm weighs a kept node by its full-box
-    weight times its multiplicity; the Jacobian, scaled by the
-    multiplicities, is symmetric. On line and radial grids the operator
-    and the Jacobian stay tridiagonal bands, factored by `factor_banded`;
-    on box grids they are sparse matrices, factored by `factor_ldl`
-    (see `_operator`).
+    omega re-solves. `parity` is the caller's `even_axes` of z: on the
+    axes it marks it solves on the kept nodes of its `grids.fold`, the
+    half line or the quarter box, with a mirror ghost node at each plane,
+    and returns the even extension. The residual norm weighs a kept node
+    by its full-box weight times its multiplicity; the Jacobian, scaled
+    by the multiplicities, is symmetric.
 
-    The Jacobian is refactored only when the residual falls by less than
-    a factor 4 per step (on box grids the LU dominates the cost); each
-    step is halved until the weighted residual decreases. When the
-    halving fails on a reused factorization, whose direction may no
-    longer descend, the Jacobian is refactored at the current iterate
-    and the step retried; only a fresh factorization that also stalls
-    raises. A residual within 10 tol is accepted where the line search
-    or the iteration budget runs out, that being the roundoff floor.
-    A DEBUG log line names the folding at the start and, on return, the
-    factorization kind, the iterations, the factorizations and the
-    residual. Returns (psi, res).
+    The Jacobian is renewed only when the residual falls by less than a
+    factor 4 per step, and each step is halved until the weighted
+    residual decreases. When the halving fails on an old Jacobian, whose
+    direction may no longer descend, the Jacobian is renewed at the
+    current iterate and the step retried; only a fresh Jacobian that also
+    stalls raises. A residual within 10 tol is accepted where the line
+    search or the iteration budget runs out, that being the roundoff
+    floor.
+
+    On line and radial grids each Jacobian is three bands, factored by
+    `factor_banded`, O(n). On box grids each is a sparse matrix, solved
+    through `held` (a `HeldLDL`; a new one when None): the first
+    Jacobian of the chain is factored by `factor_ldl` and later ones
+    refine against it, so a continuation that passes its `HeldLDL` from
+    solve to solve factors once. A DEBUG log line names the folding at
+    the start and, on return, the factorization kind, the iterations,
+    the factorizations, the refinement sweeps and the residual. Returns
+    (psi, res).
     """
-    parity = even_axes(grid, z_int)
     fold = grids.fold(grid, parity)
     mu = fold.multiplicity
     folded = [a for a, s in enumerate(parity or ()) if s]
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
     weights = fold.weights
     apply_Az, factor, kind = _operator(grid, parity, fold.restrict(z_int))
+    held = held or HeldLDL()
+    held_before = held.factorizations, held.sweeps
     psi = fold.restrict(psi) / mu
 
     def residual(v):
         return apply_Az(v) / mu - _nonlin(v, p)
 
-    lu = None
-    factorizations = 0
+    jac = None
+    factorizations = 0  # banded ones; `held` counts those of the box
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
     for it in range(NEWTON_MAX_ITER):
         if res < tol:
             break
-        fresh = lu is None or res > 0.25 * res_prev
+        fresh = jac is None or res > 0.25 * res_prev
         if fresh:
-            lu = factor(mu * p * np.abs(psi) ** (p - 1.0))
-            factorizations += 1
-        delta = lu.solve(-mu * f)
+            jac = factor(mu * p * np.abs(psi) ** (p - 1.0))
+        if kind == "banded":
+            factorizations += fresh
+            delta = jac.solve(-mu * f)
+        else:
+            delta = held.solve(parity, jac, -mu * f)
         lam = 1.0
         for _ in range(25):
             trial = psi + lam * delta
@@ -442,7 +541,7 @@ def _newton(
             if res < 10.0 * tol:
                 break
             if not fresh:
-                lu = None  # refactor at this iterate and retry the step
+                jac = None  # renew the Jacobian at this iterate and retry the step
                 continue
             raise NoConvergence("Newton line search stalled", residual=res, iterations=it)
     else:
@@ -450,8 +549,9 @@ def _newton(
         if res >= 10.0 * tol:
             raise NoConvergence("Newton did not converge", residual=res, iterations=it)
     log.debug(
-        "newton done: %s, %d iterations, %d factorizations, residual %.3e",
-        kind, it, factorizations, res,
+        "newton done: %s, %d iterations, %d factorizations, %d refinement sweeps, residual %.3e",
+        kind, it, factorizations + held.factorizations - held_before[0],
+        held.sweeps - held_before[1], res,
     )
     return fold.extend(psi), res
 
@@ -472,9 +572,17 @@ def continue_profile(
     limit state on a radial grid is transplanted to `grid` by radial
     interpolation. From there a geometric epsilon schedule with step
     halving on Newton failure marches to params.epsilon; each accepted
-    step must keep the profile positive. A radial grid samples
-    Z(x0 + eps y) along one axis only, so it raises ValueError at
+    step must keep the profile positive. The steps fold the axes in which
+    Z is even about x0 (`even_axes`), decided once, at the first step:
+    Z(x0 + eps y) has that symmetry at every eps > 0. A radial grid
+    samples Z(x0 + eps y) along one axis only, so it raises ValueError at
     epsilon > 0.
+
+    On a box the settle and the steps are one chain of Newton solves
+    sharing one held LDL^T (`HeldLDL`), continued from the limit state's
+    chain where that lives on this grid; the profile returned ends the
+    chain, so a continuation from it, or `resolve_at_omega`, refines
+    against the same factorization until `release_factorization`.
     """
     target = params.epsilon
     if target > 0.0 and grid.geometry == "radial":
@@ -490,20 +598,25 @@ def continue_profile(
     else:
         raise ValueError("limit profile lives on an incompatible grid")
 
+    # one chain of box Newton solves from the limit state's, where it has one
+    held = (limit._held if limit.grid == grid else None) or HeldLDL()
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
-    psi, res = _newton(grid, z0_int, params.p, psi, tol)
+    psi, res = _newton(grid, z0_int, params.p, psi, tol, even_axes(grid, z0_int), held)
 
     y = grid.points()  # once per solve: Z(x0 + eps y) at each step
     z_int = None  # the Z field of the last accepted step
+    parity = None  # Z(x0 + eps y) is as even as Z about x0 at every eps > 0
     eps_now = 0.0
     step = target / 8.0
     min_step = abs(target) * 1e-4
     while eps_now < target:
         eps_try = min(eps_now + step, target)
         z_try = _z_on_grid(params, pair, grid, np.asarray(center) + eps_try * y)
+        if parity is None:
+            parity = even_axes(grid, z_try)
         try:
-            psi_new, res = _newton(grid, z_try, params.p, psi, tol)
+            psi_new, res = _newton(grid, z_try, params.p, psi, tol, parity, held)
         except (NoConvergence, SingularOperator) as exc:
             step *= 0.5
             if step < min_step:
@@ -522,6 +635,7 @@ def continue_profile(
     _decay_check(grid, profile.values)
     if z_int is not None:
         profile._z = (_z_key(params, pair), z_int)
+    profile._held = held
     return profile
 
 
@@ -536,15 +650,25 @@ def resolve_at_omega(
 
     The center is deliberately NOT re-derived from the new omega, so
     that difference quotients in omega, the reference the tests hold the
-    frequency derivative to, stay on one coordinate frame.
+    frequency derivative to, stay on one coordinate frame. On a box the
+    Newton solve continues the profile's chain (`HeldLDL`).
     """
     grid = profile.grid
     z_int = _z_on_grid(params, pair, grid, profile.sample_points())
     psi = grids.extract_interior(grid, profile.values)
-    psi, res = _newton(grid, z_int, params.p, psi, tol)
+    held = profile._held or HeldLDL()
+    psi, res = _newton(grid, z_int, params.p, psi, tol, even_axes(grid, z_int), held)
     out = _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
     out._z = (_z_key(params, pair), z_int)
+    out._held = held
     return out
+
+
+def release_factorization(profile: Profile):
+    """Drop the LDL^T held by the chain of box Newton solves that ends in
+    `profile`, before another large factorization: no two are held at once."""
+    if profile._held is not None:
+        profile._held.system = None
 
 
 @dataclass(frozen=True)
@@ -617,6 +741,7 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
     restrict, mu = fold.restrict, fold.multiplicity
     apply_L, factor, _ = _operator(grid, parity, restrict(diagonal))
     chi = restrict(rhs)
+    release_factorization(profile)
     lu = factor()
     r = lu.solve(chi)
     dr = lu.solve(chi - apply_L(r))

@@ -1,5 +1,6 @@
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.fft
 import scipy.sparse as sp
 from dataclasses import replace
 
-from kgstab import elliptic, grids
+from kgstab import elliptic, grids, workers
 from kgstab.elliptic import (
     _newton,
     assemble_L,
@@ -19,6 +20,7 @@ from kgstab.elliptic import (
 )
 from kgstab.errors import GridTooSmall, NoConvergence, SingularOperator
 from kgstab.grids import Grid
+from kgstab.spectrum import build_spectrum_report
 from kgstab.stability import build_slope_report
 from kgstab.potentials import (
     GaussianTerm,
@@ -157,7 +159,7 @@ def test_newton_failure_carries_residual_and_iterations():
     psi = grids.extract_interior(g, sech_exact(1.0, g.axis))
     # a zero tolerance is unreachable: the line search stalls at roundoff
     with pytest.raises(NoConvergence) as info:
-        _newton(g, np.ones(g.n_interior()), 3.0, psi, tol=0.0)
+        _newton(g, np.ones(g.n_interior()), 3.0, psi, 0.0, (1,))
     assert 0 < info.value.iterations < 30
     assert 0.0 < info.value.residual < 1e-10
 
@@ -180,7 +182,8 @@ def test_newton_refactors_a_stale_lu_before_giving_up(g, factor, monkeypatch):
         return entry(*bands)
 
     monkeypatch.setattr(elliptic, factor, counting_factor)
-    psi, res = _newton(g, np.ones(g.n_interior()), 3.0, np.full(g.n_interior(), 0.501), 1e-12)
+    z, start = np.ones(g.n_interior()), np.full(g.n_interior(), 0.501)
+    psi, res = _newton(g, z, 3.0, start, 1e-12, elliptic.even_axes(g, z))
     assert res < 1e-12
     assert np.allclose(psi, -1.0, atol=1e-4)
     assert len(factored) >= 2
@@ -191,7 +194,7 @@ def test_newton_refactors_a_stale_lu_before_giving_up(g, factor, monkeypatch):
     [Grid(1, "line", 12.0, 200), Grid(2, "box", 10.0, 33)],
     ids=["line-plane-between-nodes", "box-plane-node"],
 )
-def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
+def test_folded_newton_matches_full_box_newton(grid):
     # z even in every axis, an anisotropic start that is not
     y = grid.points()
     r2 = np.sum(y**2, axis=-1)
@@ -199,9 +202,8 @@ def test_folded_newton_matches_full_box_newton(grid, monkeypatch):
     start = 1.5 * np.exp(-0.5 * r2) * (1.0 + 0.05 * np.tanh(y[..., 0]))
     start = grids.extract_interior(grid, start)
     assert elliptic.even_axes(grid, z) == (1,) * grid.dimension
-    folded, res_folded = _newton(grid, z, 3.0, start, 1e-13)
-    monkeypatch.setattr(elliptic, "even_axes", lambda grid, z_int: (0,) * grid.dimension)
-    full, res_full = _newton(grid, z, 3.0, start, 1e-13)
+    folded, res_folded = _newton(grid, z, 3.0, start, 1e-13, (1,) * grid.dimension)
+    full, res_full = _newton(grid, z, 3.0, start, 1e-13, (0,) * grid.dimension)
     assert max(res_folded, res_full) < 1e-12
     assert np.max(np.abs(folded - full)) <= 1e-12 * np.max(np.abs(full))
     # the folded solve returns the even extension: exactly even
@@ -216,11 +218,7 @@ def _sparse_newton(monkeypatch):
 
     def operator(grid, parity, diagonal):
         a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
-
-        def factor(shift=None):
-            return elliptic.factor_ldl(a if shift is None else (a - sp.diags_array(shift)).tocsc())
-
-        return a.__matmul__, factor, "LDL^T"
+        return elliptic._sparse_operator(a)
 
     monkeypatch.setattr(elliptic, "_operator", operator)
 
@@ -232,9 +230,10 @@ def test_banded_newton_matches_the_sparse_path_on_a_line(shift, monkeypatch):
     z = 0.8 + 0.05 * (y - shift) ** 2
     start = 1.5 * np.exp(-0.5 * y**2) * (1.0 + 0.05 * np.tanh(y))
     assert elliptic.even_axes(g, z) == (int(shift == 0.0),)
-    banded, res_banded = _newton(g, z, 3.0, start, 1e-13)
+    parity = elliptic.even_axes(g, z)
+    banded, res_banded = _newton(g, z, 3.0, start, 1e-13, parity)
     _sparse_newton(monkeypatch)
-    sparse, res_sparse = _newton(g, z, 3.0, start, 1e-13)
+    sparse, res_sparse = _newton(g, z, 3.0, start, 1e-13, parity)
     assert max(res_banded, res_sparse) < 1e-12
     assert np.max(np.abs(banded - sparse)) <= 1e-12 * np.max(np.abs(sparse))
 
@@ -259,7 +258,10 @@ def test_singular_tridiagonal_raises_singular_operator():
         elliptic.factor_banded(np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
 
 
-_DONE = re.compile(r"newton done: (\S+), (\d+) iterations, (\d+) factorizations, residual (\S+)$")
+_DONE = re.compile(
+    r"newton done: (\S+), (\d+) iterations, (\d+) factorizations, "
+    r"(\d+) refinement sweeps, residual (\S+)$"
+)
 
 
 @pytest.mark.parametrize(
@@ -272,20 +274,135 @@ _DONE = re.compile(r"newton done: (\S+), (\d+) iterations, (\d+) factorizations,
     ids=["line", "radial", "box"],
 )
 def test_debug_log_records_each_newton_solve(g, kind, factor, monkeypatch, caplog):
-    z = np.full(g.n_interior(), 0.8)
+    # two solves of one chain: the second starts from the first's state at
+    # another z; a box refines it against the first's LDL^T
     start = grids.extract_interior(g, 1.3 * np.exp(-0.4 * g.radii() ** 2))
     calls = []
     entry = getattr(elliptic, factor)
     monkeypatch.setattr(elliptic, factor, lambda *a: calls.append(1) or entry(*a))
+    held = elliptic.HeldLDL()
+    for c in (0.8, 0.81):
+        z = np.full(g.n_interior(), c)
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kgstab"):
+            start, res = _newton(g, z, 3.0, start, 1e-12, elliptic.even_axes(g, z), held)
+        done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
+        assert len(done) == 1
+        got_kind, iterations, factorizations, sweeps, residual = _DONE.match(done[0]).groups()
+        assert got_kind == kind
+        # the logged factorizations are the calls of the factorization
+        assert int(factorizations) == len(calls)
+        assert 1 <= int(iterations) < 30
+        assert float(residual) == pytest.approx(res, rel=1e-3)
+        if kind == "banded":
+            assert 1 <= len(calls) <= int(iterations) and int(sweeps) == 0
+    if kind == "LDL^T":
+        assert len(calls) == 0 and int(sweeps) > 0
+
+
+def _small_saddle(epsilon=0.1):
+    """The 2d saddle of the spectrum tests at `epsilon`, its limit state and a small box."""
+    params = ProblemParams(2, 3.0, 1.0, 0.5, epsilon)
+    spec = PotentialSpec(2, (QuadraticTerm(((0.3, 0.0), (0.0, -0.3)), (0.0, 0.0)),))
+    pair = resolve_potentials(params, None, spec)
+    z = find_critical_point(params, pair, (0.0, 0.0))
+    limit = solve_limit_ground_state(z.z0, 3.0, Grid(2, "radial", 16.0, 401))
+    return params, pair, z, limit, Grid(2, "box", 14.0, 71)
+
+
+def _continued(params, pair, z, limit, grid, tol=1e-10):
+    """The scenario's chain: the epsilon = 0 state, then the profile at epsilon."""
+    base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid, tol=tol)
+    return continue_profile(base, params, pair, z, grid, tol=tol)
+
+
+def test_box_continuation_factors_once_and_keeps_the_newton_path(monkeypatch, caplog):
+    params, pair, z, limit, grid = _small_saddle()
+    calls = []
+    real = elliptic.factor_ldl
+    monkeypatch.setattr(elliptic, "factor_ldl", lambda a: calls.append(a.shape) or real(a))
+    # the last Newton step stops at a truncated residual (3e-9), so the
+    # profile, and the pair near zero most, show any change of the path
     with caplog.at_level(logging.DEBUG, logger="kgstab"):
-        _, res = _newton(g, z, 3.0, start, 1e-12)
-    done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
-    assert len(done) == 1
-    got_kind, iterations, factorizations, residual = _DONE.match(done[0]).groups()
-    assert got_kind == kind
-    assert int(factorizations) == len(calls)
-    assert 1 <= len(calls) <= int(iterations) < 30
-    assert float(residual) == pytest.approx(res, rel=1e-3)
+        held = _continued(params, pair, z, limit, grid, tol=1e-8)
+    steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton done:")]
+    assert len(steps) >= 4  # two settles at epsilon = 0 and at least two steps
+    quarter = ((grid.n - 2) // 2 + 1) ** 2
+    assert calls == [(quarter, quarter)]
+
+    # the reference: a fresh factorization for every Jacobian, no refinement
+    monkeypatch.setattr(elliptic.HeldLDL, "_refine", lambda self, held, jac, b: None)
+    calls.clear()
+    fresh = _continued(params, pair, z, limit, grid, tol=1e-8)
+    assert len(calls) > 1
+    assert np.max(np.abs(held.values - fresh.values)) <= 1e-12 * np.max(fresh.values)
+    low = [
+        np.array(build_spectrum_report(p, params, pair, z, limit).eigenvalues)
+        for p in (held, fresh)
+    ]
+    assert np.all(np.abs(low[0] - low[1]) <= 1e-10 * np.abs(low[1]))
+
+
+def _box_system(diagonal):
+    """A SparseLDL of -lap + diag on a 9 x 9 box."""
+    g = Grid(2, "box", 4.0, 11)
+    return elliptic.SparseLDL((grids.neg_laplacian(g) + sp.diags_array(diagonal)).tocsc())
+
+
+def test_a_far_off_held_factorization_leads_to_one_fresh_one(monkeypatch):
+    calls = []
+    real = elliptic.factor_ldl
+    monkeypatch.setattr(elliptic, "factor_ldl", lambda a: calls.append(1) or real(a))
+    b = np.linspace(1.0, 2.0, 81)
+    held = elliptic.HeldLDL()
+    near = _box_system(np.full(81, 1.0))
+    held.solve((0, 0), near, b)
+    # a nearby Jacobian refines against the held factorization
+    x = held.solve((0, 0), _box_system(np.full(81, 1.1)), b)
+    assert calls == [1] and held.system is near and held.sweeps > 1
+    far = _box_system(np.full(81, -30.0))
+    x = held.solve((0, 0), far, b)
+    assert calls == [1, 1] and held.system is far
+    assert np.max(np.abs(far.matrix @ x - b)) <= 1e-12 * np.max(np.abs(b))
+    # another fold never refines against it: it is factored afresh
+    held.solve((1, 1), _box_system(np.full(81, -30.0)), b)
+    assert calls == [1, 1, 1]
+
+
+def test_a_singular_jacobian_raises_singular_operator():
+    held = elliptic.HeldLDL()
+    b = np.ones(81)
+    held.solve((0, 0), _box_system(np.ones(81)), b)
+    # zero diagonal: symmetric-mode SuperLU meets an exactly zero pivot
+    singular = _box_system(np.full(81, -4.0 / 0.8**2))
+    assert np.all(singular.matrix.diagonal() == 0.0)
+    with pytest.raises(SingularOperator):
+        held.solve((0, 0), singular, b)
+    assert held.system is None  # dropped before the factorization
+
+
+def test_no_factorization_is_held_when_the_spectrum_factors(monkeypatch):
+    params, pair, z, limit, grid = _small_saddle()
+    prof = _continued(params, pair, z, limit, grid)
+    held = weakref.ref(prof._held.system)
+    monkeypatch.setattr(workers, "scipy_openblas_setter", lambda: None)  # blocks in-process
+    dead = []
+    real = elliptic.factor_ldl
+    monkeypatch.setattr(elliptic, "factor_ldl", lambda a: dead.append(held() is None) or real(a))
+    build_spectrum_report(prof, params, pair, z, limit)
+    assert len(dead) >= 4 and all(dead)
+
+
+def test_continuation_decides_its_fold_once(s1, monkeypatch):
+    params, pair, z, _, _ = s1
+    grid = Grid(1, "line", 30.0, 1201)
+    limit = solve_limit_ground_state(z.z0, params.p, grid)
+    checks = []
+    real = elliptic.even_axes
+    monkeypatch.setattr(elliptic, "even_axes", lambda g, f: checks.append(1) or real(g, f))
+    continue_profile(limit, params, pair, z, grid)
+    assert len(checks) == 2  # the settle at epsilon = 0, then every step
 
 
 def test_box_limit_solve_seeds_with_the_radius():
