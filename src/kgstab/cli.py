@@ -1,85 +1,11 @@
 """Scenario configs, the analysis pipeline, and the command-line front end.
 
-A scenario is a JSON file:
-
-    {
-      "dimension": 1, "p": 3.0, "m": 1.0, "omega": 0.9,
-      "mode": "general",
-      "potentials": {
-        "V": [],
-        "W": [{"type": "gaussian", "amplitude": 0.05, "center": [0.0], "width": 1.0}]
-      },
-      "epsilons": [0.1, 0.05, 0.025],
-      "analyses": {"slope_numeric": true, "slope_asymptotic": true,
-                   "spectrum": true, "dynamics": false},
-      "dynamics": {"delta": 1e-3, "kind": "radial-bump", "seed": 0,
-                   "T_over_epsilon": 100.0, "dt_factor": 0.2, "order": 2,
-                   "record_every": 20, "tube_stay": 10.0, "tube_exit": 100.0},
-      "tol": 1e-10,
-      "out": "results"
-    }
-
-Potential terms are `gaussian` (amplitude, center, width) or `quadratic`
-(matrix, center).  Unknown keys, and numbers that are not finite, are
-rejected with a JSON pointer to the key, and so are a negative delta
-and tube radii that are not positive.  Each part of the schema is
-defined once (the key tuples, the term classes and `_DYNAMICS_FIELDS`,
-whose defaults are those of `DynamicsOptions`), and both
-`parse_scenario_dict` and `emit_config` read it.  Epsilons are
-deduplicated and sorted descending so each continuation re-marches
-from the limit state toward harder targets last; with dynamics on, two
-that name one `trajectory_eps_{eps:g}.csv` are rejected.  Automatic
-grids have a desk-scale size cap.  A limit grid that would need more
-nodes runs coarser, with a warning and the requested h beside the
-granted grid in the report's "limit"; a dynamics run that would need
-more nodes (in 2d, every one) records a GridTooSmall error in its
-block, and "/dynamics/grid" must be pinned.
-The pipeline per scenario: locate the concentration point, check the
-standing assumptions, solve the limit state and settle it once, at
-epsilon = 0, on the grid the blocks analyse (`base`: the line in 1d, the
-box in 2d when slope_numeric or spectrum reads the profile), then per
-epsilon run the enabled analyses on `base` or its continuation. A 2d or
-3d scenario with only slope_asymptotic has no line or box: its blocks
-have no profile, and their charge is null. A dynamics-only scenario
-solves no scenario limit state (each dynamics block solves its own on
-its own grid), so its report has no "limit". Failures inside one block
-are recorded in place of its results and turn the exit status nonzero
-without aborting the rest; a failed limit solve is recorded as the
-report's "limit", with no blocks, and a sweep runs its remaining points.
-`python -m kgstab` runs `main`.
-
-Subcommands: analyze, evolve (dynamics only) and sweep (requires a top
-level "omegas" list and takes no "omega"; every point is parsed before
-the first runs, and one with no blocks gets a `sweep.csv` row whose
-`error` names the failed stage).  All read their file through one
-loader, so invalid JSON is a config error at "/".  The physics verdict
-never sets the exit status; only computational failure does.
-`run_scenario` returns `runs`, a (trajectory, timing) pair per dynamics
-run, beside the plain-data report: the trajectory CSVs and the
-`.meta.json` sidecar (`runtime_s`, and per run its epsilon, steps,
-`evolve` seconds, steps per second and folded axes) come from it, so
-the report holds no timing and stays byte-reproducible.  One writer,
-`_write_outputs`, writes every scenario run: the report and sidecar,
-the slope and shift convergence CSVs and the trajectory CSVs, their
-names suffixed `_omega_{om:g}` in a sweep.
-
-`sweep` runs its points in worker processes, one per CPU in the
-process's affinity mask and at most one per point, through the pool
-helper of `kgstab.workers`, which the box spectrum's parity blocks share;
-they are forked, so they inherit the imported modules, and only on
-Linux: elsewhere, and with one worker (`taskset -c 0 kgstab sweep ...`,
-a serial sweep whose calls a tracer in this process sees), the points
-run in-process. A sweep worker solves its box blocks in-process; where
-a point factors a box, each worker first sets scipy's bundled OpenBLAS
-to one thread, as the block workers do, so a box sweep writes the bytes
-of a serial one on any number of CPUs. This
-process parses and checks every point, then writes each point's files
-in omega order as results arrive, the same files `analyze` writes for
-that omega; a sidecar records `workers` beside the point's own
-`runtime_s`. A point that raises stops the sweep as in-process: the
-files of the points before it are written and the points not yet
-started are cancelled. Up to `workers` points are in memory at once,
-and listing the most expensive omegas first shortens the run.
+The scenario schema, the pipeline, the subcommands and their output
+files are documented once, in README.md under "Command line", whose
+examples the tests run.  Here each part of the schema is defined once
+(the key tuples, the term classes and `_DYNAMICS_FIELDS`, whose
+defaults are those of `DynamicsOptions`), and both `parse_scenario_dict`
+and `emit_config` read it.  `python -m kgstab` runs `main`.
 """
 
 from __future__ import annotations

@@ -361,8 +361,10 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     factorization for the log.
     """
     if grid.geometry == "box":
-        a = grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)
-        return _sparse_operator(a.tocsc())
+        # -lap is symmetric to the bit: its transpose is its CSC form
+        a = grids.neg_laplacian(grid, parity).T
+        a.setdiag(a.diagonal() + diagonal)
+        return _sparse_operator(a)
     lower, main, upper = grids.fold(grid, parity).bands
     main = main + diagonal
 
@@ -383,7 +385,11 @@ def _sparse_operator(a):
     """(apply, factor, kind) of `_operator` for the CSC matrix `a`."""
 
     def factor_sparse(shift=None):
-        return SparseLDL(a if shift is None else (a - sp.diags_array(shift)).tocsc())
+        if shift is None:
+            return SparseLDL(a)
+        jac = a.copy()
+        jac.setdiag(a.diagonal() - shift)
+        return SparseLDL(jac)
 
     return a.__matmul__, factor_sparse, "LDL^T"
 
@@ -604,7 +610,8 @@ def continue_profile(
     z0_int = np.full(grid.n_interior(), z.z0)
     psi, res = _newton(grid, z0_int, params.p, psi, tol, even_axes(grid, z0_int), held)
 
-    y = grid.points()  # once per solve: Z(x0 + eps y) at each step
+    # once per solve, and only where a step runs: Z(x0 + eps y) at each step
+    y = grid.points() if target > 0.0 else None
     z_int = None  # the Z field of the last accepted step
     parity = None  # Z(x0 + eps y) is as even as Z about x0 at every eps > 0
     eps_now = 0.0
@@ -682,11 +689,16 @@ class LinearizedOperator:
     parity: tuple | None = None
 
     def matrix(self) -> sp.csr_array:
+        """S (-lap) S + diag, S the inverse square root of the fold's
+        multiplicities, on the structure of `grids.neg_laplacian`: the
+        values of `S @ a @ S + diag(diagonal)`, to the bit."""
         a = grids.neg_laplacian(self.grid, self.parity)
         if self.parity is not None:
-            s = sp.diags_array(1.0 / np.sqrt(grids.fold(self.grid, self.parity).multiplicity))
-            a = s @ a @ s
-        return (a + sp.diags_array(self.diagonal)).tocsr()
+            s = 1.0 / np.sqrt(grids.fold(self.grid, self.parity).multiplicity)
+            rows = np.repeat(np.arange(s.size), np.diff(a.indptr))
+            a.data = (s[rows] * a.data) * s[a.indices]
+        a.setdiag(a.diagonal() + self.diagonal)
+        return a
 
     def bands(self) -> tuple:
         """(main, off) of `matrix()` on a line grid, with no sparse matrix:

@@ -15,7 +15,8 @@ which maps to and from them by indexing; each stands for its
 `multiplicity` of nodes, and `neg_laplacian` restricts to them. Line
 and radial grids also give their -lap as three `bands` of their fold,
 from which the solvers work without any sparse matrix; box grids
-assemble the sparse Kronecker sum of the same axis bands. Fields are
+assemble the Kronecker sum of the same axis bands straight from its
+bands. Fields are
 stored on the full node set with boundary entries kept at zero; linear
 operators act on the interior unknowns only.
 
@@ -280,22 +281,34 @@ def neg_laplacian(grid: Grid, parity=None):
     `Fold` (the default parity, all 0, gives -lap): the
     multiplicities times the stencil with a mirror ghost node (even) or
     a Dirichlet plane (odd) at the centre, symmetric. An odd n puts a
-    node on the plane, an even n two nodes astride it. Both are
-    assembled from the axis bands that `Fold.bands` returns on a line.
+    node on the plane, an even n two nodes astride it. It is the
+    Kronecker sum of the axis stencils of `_axis_bands` (the bands that
+    `Fold.bands` returns on a line), assembled from its bands by one
+    `diags_array`: the main band, and per axis one band at +-stride, the
+    axis's off band times the other axes' masses, zero where the axis
+    index wraps. The masses are 1 or 2, so every product is exact, and
+    the main band sums its axis terms in axis order: the matrix of the
+    sparse Kronecker sum, to the bit.
     """
     if grid.geometry == "radial":
         lower, main, upper = fold(grid, None).bands
-        return sp.diags_array([main, upper, lower], offsets=[0, 1, -1]).tocsr()
-    # line and box: Kronecker sum of the axis stencils
-    axes = range(grid.dimension)
-    parity = parity or (0,) * grid.dimension
-    stencils, masses = [], []
-    for s in parity:
-        main, off, mass = _axis_bands(grid.n - 2, grid.h, s)
-        stencils.append(sp.diags_array([main, off, off], offsets=[0, 1, -1]))
-        masses.append(sp.diags_array(mass))
-    terms = [reduce(sp.kron, [stencils[b] if b == a else masses[b] for b in axes]) for a in axes]
-    return sum(terms[1:], terms[0]).tocsr()
+        return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1], format="csr")
+    axes = [_axis_bands(grid.n - 2, grid.h, s) for s in parity or (0,) * grid.dimension]
+    masses = [mass for _, _, mass in axes]
+
+    def term(a, band):
+        # `band` on axis a times the masses of the other axes, raveled
+        return reduce(np.multiply.outer, masses[:a] + [band] + masses[a + 1 :]).ravel()
+
+    main, strides, offs = 0.0, [], []
+    for a, (diag, off, _) in enumerate(axes):
+        main = main + term(a, diag)
+        strides.append(prod(m.size for m in masses[a + 1 :]))
+        offs.append(term(a, np.append(off, 0.0))[: -strides[-1]])
+    # the strides fall with the axis, so the offsets ascend: every scipy
+    # converts the bands to sorted column indices
+    offsets = [-s for s in strides] + [0] + strides[::-1]
+    return sp.diags_array(offs + [main] + offs[::-1], offsets=offsets, format="csr")
 
 
 def _axis_bands(m: int, h: float, parity: int):

@@ -26,8 +26,12 @@ On a box grid each block's spectrum is sliced at zero (Parlett): one
 symmetric LDL^T of the block gives the exact number of its negative
 eigenvalues by Sylvester's law of inertia, and the same factorization
 drives shift-invert Lanczos at zero for the eigenvalues around the zero
-cluster.  A second, short shift-invert below the spectrum runs only for
-the deep negative eigenvalues that the first one does not reach.  The
+cluster.  Where that run does not reach every negative eigenvalue, a
+second Lanczos run on the same factorization finds them all: they are
+the negative eigenvalues theta = 1/lambda of the inverse (spectral
+transformation; Ericsson and Ruhe, Math. Comp. 35, 1980), so a block
+is factored once.  Only a block with more negatives than eigenvalues
+asked for is factored again, shifted below its spectrum.  The
 blocks do not depend on each other: they run in forked worker
 processes (`workers.worker_map`), one per CPU in the affinity mask and
 at most one per block, each with scipy's bundled OpenBLAS (the BLAS
@@ -130,36 +134,45 @@ def eig_low(blocks, k: int) -> np.ndarray:
     with workers.worker_map(n_workers, setter, (1,)) as block_map:
         results = list(block_map(_eig_box, blocks, [k] * len(blocks)))
     pivots = "eig_low: parity %s, %d unknowns, %d negative pivots"
-    done = "eig_low done: parity %s, %d shift-invert solves, %d Lanczos runs"
-    for op, (_, n_neg, solves, runs) in zip(blocks, results):
+    done = "eig_low done: parity %s, %d factorizations, %d shift-invert solves, %d Lanczos runs"
+    for op, (_, n_neg, *counts) in zip(blocks, results):
         log.debug(pivots, op.parity, op.diagonal.size, n_neg)
-        log.debug(done, op.parity, solves, runs)
+        log.debug(done, op.parity, *counts)
     return np.sort(np.concatenate([vals for vals, *_ in results]))[:k]
 
 
 def _eig_box(op: LinearizedOperator, k: int) -> tuple:
     """(the k smallest eigenvalues of one box-grid block, ascending, at
     most one fewer than its unknowns; its negative pivots; its
-    shift-invert solves; its Lanczos runs).
+    factorizations; its shift-invert solves; its Lanczos runs).
 
     1. a symmetric-mode LDL^T of the block (no off-diagonal pivoting, so
        perm_r == perm_c) counts the negative eigenvalues exactly, as the
        negative pivots on U's diagonal (Sylvester's law of inertia);
     2. shift-inverted Lanczos at sigma = 0, reusing that factorization,
        finds the k eigenvalues nearest zero;
-    3. only if that misses some of the negatives, a second shift-invert
-       below the diagonal minimum, where the block less sigma is positive
-       definite (factored the same way), finds the lowest missing ones.
+    3. only if that misses some of the negatives, a second Lanczos run
+       on the same factorization finds all n_neg of them: they are the
+       n_neg algebraically smallest eigenvalues theta = 1/lambda of the
+       inverse (Ericsson and Ruhe, Math. Comp. 35, 1980), which replace
+       the negatives of step 2.  A block with more than k negatives, for
+       which that run would not find the lowest ones, takes a second
+       shift-invert below the diagonal minimum instead, where the block
+       less sigma is positive definite (factored the same way), for the
+       lowest missing ones.
 
     The k smallest of the union are the answer: every eigenvalue nearer
     zero than the farthest one of step 2 is in it, and the negatives it
-    lacks are the lowest ones.  Both Lanczos runs stop at the residual
+    lacks are the lowest ones.  Every Lanczos run stops at the residual
     bound `LANCZOS_RTOL` |theta|, which leaves an eigenvalue off by less
     than 1e-15 relative wherever its gap exceeds 1e-3 |theta| (see the
-    constant).  It logs nothing, as it may run in a worker, whose log
-    records never reach this process's handlers.  A failed
-    factorization, a pivoted one, or a result whose negative count
-    disagrees with the inertia raises `EigSolverFailure`.
+    constant; Kato-Temple).  In the run of step 3 the negatives' theta
+    lie below zero and the rest above it, so each negative's gap in
+    theta to the rest of the spectrum exceeds its own |theta|.  It logs
+    nothing, as it may run in a worker, whose log records never reach
+    this process's handlers.  A failed factorization, a pivoted one, or
+    a result whose negative count disagrees with the inertia raises
+    `EigSolverFailure`.
     """
     n = op.diagonal.size
     k = min(k, n - 1)
@@ -172,19 +185,23 @@ def _eig_box(op: LinearizedOperator, k: int) -> tuple:
     n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     vals, solves = _shift_invert(a, k, 0.0, lu, v0)
     missing = n_neg - int(np.count_nonzero(vals < 0.0))
-    if missing > 0:
+    factorizations = 1
+    if 0 < missing and n_neg <= k:
+        negatives, more = _shift_invert(a, n_neg, 0.0, lu, v0, which="SA")
+        vals, solves = np.concatenate([vals[vals >= 0.0], negatives]), solves + more
+    elif missing > 0:
         del lu  # never hold two large factorizations at once
         sigma = float(np.min(op.diagonal)) - 1.0
         lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
-        deep, deep_solves = _shift_invert(a, min(missing, k), sigma, lu, v0)
-        vals, solves = np.concatenate([vals, deep]), solves + deep_solves
+        deep, more = _shift_invert(a, min(missing, k), sigma, lu, v0)
+        vals, solves, factorizations = np.concatenate([vals, deep]), solves + more, 2
     vals = np.sort(vals)[:k]
     found = int(np.count_nonzero(vals < 0.0))
     if found != min(n_neg, k):
         raise EigSolverFailure(
             f"{found} negative eigenvalues among the lowest {k}, inertia counts {n_neg}"
         )
-    return vals, n_neg, solves, 1 + (missing > 0)
+    return vals, n_neg, factorizations, solves, 1 + (missing > 0)
 
 
 def _factor(a):
@@ -194,9 +211,10 @@ def _factor(a):
         raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
 
 
-def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray):
-    """(the k eigenvalues of `a` nearest sigma, the solves with `lu` it
-    took); `lu` factors a - sigma I."""
+def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray, which: str = "LM"):
+    """(the k eigenvalues of `a` whose theta = 1/(lambda - sigma) come
+    first by `which`, as in `eigsh`: by default the k nearest sigma; the
+    solves with `lu` it took); `lu` factors a - sigma I."""
     solves = 0
 
     def solve(v):
@@ -207,7 +225,8 @@ def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray):
     op_inv = LinearOperator(a.shape, matvec=solve, dtype=a.dtype)
     try:
         vals = eigsh(
-            a, k, sigma=sigma, v0=v0, OPinv=op_inv, tol=LANCZOS_RTOL, return_eigenvectors=False
+            a, k, sigma=sigma, which=which, v0=v0, OPinv=op_inv, tol=LANCZOS_RTOL,
+            return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos stalled: {exc}") from exc

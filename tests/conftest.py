@@ -1,8 +1,11 @@
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from kgstab import grids
 from kgstab.elliptic import continue_profile, resolve_at_omega, solve_limit_ground_state
 from kgstab.grids import Grid
 from kgstab.potentials import (
@@ -102,3 +105,25 @@ def richardson_slope(profile, params, pair):
     err = abs(d2 - d1) / 3.0 + 1e-12 * abs(scaled) + 1e-15
     epsn = params.epsilon**params.dimension
     return epsn * scaled, epsn * err
+
+
+def kronecker_sum_laplacian(g, parity):
+    """E^T (-lap) E as the sparse Kronecker sum of the axis stencils: the
+    reference that the banded assembly of `grids.neg_laplacian` matches
+    to the bit."""
+    stencils, masses = [], []
+    for s in parity:
+        main, off, mass = grids._axis_bands(g.n - 2, g.h, s)
+        stencils.append(sp.diags_array([main, off, off], offsets=[0, 1, -1]))
+        masses.append(sp.diags_array(mass))
+    axes = range(g.dimension)
+    terms = [reduce(sp.kron, [stencils[b] if b == a else masses[b] for b in axes]) for a in axes]
+    return sum(terms[1:], terms[0]).tocsr()
+
+
+def assert_same_sparse(got, want):
+    """The same compressed sparse matrix to the bit: format, shape, data,
+    indices and indptr."""
+    assert (got.format, got.shape) == (want.format, want.shape)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name

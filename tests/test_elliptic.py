@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 import weakref
@@ -10,6 +11,7 @@ from dataclasses import replace
 
 from kgstab import elliptic, grids, workers
 from kgstab.elliptic import (
+    LinearizedOperator,
     _newton,
     assemble_L,
     compute_R_omega,
@@ -33,7 +35,13 @@ from kgstab.potentials import (
 )
 
 
-from conftest import compute_T_lambda, fd_R_omega, sech_exact
+from conftest import (
+    assert_same_sparse,
+    compute_T_lambda,
+    fd_R_omega,
+    kronecker_sum_laplacian,
+    sech_exact,
+)
 
 
 def test_limit_solver_residual_and_positivity(free_limit):
@@ -221,6 +229,36 @@ def _sparse_newton(monkeypatch):
         return elliptic._sparse_operator(a)
 
     monkeypatch.setattr(elliptic, "_operator", operator)
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_operator_matrix_is_the_scaled_sparse_sum_to_the_bit(dim, n):
+    # S a S + diag as sparse products and a sparse sum, S = diag(1/sqrt(multiplicity))
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    rng = np.random.default_rng(dim * n)
+    for parity in list(itertools.product((0, 1, -1), repeat=dim)) + [None]:
+        a = kronecker_sum_laplacian(g, parity or (0,) * dim)
+        diagonal = rng.standard_normal(a.shape[0])
+        if parity is not None:
+            s = sp.diags_array(1.0 / np.sqrt(grids.fold(g, parity).multiplicity))
+            a = s @ a @ s
+        want = (a + sp.diags_array(diagonal)).tocsr()
+        assert_same_sparse(LinearizedOperator(g, diagonal, parity).matrix(), want)
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_box_jacobians_are_the_shifted_sparse_sum_to_the_bit(dim, n):
+    # -lap + diag, and each Jacobian less its shift, as sparse sums
+    g = Grid(dim, "box", 3.0, n)
+    rng = np.random.default_rng(dim * n)
+    for parity in itertools.product((0, 1, -1), repeat=dim):
+        diagonal, shift = rng.standard_normal((2, grids.fold(g, parity).multiplicity.size))
+        a = (kronecker_sum_laplacian(g, parity) + sp.diags_array(diagonal)).tocsc()
+        _, factor, _ = elliptic._operator(g, parity, diagonal)
+        assert_same_sparse(factor().matrix, a)
+        assert_same_sparse(factor(shift).matrix, (a - sp.diags_array(shift)).tocsc())
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["folded", "unfolded"])
@@ -430,8 +468,14 @@ def test_decay_check_raises_on_small_domain():
         solve_limit_ground_state(0.05, 3.0, Grid(1, "line", 6.0, 601), method="fd")
 
 
-def test_continuation_identity_at_zero(s1):
+def test_continuation_identity_at_zero(s1, monkeypatch):
     params, pair, z, grid, limit = s1
+
+    def points(self):
+        raise AssertionError("a settle at epsilon = 0 built the node coordinates")
+
+    # no step runs, so no Z(x0 + eps y) is sampled
+    monkeypatch.setattr(Grid, "points", points)
     out = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid=grid)
     assert np.array_equal(out.values, limit.values)
 

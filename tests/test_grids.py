@@ -8,6 +8,8 @@ from kgstab import grids
 from kgstab.errors import SchemaError
 from kgstab.grids import GEOMETRIES, Grid, sphere_area
 
+from conftest import assert_same_sparse, kronecker_sum_laplacian
+
 
 def test_geometry_validation():
     with pytest.raises(SchemaError):
@@ -171,6 +173,15 @@ def test_folded_stencils_are_the_restriction_of_the_full_laplacian(dim, n):
         got = grids.neg_laplacian(g, parity).toarray()
         assert np.allclose(got, e.T @ full @ e, rtol=0.0, atol=1e-12 / g.h**2), parity
         assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("n", [9, 10], ids=["plane-node", "plane-between-nodes"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_banded_laplacian_is_the_sparse_kronecker_sum_to_the_bit(dim, n):
+    g = Grid(dim, "line" if dim == 1 else "box", 3.0, n)
+    for parity in _parities(dim):
+        assert_same_sparse(grids.neg_laplacian(g, parity), kronecker_sum_laplacian(g, parity))
+    assert_same_sparse(grids.neg_laplacian(g), kronecker_sum_laplacian(g, (0,) * dim))
 
 
 def _axis_bands_from_mirror(m, h, parity):

@@ -12,7 +12,6 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy
-import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -199,10 +198,12 @@ def test_eig_low_box_matches_dense(case, monkeypatch):
     eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
     vals = eig_low([op], k)
     np.testing.assert_allclose(vals, dense[:k], rtol=1e-9, atol=0.0)
-    # every factorization goes through kgstab.elliptic.splu; the second
-    # shift-invert runs only when the first one misses a negative
-    solves = 1 if m >= n_neg else 2
-    assert len(splu_calls) == len(eigsh_calls) == solves
+    # every factorization goes through kgstab.elliptic.splu. A second
+    # Lanczos run follows only when the first one misses a negative; it
+    # runs on the one factorization unless there are more than k negatives
+    runs = 1 if m >= n_neg else 2
+    factorizations = 2 if n_neg > k else 1
+    assert (len(splu_calls), len(eigsh_calls)) == (factorizations, runs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -321,7 +322,7 @@ def _scipy_blas_threads(op, k):
     (lib,) = glob.glob(os.path.join(libdir, "*openblas*"))
     handle = ctypes.CDLL(lib)
     get = getattr(handle, "scipy_openblas_get_num_threads", None) or handle.openblas_get_num_threads
-    return np.array([float(get())]), 0, 0, 1
+    return np.array([float(get())]), 0, 1, 0, 1
 
 
 @forks_workers
@@ -381,19 +382,20 @@ class _CountingSolves:
         return self.lu.solve(v)
 
 
-def _eigsh_to_machine_precision(a, k, sigma, v0):
-    """scipy's eigsh at its default tol=0 on the LDL^T of a - sigma I, and
-    the solves it took."""
-    shifted = a - sigma * sp.eye_array(a.shape[0], format="csc")
-    lu = _CountingSolves(elliptic.factor_ldl(shifted), [])
+def _eigsh_to_machine_precision(a, k, which, v0):
+    """scipy's eigsh at sigma = 0 and its default tol=0 on the LDL^T of a,
+    and the solves it took."""
+    lu = _CountingSolves(elliptic.factor_ldl(a), [])
     op_inv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
-    vals = eigsh(a, k, sigma=sigma, v0=v0, OPinv=op_inv, tol=0, return_eigenvectors=False)
+    vals = eigsh(
+        a, k, sigma=0.0, which=which, v0=v0, OPinv=op_inv, tol=0, return_eigenvectors=False
+    )
     return vals, len(lu.solves)
 
 
 def test_lanczos_stops_at_the_ritz_value_bound(monkeypatch):
-    # a deep ground state below the shift-0 window, so the second shift
-    # runs, and a low pair 1e-6 apart
+    # a deep ground state outside the shift-0 window, so the second
+    # Lanczos run looks for the negatives, and a low pair 1e-6 apart
     op = _box_operator(25, lambda x, y: 0.3 - 6.0 * np.exp(-(x**2 + (1.0 + 2.5e-6) * y**2)))
     k = 5
     a = op.matrix().tocsc()
@@ -401,18 +403,22 @@ def test_lanczos_stops_at_the_ritz_value_bound(monkeypatch):
     assert dense[0] < 0.0 < dense[1] and 5e-7 < dense[2] - dense[1] < 2e-6
     # eig_low's fixed-seed start vector
     v0 = np.random.default_rng(1905).standard_normal(a.shape[0])
-    near, near_solves = _eigsh_to_machine_precision(a, k, 0.0, v0)
+    near, near_solves = _eigsh_to_machine_precision(a, k, "LM", v0)
     assert np.all(near > 0.0)
-    deep, deep_solves = _eigsh_to_machine_precision(a, 1, float(np.min(op.diagonal)) - 1.0, v0)
+    deep, deep_solves = _eigsh_to_machine_precision(a, 1, "SA", v0)
     exact = np.sort(np.concatenate([near, deep]))[:k]
-    solves = []
+    solves, factored = [], []
     factor = elliptic.factor_ldl
-    monkeypatch.setattr(elliptic, "factor_ldl", lambda m: _CountingSolves(factor(m), solves))
+    monkeypatch.setattr(
+        elliptic, "factor_ldl", lambda m: factored.append(1) or _CountingSolves(factor(m), solves)
+    )
     vals = eig_low([op], k)
     norm = np.linalg.norm(a.toarray(), 2)
     np.testing.assert_allclose(vals, dense[:k], rtol=0.0, atol=1e-12 * norm)
     np.testing.assert_allclose(vals, exact, rtol=1e-14, atol=0.0)
     assert len(solves) < near_solves + deep_solves
+    # one factorization serves both runs
+    assert len(factored) == 1
 
 
 @pytest.fixture(scope="module")
@@ -463,7 +469,7 @@ def _line_operator(n, diagonal, extent=6.0):
     return LinearizedOperator(g, np.asarray(diagonal(g.axis[1:-1]), dtype=float))
 
 
-# (operator, whether the even-even block needs the second shift)
+# (operator, whether the even-even block needs the second Lanczos run)
 SYMMETRIC_CASES = {
     "box-plane-node": (lambda: _box_operator(25, _centred_well(1.5, 1.5)), False),
     "box-plane-between-nodes": (lambda: _box_operator(24, _centred_well(1.5, 1.5)), False),
@@ -508,16 +514,23 @@ def test_parity_blocks_split_the_spectrum(case, monkeypatch):
     dense = np.linalg.eigvalsh(op.matrix().toarray())[:k]
     blocks = parity_blocks(op, even)
     np.testing.assert_allclose(eig_low(blocks, k), full, rtol=1e-9, atol=0.0)
+    factor_calls = _counting(monkeypatch, elliptic, "factor_ldl")
     eigsh_calls = _counting(monkeypatch, spectrum, "eigsh")
     assert len(blocks) == 2**op.grid.dimension
     assert sum(b.diagonal.size for b in blocks) == op.diagonal.size
-    split = np.sort(np.concatenate([eig_low([b], k) for b in blocks]))[:k]
+    vals, calls = [], []
+    for b in blocks:
+        before = len(factor_calls), len(eigsh_calls)
+        vals.append(eig_low([b], k))
+        calls.append((len(factor_calls) - before[0], len(eigsh_calls) - before[1]))
+    split = np.sort(np.concatenate(vals))[:k]
     np.testing.assert_allclose(split, full, rtol=1e-9, atol=0.0)
     np.testing.assert_allclose(split, dense, rtol=1e-9, atol=0.0)
     if op.grid.geometry == "box":
-        # the even-even block comes first; its deep ground state lies
-        # below the shift-0 window only in the deep case
-        assert len(eigsh_calls) == len(blocks) + second_shift
+        # one factorization per block. The even-even block comes first;
+        # its deep ground state lies outside the shift-0 window only in
+        # the deep case, where a second run on that factorization finds it
+        assert calls == [(1, 1 + second_shift)] + [(1, 1)] * (len(blocks) - 1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["1cpu", "2cpus"])
@@ -547,8 +560,9 @@ def test_debug_log_names_the_folded_axes_and_the_blocks(
     assert len(pivots) == len(sizes)
     # one line per block after its solves, the same counts in a second run
     done = _eig_low_done(messages)
-    assert [parity for parity, _, _ in done] == [re.match(PIVOTS, m)[1] for m in pivots]
-    assert all(solves > 0 and runs in (1, 2) for _, solves, runs in done)
+    assert [parity for parity, *_ in done] == [re.match(PIVOTS, m)[1] for m in pivots]
+    # L has at most k negatives: one factorization per block
+    assert all(f == 1 and solves > 0 and runs in (1, 2) for _, f, solves, runs in done)
     n_workers = min(cpus, len(sizes)) if sys.platform.startswith("linux") else 1
     pool = f"eig_low pool: {len(sizes)} parity blocks in {n_workers} workers"
     assert _pool_line(messages) == pool
@@ -559,14 +573,17 @@ def test_debug_log_names_the_folded_axes_and_the_blocks(
 
 
 PIVOTS = r"eig_low: parity (.*), \d+ unknowns, \d+ negative pivots"
-DONE = r"eig_low done: parity (.*), (\d+) shift-invert solves, (\d+) Lanczos runs"
+DONE = (
+    r"eig_low done: parity (.*), (\d+) factorizations, (\d+) shift-invert solves, "
+    r"(\d+) Lanczos runs"
+)
 
 
 def _eig_low_done(messages):
-    """(parity, solves, Lanczos runs) of each `eig_low done:` line."""
+    """(parity, factorizations, solves, Lanczos runs) of each `eig_low done:` line."""
     found = [re.fullmatch(DONE, m) for m in messages if m.startswith("eig_low done:")]
     assert all(found)
-    return [(f[1], int(f[2]), int(f[3])) for f in found]
+    return [(f[1], int(f[2]), int(f[3]), int(f[4])) for f in found]
 
 
 def _line_blocks(n, noise=0.0):
