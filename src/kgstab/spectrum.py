@@ -89,6 +89,17 @@ log = logging.getLogger("kgstab")
 # LDL^T's own backward error, eps ||A|| (about 5e-13 on a 481^2 box).
 LANCZOS_RTOL = 1e-9
 
+# A Krylov space of one start vector holds one vector of each eigenspace,
+# so one Lanczos run finds one copy of a multiple eigenvalue, and another
+# only through rounding.  A box block has multiple eigenvalues for a
+# reason only where its diagonal is separable or invariant under a
+# symmetry of its -lap that does not square to the identity
+# (`_may_have_multiples`); a diagonal counts as such to this tolerance,
+# relative to 1 + its largest magnitude.  On the 2d boxes of the tests a
+# single run still missed a copy of a double eigenvalue of a constant
+# diagonal with noise of amplitude 1e-14 added, and none at 1e-13 or more.
+SYMMETRY_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -168,14 +179,23 @@ def _eig_box(op: LinearizedOperator, k: int) -> tuple:
     than 1e-15 relative wherever its gap exceeds 1e-3 |theta| (see the
     constant; Kato-Temple).  In the run of step 3 the negatives' theta
     lie below zero and the rest above it, so each negative's gap in
-    theta to the rest of the spectrum exceeds its own |theta|.  It logs
-    nothing, as it may run in a worker, whose log records never reach
-    this process's handlers.  A failed factorization, a pivoted one, or
-    a result whose negative count disagrees with the inertia raises
-    `EigSolverFailure`.
+    theta to the rest of the spectrum exceeds its own |theta|.
+
+    A block that may have multiple eigenvalues (`_may_have_multiples`)
+    keeps the eigenvectors of its runs, and Lanczos runs for one
+    eigenvalue each on their orthogonal complement add the copies a run
+    missed: after steps 2 and 3 below the deep shift, until one finds
+    none nearer the shift than the farthest found (`_complete`); in
+    step 3 at zero, one negative per run until the inertia's count.
+
+    It logs nothing, as it may run in a worker, whose log records never
+    reach this process's handlers.  A failed factorization, a pivoted
+    one, or a result whose negative count disagrees with the inertia
+    raises `EigSolverFailure`.
     """
     n = op.diagonal.size
     k = min(k, n - 1)
+    multiples = _may_have_multiples(op)  # its arrays go before the LDL^T comes
     a = op.matrix().tocsc()
     # fixed-seed start vector: reproducible reports, generic against symmetry
     v0 = np.random.default_rng(1905).standard_normal(n)
@@ -183,25 +203,99 @@ def _eig_box(op: LinearizedOperator, k: int) -> tuple:
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigSolverFailure("LDL^T factorization pivoted off the diagonal: inertia unknown")
     n_neg = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    vals, solves = _shift_invert(a, k, 0.0, lu, v0)
+    no_vectors = np.empty((n, 0)) if multiples else None
+    vals, vecs, solves = _shift_invert(a, k, 0.0, lu, v0, basis=no_vectors)
+    runs = 1
+    if multiples:
+        vals, vecs, more, extra = _complete(a, 0.0, lu, v0, vals, vecs)
+        solves, runs = solves + more, runs + extra
     missing = n_neg - int(np.count_nonzero(vals < 0.0))
     factorizations = 1
-    if 0 < missing and n_neg <= k:
-        negatives, more = _shift_invert(a, n_neg, 0.0, lu, v0, which="SA")
-        vals, solves = np.concatenate([vals[vals >= 0.0], negatives]), solves + more
+    if 0 < missing and n_neg <= k and multiples:
+        negatives = vals[vals < 0.0]
+        while negatives.size < n_neg:
+            (val,), vec, more = _shift_invert(a, 1, 0.0, lu, v0, which="SA", basis=vecs)
+            solves, runs = solves + more, runs + 1
+            if val >= 0.0:
+                break  # the negative count check below raises
+            negatives, vecs = np.append(negatives, val), np.column_stack([vecs, vec])
+        vals = np.concatenate([vals[vals >= 0.0], negatives])
+    elif 0 < missing and n_neg <= k:
+        negatives, _, more = _shift_invert(a, n_neg, 0.0, lu, v0, which="SA")
+        vals, solves, runs = np.concatenate([vals[vals >= 0.0], negatives]), solves + more, 2
     elif missing > 0:
         del lu  # never hold two large factorizations at once
         sigma = float(np.min(op.diagonal)) - 1.0
         lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
-        deep, more = _shift_invert(a, min(missing, k), sigma, lu, v0)
-        vals, solves, factorizations = np.concatenate([vals, deep]), solves + more, 2
+        deep, vecs, more = _shift_invert(a, min(missing, k), sigma, lu, v0, basis=no_vectors)
+        solves, runs, factorizations = solves + more, runs + 1, 2
+        if multiples:
+            deep, _, more, extra = _complete(a, sigma, lu, v0, deep, vecs)
+            solves, runs = solves + more, runs + extra
+        vals = np.concatenate([vals, deep])
     vals = np.sort(vals)[:k]
     found = int(np.count_nonzero(vals < 0.0))
     if found != min(n_neg, k):
         raise EigSolverFailure(
             f"{found} negative eigenvalues among the lowest {k}, inertia counts {n_neg}"
         )
-    return vals, n_neg, factorizations, solves, 1 + (missing > 0)
+    return vals, n_neg, factorizations, solves, runs
+
+
+def _may_have_multiples(op: LinearizedOperator) -> bool:
+    """Whether the box block `op` may have a multiple eigenvalue for a
+    reason: its diagonal, on the kept nodes' sub-box, is separable (a sum
+    of one function per axis, so its eigenvalues are sums of the axes'
+    and may coincide) or invariant under a symmetry of the block's -lap
+    whose square is not the identity, such as a quarter turn.  The
+    symmetries of a diagonal form a group; where each squares to the
+    identity it is abelian and all its real irreducible representations
+    have dimension one, otherwise some have two or more.  The symmetries
+    of -lap permute axes of equal parity and reverse unfolded ones.  Both
+    tests hold to `SYMMETRY_RTOL`.  Otherwise an exactly multiple
+    eigenvalue is an accident of measure zero.  A block on one axis is
+    tridiagonal: its eigenvalues are simple.
+    """
+    parity = op.parity or (0,) * op.grid.dimension
+    shape = tuple(mass.size for mass in grids.fold(op.grid, parity).masses)
+    d = op.diagonal.reshape(shape)
+    if d.ndim < 2:
+        return False
+    atol = SYMMETRY_RTOL * (1.0 + float(np.max(np.abs(d))))
+    axes = range(d.ndim)
+    # d = sum_a f_a(x_a) exactly when d + (ndim - 1) mean(d) is the sum of
+    # its marginal means
+    rest = d + (d.ndim - 1) * np.mean(d)
+    for a in axes:
+        rest = rest - np.mean(d, axis=tuple(b for b in axes if b != a), keepdims=True)
+    if np.max(np.abs(rest)) <= atol:
+        return True
+    index = np.arange(d.size).reshape(shape)
+    maps = []
+    for perm in itertools.permutations(axes):
+        if any(parity[b] != parity[a] for a, b in zip(axes, perm)):
+            continue
+        for flips in itertools.product(*[(False, True) if s == 0 else (False,) for s in parity]):
+            flipped = tuple(a for a in axes if flips[a])
+            g = np.flip(np.transpose(index, perm), flipped).ravel()
+            if np.max(np.abs(d.ravel()[g] - d.ravel())) <= atol:
+                maps.append(g)
+    return any(not np.array_equal(g[g], index.ravel()) for g in maps)
+
+
+def _complete(a, sigma: float, lu, v0: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """(vals, vecs, solves, runs): the eigenpairs of `a` nearest sigma of
+    one Lanczos run, with every copy of a multiple eigenvalue that it
+    missed added.  Each further run finds the eigenvalue nearest sigma on
+    the orthogonal complement of the eigenvectors found; it joins them
+    while it is nearer sigma than the farthest of them."""
+    solves = runs = 0
+    while True:
+        (val,), vec, more = _shift_invert(a, 1, sigma, lu, v0, basis=vecs)
+        solves, runs = solves + more, runs + 1
+        if abs(val - sigma) >= np.max(np.abs(vals - sigma)):
+            return vals, vecs, solves, runs
+        vals, vecs = np.append(vals, val), np.column_stack([vecs, vec])
 
 
 def _factor(a):
@@ -211,28 +305,39 @@ def _factor(a):
         raise EigSolverFailure(f"shift-invert factorization failed: {exc}") from exc
 
 
-def _shift_invert(a, k: int, sigma: float, lu, v0: np.ndarray, which: str = "LM"):
+def _shift_invert(
+    a, k: int, sigma: float, lu, v0: np.ndarray, which: str = "LM", basis=None
+):
     """(the k eigenvalues of `a` whose theta = 1/(lambda - sigma) come
-    first by `which`, as in `eigsh`: by default the k nearest sigma; the
-    solves with `lu` it took); `lu` factors a - sigma I."""
+    first by `which`, as in `eigsh`: by default the k nearest sigma;
+    their eigenvectors, or None; the solves with `lu` it took); `lu`
+    factors a - sigma I.  With `basis`, orthonormal eigenvectors of `a`
+    as columns (maybe none), the run is on their orthogonal complement,
+    and it returns its eigenvectors."""
     solves = 0
+
+    def project(v):
+        return v - basis @ (basis.T @ v)
 
     def solve(v):
         nonlocal solves
         solves += 1
-        return lu.solve(v)
+        if basis is None:
+            return lu.solve(v)
+        return project(lu.solve(project(v)))
 
     op_inv = LinearOperator(a.shape, matvec=solve, dtype=a.dtype)
+    vectors = basis is not None
     try:
-        vals = eigsh(
-            a, k, sigma=sigma, which=which, v0=v0, OPinv=op_inv, tol=LANCZOS_RTOL,
-            return_eigenvectors=False,
+        found = eigsh(
+            a, k, sigma=sigma, which=which, v0=project(v0) if vectors else v0, OPinv=op_inv,
+            tol=LANCZOS_RTOL, return_eigenvectors=vectors,
         )
     except ArpackNoConvergence as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos stalled: {exc}") from exc
     except RuntimeError as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos failed: {exc}") from exc
-    return vals, solves
+    return found + (solves,) if vectors else (found, None, solves)
 
 
 def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
