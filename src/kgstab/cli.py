@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from . import dynamics as dyn
 from . import io as kio
@@ -331,11 +330,19 @@ LIMIT_H = 0.01  # largest node spacing of an automatic limit grid, below its cap
 
 
 def _fft_nodes(count: int) -> int:
-    """The smallest n >= count of count's parity with n - 1 a fast FFT size:
-    a DST-I on n - 2 unknowns runs an FFT of length 2 (n - 1)."""
-    m = scipy.fft.next_fast_len(count - 1)
-    while m % 2 != (count - 1) % 2:
-        m = scipy.fft.next_fast_len(m + 1)
+    """The smallest n >= count of count's parity with n - 1 a fast FFT size,
+    a product of primes up to 11 (`scipy.fft.next_fast_len`'s sizes): a
+    DST-I on n - 2 unknowns runs a real FFT of length 2 (n - 1)."""
+
+    def smooth(m):
+        for prime in (2, 3, 5, 7, 11):
+            while m and m % prime == 0:
+                m //= prime
+        return m <= 1
+
+    m = count - 1
+    while not smooth(m):
+        m += 2
     return m + 1
 
 
@@ -754,6 +761,9 @@ def _cmd_sweep(args) -> int:
     # serial sweep
     box = workers > 1 and any(_factors_box(c) for c in configs)
     setter = scipy_openblas_setter() if box else None
+    if box:
+        # loaded before the pool forks, so that no worker imports it
+        import scipy.sparse.linalg  # noqa: F401
     rows = []
     worst = 0
     # the points run in worker processes; this process writes every

@@ -45,7 +45,9 @@ holds one LDL^T, of its first Jacobian (`HeldLDL`): every later
 Jacobian on the same fold is solved by iterative refinement against it,
 to roundoff, so the Newton path is that of a fresh factorization per
 Jacobian. The slope's R and the spectrum release it before they factor
-L (`release_factorization`).
+L (`release_factorization`). scipy.sparse is imported where a box
+operator is first built or factored (`grids.neg_laplacian`, `splu`), so
+a line run never loads it.
 """
 
 from __future__ import annotations
@@ -54,10 +56,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import splu
 
 from . import grids
 from .errors import GridTooSmall, LostPositivity, NoConvergence, SingularOperator
@@ -72,6 +71,12 @@ IDENTITY_RTOL = 1e-6  # largest ||L R - chi|| / ||phi|| that `compute_R_omega` r
 # Refinement stops at this backward error max |b - J x| / max(|J| |x| + |b|).
 # It stagnates at about eps, so a sweep from above 8 eps still cuts it 4x.
 REFINE_FLOOR = 8.0 * np.finfo(float).eps
+# SuperLU's panel width in `factor_ldl`, in columns. Its work arrays grow
+# with the unknowns times the panel. On the 57.6k-unknown parity blocks of
+# a 481^2 box, panels of 1, 2 and 4 factor in the same time to within the
+# noise, about 25% faster than the default of 12, with the same fill; 1
+# needs the least memory.
+SUPERLU_PANEL = 1
 
 
 @dataclass
@@ -218,6 +223,18 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     return _newton(grid, z, p, psi, tol, even_axes(grid, z))
 
 
+def _sine_transform(v: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """-DST-I of v, `scipy.fft.dst(v, type=1)` negated: Im rfft of the odd
+    extension [0, v, 0, -reverse(v)], written into `ext` (2 (v.size + 1)
+    entries, zero at 0 and v.size + 1). numpy 2 and scipy run the same
+    pocketfft real transform on that extension, so the values are
+    scipy's to the bit."""
+    n = v.size
+    ext[1 : n + 1] = v
+    np.negative(v[::-1], out=ext[n + 2 :])
+    return np.fft.rfft(ext).imag[1 : n + 1]
+
+
 def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
     """Pseudospectral (sine collocation) variant for line grids.
 
@@ -225,15 +242,25 @@ def _solve_limit_sine(c: float, p: float, grid: Grid, tol: float):
     is resolved to roundoff rather than O(h^2); used where the grid is
     too coarse for the finite-difference stencil to hit the requested
     pointwise accuracy.
+
+    A = D^-1 diag(mu + c) D with D the DST-I, taken from numpy's real FFT
+    (`_sine_transform`), so a line run never imports scipy.fft. The
+    inverse D^-1 = D / (2 (n + 1)) multiplies by the reciprocal, as
+    `scipy.fft.idst` does: dividing by 2 (n + 1) rounds differently.
+    D(v) = -_sine_transform(v), and the two sign flips in each of A and
+    A^-1 cancel exactly, so neither is taken.
     """
     k = np.arange(1, grid.n - 1)
     mu = (np.pi * k / (2.0 * grid.extent)) ** 2
+    diag = mu + c
+    scale = 1.0 / (2.0 * (k.size + 1))
+    ext = np.zeros(2 * (k.size + 1))  # the odd extension, refilled by each transform
 
     def apply_A(v):
-        return scipy.fft.idst(scipy.fft.dst(v, type=1) * (mu + c), type=1)
+        return _sine_transform(_sine_transform(v, ext) * diag, ext) * scale
 
     def solve_A(v):
-        return scipy.fft.idst(scipy.fft.dst(v, type=1) / (mu + c), type=1)
+        return _sine_transform(_sine_transform(v, ext) / diag, ext) * scale
 
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.axis))
@@ -318,11 +345,21 @@ def factor_ldl(a):
     Box grids factor here: the Jacobian a chain of Newton solves holds
     (`HeldLDL`), the parity block of L
     that `compute_R_omega` solves with, and the shift-invert operators of
-    `spectrum.eig_low`. It is the one caller of `splu`.
+    `spectrum.eig_low`. It is the one caller of `splu`. SuperLU's panel
+    is `SUPERLU_PANEL` columns wide.
     """
     return splu(
-        a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True)
+        a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=SUPERLU_PANEL,
+        options=dict(SymmetricMode=True),
     )
+
+
+def splu(*args, **kwargs):
+    """`scipy.sparse.linalg.splu`, imported at the first call: only box
+    runs factor sparse matrices, so only they load scipy.sparse."""
+    from scipy.sparse.linalg import splu
+
+    return splu(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -688,10 +725,11 @@ class LinearizedOperator:
     diagonal: np.ndarray  # Z(x0 + eps y) - p |phi|^(p-1) on the unknowns
     parity: tuple | None = None
 
-    def matrix(self) -> sp.csr_array:
-        """S (-lap) S + diag, S the inverse square root of the fold's
-        multiplicities, on the structure of `grids.neg_laplacian`: the
-        values of `S @ a @ S + diag(diagonal)`, to the bit."""
+    def matrix(self):
+        """S (-lap) S + diag as a CSR array, S the inverse square root of
+        the fold's multiplicities, on the structure of
+        `grids.neg_laplacian`: the values of `S @ a @ S + diag(diagonal)`,
+        to the bit."""
         a = grids.neg_laplacian(self.grid, self.parity)
         if self.parity is not None:
             s = 1.0 / np.sqrt(grids.fold(self.grid, self.parity).multiplicity)

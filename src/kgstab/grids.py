@@ -38,7 +38,6 @@ from functools import cached_property, lru_cache, reduce
 from math import gamma, inf, pi, prod
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SchemaError
 
@@ -288,8 +287,11 @@ def neg_laplacian(grid: Grid, parity=None):
     axis's off band times the other axes' masses, zero where the axis
     index wraps. The masses are 1 or 2, so every product is exact, and
     the main band sums its axis terms in axis order: the matrix of the
-    sparse Kronecker sum, to the bit.
+    sparse Kronecker sum, to the bit. scipy.sparse is imported here, at
+    the first call: line runs, which never call it, do not load it.
     """
+    import scipy.sparse as sp
+
     if grid.geometry == "radial":
         lower, main, upper = fold(grid, None).bands
         return sp.diags_array([lower, main, upper], offsets=[-1, 0, 1], format="csr")

@@ -69,9 +69,7 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from . import elliptic, grids, workers
 from .elliptic import LinearizedOperator, Profile, assemble_L
@@ -137,6 +135,9 @@ def eig_low(blocks, k: int) -> np.ndarray:
         k = min(k, main.size - 1)
         vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
         return np.asarray(vals)
+    # loaded before the pool forks, so that no worker imports it
+    import scipy.sparse.linalg  # noqa: F401
+
     n_workers = workers.worker_count(len(blocks))
     setter = workers.scipy_openblas_setter() if n_workers > 1 else None
     if setter is None:
@@ -226,6 +227,8 @@ def _eig_box(op: LinearizedOperator, k: int) -> tuple:
     elif missing > 0:
         del lu  # never hold two large factorizations at once
         sigma = float(np.min(op.diagonal)) - 1.0
+        import scipy.sparse as sp
+
         lu = _factor(a - sigma * sp.eye_array(n, format="csc"))
         deep, vecs, more = _shift_invert(a, min(missing, k), sigma, lu, v0, basis=no_vectors)
         solves, runs, factorizations = solves + more, runs + 1, 2
@@ -314,6 +317,8 @@ def _shift_invert(
     factors a - sigma I.  With `basis`, orthonormal eigenvectors of `a`
     as columns (maybe none), the run is on their orthogonal complement,
     and it returns its eigenvectors."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+
     solves = 0
 
     def project(v):
@@ -338,6 +343,14 @@ def _shift_invert(
     except RuntimeError as exc:
         raise EigSolverFailure(f"shift-inverted Lanczos failed: {exc}") from exc
     return found + (solves,) if vectors else (found, None, solves)
+
+
+def eigsh(*args, **kwargs):
+    """`scipy.sparse.linalg.eigsh`, imported at the first call: only box
+    runs take a Lanczos run, so only they load scipy.sparse."""
+    from scipy.sparse.linalg import eigsh
+
+    return eigsh(*args, **kwargs)
 
 
 def parity_blocks(op: LinearizedOperator, even: tuple) -> list:

@@ -813,6 +813,12 @@ def test_automatic_limit_line_is_fft_sized(caplog):
             assert n % 2 == count % 2
             assert count <= n <= 1.06 * count
             assert grid.h <= 2.0 * grid.extent / (count - 1)  # h only shrinks
+    # `_fft_nodes` finds the sizes of scipy.fft.next_fast_len on its own
+    for count in range(3, 24002):
+        m = scipy.fft.next_fast_len(count - 1)
+        while m % 2 != (count - 1) % 2:
+            m = scipy.fft.next_fast_len(m + 1)
+        assert cli._fft_nodes(count) == m + 1, count
 
 
 def test_ladder_limit_lines_are_pinned():
@@ -1189,9 +1195,33 @@ def test_sweep_workers_run_scipy_openblas_at_one_thread_where_a_point_factors_a_
     assert threads == ({1} if scenario == "box" else {_scipy_blas_threads()})
 
 
+LINE_FREE = ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+
+
+def test_line_runs_load_neither_scipy_sparse_nor_scipy_fft(tmp_path):
+    # the sine limit solver transforms with numpy's FFT, and only box
+    # operators import scipy.sparse, at their first use
+    analyze = cfg_file(tmp_path, {"grid": {"geometry": "line", "extent": 40.0, "n": 801}})
+    evolve = tmp_path / "evolve.json"
+    raw = dict(json.loads(analyze.read_text()), analyses={"dynamics": True})
+    raw["dynamics"] = {"T_over_epsilon": 2.0, "grid": {"extent": 40.0, "n": 801}}
+    evolve.write_text(json.dumps(raw))
+    code = (
+        "import sys, numpy, scipy.linalg; base = set(sys.modules); "
+        "from kgstab.cli import main; "
+        f"codes = [main(['analyze', {str(analyze)!r}, '--out', {str(tmp_path / 'a')!r}]), "
+        f"main(['evolve', {str(evolve)!r}, '--out', {str(tmp_path / 'e')!r}])]; "
+        f"print(codes, [m for m in {LINE_FREE!r} if m in sys.modules and m not in base])"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
 def test_a_2d_analyze_does_not_import_scipy_interpolate(tmp_path):
     # the radial limit state reaches the box by a spline that scipy's
-    # CubicSpline no longer builds
+    # CubicSpline no longer builds; scipy.sparse loads at the box's first
+    # sparse operation
     path = tmp_path / "box.json"
     raw = {
         "dimension": 2,
@@ -1207,8 +1237,8 @@ def test_a_2d_analyze_does_not_import_scipy_interpolate(tmp_path):
     code = (
         "import sys; from kgstab.cli import main; "
         f"code = main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]); "
-        "print(code, 'scipy.interpolate' in sys.modules)"
+        "print(code, 'scipy.interpolate' in sys.modules, 'scipy.sparse.linalg' in sys.modules)"
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False True"

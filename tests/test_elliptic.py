@@ -93,14 +93,13 @@ def _petviashvili_applying_A_every_iteration(apply_A, solve_A, weights, psi, p, 
 
 def test_sine_limit_carries_A_psi_between_iterates(monkeypatch):
     calls = []
-    for name in ("dst", "idst"):
-        transform = getattr(scipy.fft, name)
+    transform = elliptic._sine_transform
 
-        def counting(*args, _transform=transform, **kwargs):
-            calls.append(1)
-            return _transform(*args, **kwargs)
+    def counting(v, ext):
+        calls.append(1)
+        return transform(v, ext)
 
-        monkeypatch.setattr(scipy.fft, name, counting)
+    monkeypatch.setattr(elliptic, "_sine_transform", counting)
     g = Grid(1, "line", 20.0, 801)
     got = solve_limit_ground_state(1.0, 3.0, g, method="sine", tol=1e-6)
     n_got = len(calls)
@@ -111,6 +110,25 @@ def test_sine_limit_carries_A_psi_between_iterates(monkeypatch):
     assert len(calls) == 22
     assert n_got <= 14
     assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(want.values)
+
+
+@pytest.mark.parametrize(
+    # odd and even unknowns, and those of lines that `_fft_nodes` sizes
+    "n", [1, 2, 7, 8, 100, 101, 799, 4799, 5999, 23999, 12004],
+)
+def test_sine_transform_is_scipys_dst1(n):
+    # numpy 2 runs scipy's pocketfft real transform: the same bits; older
+    # numpy has its own FFT, within roundoff
+    v = np.random.default_rng(n).standard_normal(n)
+    ext = np.zeros(2 * (n + 1))
+    forward = -elliptic._sine_transform(v, ext)
+    inverse = -elliptic._sine_transform(v, ext) * (1.0 / (2.0 * (n + 1)))
+    for got, want in ((forward, scipy.fft.dst(v, type=1)), (inverse, scipy.fft.idst(v, type=1))):
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert ext[0] == ext[n + 1] == 0.0
 
 
 def test_peak_tie_between_centre_nodes_reports_the_lower_one():
