@@ -39,15 +39,16 @@ bands (`grids.Fold.bands`), applied in O(n) and factored by LAPACK ?gttrf
 Jacobian is factored afresh, at about the cost of one solve. On box
 grids it is assembled as a sparse matrix, once per solve, and factored
 by a symmetric-mode SuperLU (`factor_ldl`), which costs as much as
-dozens of solves. So a chain of box Newton solves (the settle at
-epsilon = 0, then each continuation step and omega re-solve from it)
-holds one LDL^T, of its first Jacobian (`HeldLDL`): every later
-Jacobian on the same fold is solved by iterative refinement against it,
-to roundoff, so the Newton path is that of a fresh factorization per
-Jacobian. The slope's R and the spectrum release it before they factor
-L (`release_factorization`). scipy.sparse is imported where a box
-operator is first built or factored (`grids.neg_laplacian`, `splu`), so
-a line run never loads it.
+dozens of solves. Each box matrix is a `SparseLDL`, which carries its
+fold and is factored at its first solve. A chain of box Newton solves
+(the settle at epsilon = 0, then each continuation step and omega
+re-solve from it) holds one of them, factored at its first Jacobian:
+every later Jacobian on the same fold is solved by iterative refinement
+against it, to roundoff, so the Newton path is that of a fresh
+factorization per Jacobian. The slope's R and the spectrum release it
+before they factor L (`release_factorization`). scipy.sparse is
+imported where a box operator is first built or factored
+(`grids.neg_laplacian`, `splu`), so a line run never loads it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Profile:
     # ((m, omega, pair), Z(center + epsilon y) on the interior nodes)
     _z: tuple | None = field(default=None, init=False, repr=False)
     # the LDL^T of the chain of box Newton solves this profile ends
-    _held: HeldLDL | None = field(default=None, init=False, repr=False)
+    _held: SparseLDL | None = field(default=None, init=False, repr=False)
 
     def mass(self) -> float:
         """L^2 norm squared over R^N (in y coordinates)."""
@@ -342,11 +343,10 @@ def factor_ldl(a):
 
     Minimum-degree ordering on A + A^T and pivots taken from the
     diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    Box grids factor here: the Jacobian a chain of Newton solves holds
-    (`HeldLDL`), the parity block of L
-    that `compute_R_omega` solves with, and the shift-invert operators of
-    `spectrum.eig_low`. It is the one caller of `splu`. SuperLU's panel
-    is `SUPERLU_PANEL` columns wide.
+    Box grids factor here: the `SparseLDL` a chain of Newton solves holds,
+    the parity block of L that `compute_R_omega` solves with, and the
+    shift-invert operators of `spectrum.eig_low`. It is the one caller
+    of `splu`. SuperLU's panel is `SUPERLU_PANEL` columns wide.
     """
     return splu(
         a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, panel_size=SUPERLU_PANEL,
@@ -393,15 +393,15 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     that is singular. Line and radial grids keep the operator as its
     three bands (`grids.Fold.bands`), applied in O(n) and factored by
     `factor_banded`; box grids assemble the sparse matrix once
-    (`_sparse_operator`), and `factor` gives a `SparseLDL` of it, which
-    factors by `factor_ldl` at its first solve. `kind` names the
-    factorization for the log.
+    (`_sparse_operator`), and `factor` gives a `SparseLDL` of it on
+    `parity`, which factors by `factor_ldl` at its first solve. `kind`
+    names the factorization for the log.
     """
     if grid.geometry == "box":
         # -lap is symmetric to the bit: its transpose is its CSC form
         a = grids.neg_laplacian(grid, parity).T
         a.setdiag(a.diagonal() + diagonal)
-        return _sparse_operator(a)
+        return _sparse_operator(a, parity)
     lower, main, upper = grids.fold(grid, parity).bands
     main = main + diagonal
 
@@ -418,80 +418,70 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     return apply, factor_line, "banded"
 
 
-def _sparse_operator(a):
-    """(apply, factor, kind) of `_operator` for the CSC matrix `a`."""
+def _sparse_operator(a, parity):
+    """(apply, factor, kind) of `_operator` for the CSC matrix `a` on `parity`."""
 
     def factor_sparse(shift=None):
         if shift is None:
-            return SparseLDL(a)
+            return SparseLDL(a, parity)
         jac = a.copy()
         jac.setdiag(a.diagonal() - shift)
-        return SparseLDL(jac)
+        return SparseLDL(jac, parity)
 
     return a.__matmul__, factor_sparse, "LDL^T"
 
 
 class SparseLDL:
-    """A sparse matrix and its LDL^T (`factor_ldl`), factored at the first
-    `solve`; a failed factorization raises `SingularOperator`."""
+    """A sparse matrix on the kept nodes of a fold (`parity`) and its
+    LDL^T (`factor_ldl`), factored at the first solve; a failed
+    factorization raises `SingularOperator`. An empty one holds nothing.
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+    A chain of box Newton solves on one grid holds one, and `solve(b,
+    other)` solves each later Jacobian `other` on the same fold by
+    iterative refinement against it (Moler, J. ACM 14, 1967; Higham, IMA
+    J. Numer. Anal. 17, 1997): x += LU^-1 (b - J x) until the backward
+    error is at its roundoff floor `REFINE_FLOOR`, so each solve is exact
+    to roundoff and the Newton path is that of a fresh factorization per
+    Jacobian. A sweep that cuts that error by less than 4x, the chord
+    rule of `_newton`, or a Jacobian on another fold, drops the held
+    factorization, then takes `other`'s matrix and fold in its place and
+    factors them: no two are held at once. `factorizations` and `sweeps`
+    count the work done.
+    """
+
+    def __init__(self, matrix=None, parity=None):
+        self.matrix, self.parity = matrix, parity
         self._lu = None
+        self.factorizations = self.sweeps = 0
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, other: SparseLDL | None = None) -> np.ndarray:
+        """x with other.matrix x = b, or this matrix's where `other` is None."""
+        if other is not None and other.matrix is not self.matrix:
+            if self._lu is not None and other.parity == self.parity:
+                x = self._refine(other.matrix, b)
+                if x is not None:
+                    return x
+            self.release()  # drop it before factoring another
+            self.matrix, self.parity = other.matrix, other.parity
         if self._lu is None:
             try:
                 self._lu = factor_ldl(self.matrix)
             except RuntimeError as exc:
                 raise SingularOperator(f"sparse factorization failed: {exc}") from exc
+            self.factorizations += 1
         return self._lu.solve(b)
 
+    def release(self):
+        """Drop the matrix and its factorization."""
+        self.matrix = self._lu = None
 
-class HeldLDL:
-    """The one LDL^T that a chain of box Newton solves on one grid shares.
-
-    The first Jacobian of the chain is factored and held with its fold;
-    every later Jacobian on that fold is solved by iterative refinement
-    against it (Moler, J. ACM 14, 1967; Higham, IMA J. Numer. Anal. 17,
-    1997): x += LU^-1 (b - J x) until the backward error is at its
-    roundoff floor `REFINE_FLOOR`, so each solve is exact to roundoff and
-    the Newton path is that of a fresh factorization per Jacobian. A
-    sweep that cuts that error by less than 4x, the chord rule of
-    `_newton`, drops the held factorization, then factors this Jacobian
-    and holds it instead: a singular one raises `SingularOperator`, and
-    no two are held at once. `factorizations` and `sweeps` count the
-    work done.
-    """
-
-    def __init__(self):
-        self.parity = None
-        self.system = None
-        self.factorizations = 0
-        self.sweeps = 0
-
-    def solve(self, parity, system: SparseLDL, b: np.ndarray) -> np.ndarray:
-        """x with system.matrix x = b, the system's kept nodes being those of `parity`."""
-        held = self.system if self.parity == parity else None
-        if held is system:
-            return system.solve(b)
-        if held is not None:
-            x = self._refine(held, system.matrix, b)
-            if x is not None:
-                return x
-        held = self.system = None  # drop it before factoring another
-        x = system.solve(b)
-        self.parity, self.system = parity, system
-        self.factorizations += 1
-        return x
-
-    def _refine(self, held: SparseLDL, jac, b: np.ndarray):
-        """x by refinement against `held`, or None where a sweep stalls."""
+    def _refine(self, jac, b: np.ndarray):
+        """x by refinement against the held LDL^T, or None where a sweep stalls."""
         mag, b_mag = abs(jac), np.abs(b)
         x = np.zeros_like(b)
         r, err_prev = b, 1.0  # the backward error of x = 0
         while True:
-            x = x + held.solve(r)
+            x = x + self._lu.solve(r)
             self.sweeps += 1
             r = b - jac @ x
             err = float(np.max(np.abs(r)) / np.max(mag @ np.abs(x) + b_mag))
@@ -509,7 +499,7 @@ def _newton(
     psi: np.ndarray,
     tol: float,
     parity,
-    held: HeldLDL | None = None,
+    held: SparseLDL | None = None,
 ):
     """Damped Newton for -lap phi + z phi - phi^p = 0, z on interior nodes.
 
@@ -532,10 +522,10 @@ def _newton(
     floor.
 
     On line and radial grids each Jacobian is three bands, factored by
-    `factor_banded`, O(n). On box grids each is a sparse matrix, solved
-    through `held` (a `HeldLDL`; a new one when None): the first
-    Jacobian of the chain is factored by `factor_ldl` and later ones
-    refine against it, so a continuation that passes its `HeldLDL` from
+    `factor_banded`, O(n). On box grids each is a `SparseLDL`, solved
+    through `held`, the chain's `SparseLDL` (an empty one when None): the
+    first Jacobian of the chain is factored by `factor_ldl` and later
+    ones refine against it, so a continuation that passes `held` from
     solve to solve factors once. A DEBUG log line names the folding at
     the start and, on return, the factorization kind, the iterations,
     the factorizations, the refinement sweeps and the residual. Returns
@@ -547,7 +537,7 @@ def _newton(
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
     weights = fold.weights
     apply_Az, factor, kind = _operator(grid, parity, fold.restrict(z_int))
-    held = held or HeldLDL()
+    held = held or SparseLDL()
     held_before = held.factorizations, held.sweeps
     psi = fold.restrict(psi) / mu
 
@@ -569,7 +559,7 @@ def _newton(
             factorizations += fresh
             delta = jac.solve(-mu * f)
         else:
-            delta = held.solve(parity, jac, -mu * f)
+            delta = held.solve(-mu * f, jac)
         lam = 1.0
         for _ in range(25):
             trial = psi + lam * delta
@@ -622,10 +612,11 @@ def continue_profile(
     epsilon > 0.
 
     On a box the settle and the steps are one chain of Newton solves
-    sharing one held LDL^T (`HeldLDL`), continued from the limit state's
-    chain where that lives on this grid; the profile returned ends the
-    chain, so a continuation from it, or `resolve_at_omega`, refines
-    against the same factorization until `release_factorization`.
+    sharing one held LDL^T (a `SparseLDL`), continued from the limit
+    state's chain where that lives on this grid; the profile returned
+    ends the chain, so a continuation from it, or `resolve_at_omega`,
+    refines against the same factorization until
+    `release_factorization`.
     """
     target = params.epsilon
     if target > 0.0 and grid.geometry == "radial":
@@ -642,7 +633,7 @@ def continue_profile(
         raise ValueError("limit profile lives on an incompatible grid")
 
     # one chain of box Newton solves from the limit state's, where it has one
-    held = (limit._held if limit.grid == grid else None) or HeldLDL()
+    held = (limit._held if limit.grid == grid else None) or SparseLDL()
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
     psi, res = _newton(grid, z0_int, params.p, psi, tol, even_axes(grid, z0_int), held)
@@ -695,12 +686,13 @@ def resolve_at_omega(
     The center is deliberately NOT re-derived from the new omega, so
     that difference quotients in omega, the reference the tests hold the
     frequency derivative to, stay on one coordinate frame. On a box the
-    Newton solve continues the profile's chain (`HeldLDL`).
+    Newton solve continues the profile's chain: it refines against the
+    `SparseLDL` the profile holds, and the result holds it in turn.
     """
     grid = profile.grid
     z_int = _z_on_grid(params, pair, grid, profile.sample_points())
     psi = grids.extract_interior(grid, profile.values)
-    held = profile._held or HeldLDL()
+    held = profile._held or SparseLDL()
     psi, res = _newton(grid, z_int, params.p, psi, tol, even_axes(grid, z_int), held)
     out = _profile(grid, psi, res, profile.epsilon, params.p, profile.center)
     out._z = (_z_key(params, pair), z_int)
@@ -712,7 +704,7 @@ def release_factorization(profile: Profile):
     """Drop the LDL^T held by the chain of box Newton solves that ends in
     `profile`, before another large factorization: no two are held at once."""
     if profile._held is not None:
-        profile._held.system = None
+        profile._held.release()
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,9 @@ def _eig_box(op: LinearizedOperator, k: int) -> tuple:
         if multiples:
             deep, _, more, extra = _complete(a, sigma, lu, v0, deep, vecs)
             solves, runs = solves + more, runs + extra
-        vals = np.concatenate([vals, deep])
+        # the missing ones are the lowest: higher copies `_complete` added
+        # may be among the negatives of step 2 already
+        vals = np.concatenate([vals, np.sort(deep)[:missing]])
     vals = np.sort(vals)[:k]
     found = int(np.count_nonzero(vals < 0.0))
     if found != min(n_neg, k):

@@ -1,7 +1,6 @@
 import itertools
 import logging
 import re
-import weakref
 
 import numpy as np
 import pytest
@@ -244,7 +243,7 @@ def _sparse_newton(monkeypatch):
 
     def operator(grid, parity, diagonal):
         a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
-        return elliptic._sparse_operator(a)
+        return elliptic._sparse_operator(a, parity)
 
     monkeypatch.setattr(elliptic, "_operator", operator)
 
@@ -336,7 +335,7 @@ def test_debug_log_records_each_newton_solve(g, kind, factor, monkeypatch, caplo
     calls = []
     entry = getattr(elliptic, factor)
     monkeypatch.setattr(elliptic, factor, lambda *a: calls.append(1) or entry(*a))
-    held = elliptic.HeldLDL()
+    held = elliptic.SparseLDL()
     for c in (0.8, 0.81):
         z = np.full(g.n_interior(), c)
         calls.clear()
@@ -388,7 +387,7 @@ def test_box_continuation_factors_once_and_keeps_the_newton_path(monkeypatch, ca
     assert calls == [(quarter, quarter)]
 
     # the reference: a fresh factorization for every Jacobian, no refinement
-    monkeypatch.setattr(elliptic.HeldLDL, "_refine", lambda self, held, jac, b: None)
+    monkeypatch.setattr(elliptic.SparseLDL, "_refine", lambda self, jac, b: None)
     calls.clear()
     fresh = _continued(params, pair, z, limit, grid, tol=1e-8)
     assert len(calls) > 1
@@ -400,10 +399,36 @@ def test_box_continuation_factors_once_and_keeps_the_newton_path(monkeypatch, ca
     assert np.all(np.abs(low[0] - low[1]) <= 1e-10 * np.abs(low[1]))
 
 
-def _box_system(diagonal):
-    """A SparseLDL of -lap + diag on a 9 x 9 box."""
+def test_a_released_chain_factors_once_more_then_refines_again(monkeypatch):
+    params, pair, z, limit, grid = _small_saddle()
+    prof = _continued(params, pair, z, limit, grid)
+    calls = []
+    real = elliptic.factor_ldl
+    monkeypatch.setattr(elliptic, "factor_ldl", lambda a: calls.append(1) or real(a))
+
+    def chain():
+        # the slope's omega re-solves after the spectrum released the chain
+        elliptic.release_factorization(prof)
+        calls.clear()
+        up = resolve_at_omega(prof, replace(params, omega=params.omega + 0.01), pair)
+        counts = [len(calls)]
+        down = resolve_at_omega(up, replace(params, omega=params.omega - 0.01), pair)
+        return counts + [len(calls) - counts[0]], down
+
+    counts, held = chain()
+    assert counts == [1, 0]
+    # the reference: a fresh factorization for every Jacobian, no refinement
+    monkeypatch.setattr(elliptic.SparseLDL, "_refine", lambda self, jac, b: None)
+    counts, fresh = chain()
+    assert counts[1] > 0
+    assert np.max(np.abs(held.values - fresh.values)) <= 1e-12 * np.max(fresh.values)
+
+
+def _box_system(diagonal, parity=(0, 0)):
+    """A SparseLDL of -lap + diag on a 9 x 9 box, labelled with `parity`."""
     g = Grid(2, "box", 4.0, 11)
-    return elliptic.SparseLDL((grids.neg_laplacian(g) + sp.diags_array(diagonal)).tocsc())
+    a = (grids.neg_laplacian(g) + sp.diags_array(diagonal)).tocsc()
+    return elliptic.SparseLDL(a, parity)
 
 
 def test_a_far_off_held_factorization_leads_to_one_fresh_one(monkeypatch):
@@ -411,43 +436,55 @@ def test_a_far_off_held_factorization_leads_to_one_fresh_one(monkeypatch):
     real = elliptic.factor_ldl
     monkeypatch.setattr(elliptic, "factor_ldl", lambda a: calls.append(1) or real(a))
     b = np.linspace(1.0, 2.0, 81)
-    held = elliptic.HeldLDL()
+    held = elliptic.SparseLDL()
     near = _box_system(np.full(81, 1.0))
-    held.solve((0, 0), near, b)
+    held.solve(b, near)
     # a nearby Jacobian refines against the held factorization
-    x = held.solve((0, 0), _box_system(np.full(81, 1.1)), b)
-    assert calls == [1] and held.system is near and held.sweeps > 1
+    x = held.solve(b, _box_system(np.full(81, 1.1)))
+    assert calls == [1] and held.matrix is near.matrix and held.sweeps > 1
     far = _box_system(np.full(81, -30.0))
-    x = held.solve((0, 0), far, b)
-    assert calls == [1, 1] and held.system is far
+    x = held.solve(b, far)
+    assert calls == [1, 1] and held.matrix is far.matrix
     assert np.max(np.abs(far.matrix @ x - b)) <= 1e-12 * np.max(np.abs(b))
+    # the held matrix itself solves with the held factorization
+    held.solve(b, far)
+    assert calls == [1, 1] and held.factorizations == 2
     # another fold never refines against it: it is factored afresh
-    held.solve((1, 1), _box_system(np.full(81, -30.0)), b)
-    assert calls == [1, 1, 1]
+    held.solve(b, _box_system(np.full(81, -30.0), parity=(1, 1)))
+    assert calls == [1, 1, 1] and held.parity == (1, 1)
 
 
 def test_a_singular_jacobian_raises_singular_operator():
-    held = elliptic.HeldLDL()
+    held = elliptic.SparseLDL()
     b = np.ones(81)
-    held.solve((0, 0), _box_system(np.ones(81)), b)
+    held.solve(b, _box_system(np.ones(81)))
     # zero diagonal: symmetric-mode SuperLU meets an exactly zero pivot
     singular = _box_system(np.full(81, -4.0 / 0.8**2))
     assert np.all(singular.matrix.diagonal() == 0.0)
     with pytest.raises(SingularOperator):
-        held.solve((0, 0), singular, b)
-    assert held.system is None  # dropped before the factorization
+        held.solve(b, singular)
+    assert held._lu is None  # dropped before the factorization
+    # and the next Jacobian is factored afresh, with no refinement
+    sweeps = held.sweeps
+    x = held.solve(b, _box_system(np.full(81, 2.0)))
+    assert held.factorizations == 2 and held.sweeps == sweeps
+    assert np.max(np.abs(held.matrix @ x - b)) <= 1e-12
 
 
 def test_no_factorization_is_held_when_the_spectrum_factors(monkeypatch):
     params, pair, z, limit, grid = _small_saddle()
     prof = _continued(params, pair, z, limit, grid)
-    held = weakref.ref(prof._held.system)
+    held = prof._held
+    assert held._lu is not None
     monkeypatch.setattr(workers, "scipy_openblas_setter", lambda: None)  # blocks in-process
-    dead = []
+    dropped = []
     real = elliptic.factor_ldl
-    monkeypatch.setattr(elliptic, "factor_ldl", lambda a: dead.append(held() is None) or real(a))
+    monkeypatch.setattr(
+        elliptic, "factor_ldl",
+        lambda a: dropped.append(held._lu is None and held.matrix is None) or real(a),
+    )
     build_spectrum_report(prof, params, pair, z, limit)
-    assert len(dead) >= 4 and all(dead)
+    assert len(dropped) >= 4 and all(dropped)
 
 
 def test_continuation_decides_its_fold_once(s1, monkeypatch):

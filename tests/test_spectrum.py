@@ -231,6 +231,9 @@ def _repeats(vals):
 # found one copy at these sizes and offsets
 @example(seed=0, n=23, offset=1.25, spread=0.0)
 @example(seed=0, n=19, offset=1.5, spread=0.0)
+# and here the deep shift's run added a copy of a double eigenvalue that
+# the run at zero had found: it was counted twice
+@example(seed=0, n=23, offset=-0.75, spread=0.0)
 def test_eig_low_box_random_diagonal(seed, n, offset, spread):
     noise = np.random.default_rng(seed).standard_normal((n - 2, n - 2))
     op = _box_operator(n, lambda x, y: offset + spread * noise)
@@ -252,6 +255,7 @@ MULTIPLE_CASES = {
     "constant-nearest-zero": lambda: _box_operator(23, lambda x, y: 1.25 + 0.0 * x),
     "constant-negative-missed": lambda: _box_operator(19, lambda x, y: -0.5 + 0.0 * x),
     "constant-below-deep-shift": lambda: _box_operator(15, lambda x, y: -30.0 + 0.0 * x),
+    "constant-deep-shift-overlap": lambda: _box_operator(23, lambda x, y: -0.75 + 0.0 * x),
     "quarter-turn": lambda: _box_operator(21, _pinwheel),
     "constant-cube": lambda: LinearizedOperator(Grid(3, "box", 6.0, 9), np.full(7**3, 0.3)),
 }
