@@ -25,7 +25,13 @@ from . import dynamics as dyn
 from . import io as kio
 from . import spectrum as spx
 from . import stability as st
-from .elliptic import Profile, continue_profile, release_factorization, solve_limit_ground_state
+from .elliptic import (
+    Profile,
+    chain_counters,
+    continue_profile,
+    release_factorization,
+    solve_limit_ground_state,
+)
 from .errors import GridTooSmall, KgError, SchemaError, SkippedError
 from .grids import Grid
 from .potentials import (
@@ -431,12 +437,14 @@ def _epsilon_block(
     base: Profile | None,
     epsilon: float,
     runs: list,
+    solver: list,
 ) -> dict:
     """One epsilon's analyses. `base` is the scenario's epsilon = 0 state on
     the grid the block analyses, None where no block reads a profile or,
     in 2d and 3d runs with only slope_asymptotic, where there is no line
     or box: the slope then holds only the asymptotic fields. `limit` is
-    None, and so is `base`, where the scenario runs only dynamics."""
+    None, and so is `base`, where the scenario runs only dynamics. On a
+    box, the `chain_counters` of the profile go to `solver`."""
     params = replace(config.params, epsilon=epsilon)
     pair = config.pair
     block: dict = {"epsilon": epsilon}
@@ -447,9 +455,13 @@ def _epsilon_block(
     want_dynamics = "dynamics" in config.analyses
 
     def solve_profile():
-        if epsilon == 0.0:
-            return base
-        return continue_profile(base, params, pair, z, base.grid, tol=config.tol)
+        solved = base
+        if epsilon > 0.0:
+            solved = continue_profile(base, params, pair, z, base.grid, tol=config.tol)
+        counters = chain_counters(solved)
+        if counters is not None:
+            solver.append(dict(epsilon=epsilon, **counters))
+        return solved
 
     def analysed():
         if base is not None and profile is None:
@@ -546,9 +558,11 @@ def _dynamics_summary(record, opts: DynamicsOptions, grid: Grid, phi_h1: float) 
     }
 
 
-def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
-    """Full pipeline; returns (report, exit_code, runs), `runs` holding a
-    (TrajectoryRecord, timing) pair per dynamics run, in epsilon order.
+def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list, list]:
+    """Full pipeline; returns (report, exit_code, runs, solver), `runs`
+    holding a (TrajectoryRecord, timing) pair per dynamics run and
+    `solver` the solver counters of each epsilon block solved on a box,
+    each in epsilon order.
 
     Exit code 0 means every enabled analysis completed, whatever the
     physics verdict; assumption failures or block errors give 1. A
@@ -566,7 +580,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
     except KgError as exc:
         report["assumptions"] = _error_entry(exc)
         report["blocks"] = []
-        return report, 1, []
+        return report, 1, [], []
 
     assumptions = check_assumptions(z)
     report["assumptions"] = {
@@ -581,7 +595,7 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
     }
     if not assumptions.all_ok:
         report["blocks"] = []
-        return report, 1, []
+        return report, 1, [], []
 
     # a dynamics run solves its own limit state on its own grid, so a
     # dynamics-only scenario has no scenario limit state and no "limit"
@@ -607,13 +621,14 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
         except KgError as exc:
             report["limit"] = _error_entry(exc)
             report["blocks"] = []
-            return report, 1, []
+            return report, 1, [], []
         report["limit"] = _profile_summary(limit)
         if capped:
             report["limit"]["h_requested"] = LIMIT_H
 
     runs: list = []
-    blocks = [_epsilon_block(config, z, limit, base, e, runs) for e in config.epsilons]
+    solver: list = []
+    blocks = [_epsilon_block(config, z, limit, base, e, runs, solver) for e in config.epsilons]
     report["blocks"] = blocks
 
     slope_rows = []
@@ -648,16 +663,19 @@ def run_scenario(config: ScenarioConfig) -> tuple[dict, int, list]:
         for block in blocks
         for key in ("profile", "slope", "spectrum", "dynamics")
     )
-    return report, 1 if failed else 0, runs
+    return report, 1 if failed else 0, runs, solver
 
 
 # ---------------------------------------------------------------------------
 # front end
 
 
-def _write_outputs(report: dict, runs: list, out_dir, meta: dict, suffix: str = "") -> None:
+def _write_outputs(
+    report: dict, runs: list, solver: list, out_dir, meta: dict, suffix: str = ""
+) -> None:
     """Write one scenario run into `out_dir`: report{suffix}.json with its
-    `.meta.json` sidecar (meta plus each dynamics run's timing),
+    `.meta.json` sidecar (meta plus each dynamics run's timing under
+    "dynamics" and each box block's `solver` counters under "solver"),
     slope_convergence{suffix}.csv (numeric beside asymptotic scaled
     slopes) and shift_convergence{suffix}.csv (lambda_j / eps^2 beside the
     predicted c_j), each only when the report has rows for it, and the
@@ -665,6 +683,8 @@ def _write_outputs(report: dict, runs: list, out_dir, meta: dict, suffix: str = 
     out = Path(out_dir)
     if runs:
         meta = dict(meta, dynamics=[timing for _, timing in runs])
+    if solver:
+        meta = dict(meta, solver=solver)
     kio.write_report(report, out / f"report{suffix}.json", meta=meta)
     conv = report.get("convergence", {})
     if conv.get("slope_scaled"):
@@ -705,9 +725,9 @@ def _cmd_run(args) -> int:
             raise SchemaError("/analyses/dynamics", "evolve requires the dynamics analysis")
         config = replace(config, analyses=("dynamics",))
     t0 = time.perf_counter()
-    report, code, runs = run_scenario(config)
+    report, code, runs, solver = run_scenario(config)
     meta = {"command": args.command, "runtime_s": time.perf_counter() - t0}
-    _write_outputs(report, runs, config.out or "kgstab-out", meta)
+    _write_outputs(report, runs, solver, config.out or "kgstab-out", meta)
     if evolve:
         for block in report["blocks"]:
             d = block["dynamics"]
@@ -727,11 +747,12 @@ def _factors_box(config: ScenarioConfig) -> bool:
     return config.params.dimension > 1 and any(a in config.analyses for a in box_analyses)
 
 
-def _timed_run(config: ScenarioConfig) -> tuple[dict, int, list, float]:
-    """One sweep point: run_scenario's (report, code, runs) and its wall time."""
+def _timed_run(config: ScenarioConfig) -> tuple[dict, int, list, list, float]:
+    """One sweep point: run_scenario's (report, code, runs, solver) and its
+    wall time."""
     t0 = time.perf_counter()
-    report, code, runs = run_scenario(config)
-    return report, code, runs, time.perf_counter() - t0
+    report, code, runs, solver = run_scenario(config)
+    return report, code, runs, solver, time.perf_counter() - t0
 
 
 def _cmd_sweep(args) -> int:
@@ -770,10 +791,10 @@ def _cmd_sweep(args) -> int:
     # output, in omega order, as each point's result arrives
     with worker_map(workers, setter, (1,)) as point_map:
         results = point_map(_timed_run, configs)
-        for om, (report, code, runs, runtime_s) in zip(omegas, results):
+        for om, (report, code, runs, solver, runtime_s) in zip(omegas, results):
             meta = {"command": "sweep", "runtime_s": runtime_s, "workers": workers}
             worst = max(worst, code)
-            _write_outputs(report, runs, out_dir, meta, f"_omega_{om:g}")
+            _write_outputs(report, runs, solver, out_dir, meta, f"_omega_{om:g}")
             for block in report["blocks"]:
                 sl = block.get("slope", {})
                 verdict = block.get("gss_verdict", "not-computed")

@@ -37,18 +37,26 @@ On line and radial grids -lap + diag is tridiagonal: it stays three
 bands (`grids.Fold.bands`), applied in O(n) and factored by LAPACK ?gttrf
 (`factor_banded`), with no sparse matrix and no SuperLU; each Newton
 Jacobian is factored afresh, at about the cost of one solve. On box
-grids it is assembled as a sparse matrix, once per solve, and factored
-by a symmetric-mode SuperLU (`factor_ldl`), which costs as much as
-dozens of solves. Each box matrix is a `SparseLDL`, which carries its
-fold and is factored at its first solve. A chain of box Newton solves
-(the settle at epsilon = 0, then each continuation step and omega
-re-solve from it) holds one of them, factored at its first Jacobian:
-every later Jacobian on the same fold is solved by iterative refinement
-against it, to roundoff, so the Newton path is that of a fresh
-factorization per Jacobian. The slope's R and the spectrum release it
-before they factor L (`release_factorization`). scipy.sparse is
-imported where a box operator is first built or factored
-(`grids.neg_laplacian`, `splu`), so a line run never loads it.
+grids it is a sparse matrix, factored by a symmetric-mode SuperLU
+(`factor_ldl`), which costs as much as dozens of solves. Each box
+matrix is a `SparseLDL`, which carries its fold and is factored at its
+first solve. A chain of box Newton solves (the settle at epsilon = 0,
+then each continuation step and omega re-solve from it) holds one of
+them, factored at its first Jacobian: every later Jacobian on the same
+fold is solved by iterative refinement against it, to roundoff, so the
+Newton path is that of a fresh factorization per Jacobian. The chain
+also keeps the matrices its solves work on (`SparseLDL.operator`): one
+-lap + diag of its fold and one Jacobian, assembled once and given each
+solve's and each Jacobian's diagonal in place, and one |J|. The slope's
+R and the spectrum release it before they factor L
+(`release_factorization`). scipy.sparse is imported where a box
+operator is first built or factored (`grids.neg_laplacian`, `splu`), so
+a line run never loads it.
+
+Besides the fields a solve returns and the Z field a profile keeps, no
+array of a box continuation grows with the full box: Z(x0 + eps y) and
+the radial transplant are evaluated a block of nodes at a time
+(`grids.on_interior`), and the Newton solves work on the fold.
 """
 
 from __future__ import annotations
@@ -72,6 +80,16 @@ IDENTITY_RTOL = 1e-6  # largest ||L R - chi|| / ||phi|| that `compute_R_omega` r
 # Refinement stops at this backward error max |b - J x| / max(|J| |x| + |b|).
 # It stagnates at about eps, so a sweep from above 8 eps still cuts it 4x.
 REFINE_FLOOR = 8.0 * np.finfo(float).eps
+# Refinement sweeps one Newton solve makes against the held LDL^T, since
+# it began or last factored, past which it factors its next Jacobian
+# afresh. A factorization of the 57.6k-unknown quarter of a 481^2 box costs
+# about 22 sweeps (0.15 s against 6.5 ms, 2 Xeon vCPUs); this is three of
+# them. The benchmark's 2d saddle spends at most 15 sweeps per Newton
+# solve and the test suite's boxes at most 55; a 33^2 box whose z jumps
+# from 0.81 to 0.85 spent 121, 11 in each of 11 linear solves. A linear
+# solve needs no cap of its own: the 4x rule of `SparseLDL` stops one
+# after about 27 sweeps, near the cost of a factorization.
+REFINE_BUDGET = 66
 # SuperLU's panel width in `factor_ldl`, in columns. Its work arrays grow
 # with the unknowns times the panel. On the 57.6k-unknown parity blocks of
 # a 481^2 box, panels of 1, 2 and 4 factor in the same time to within the
@@ -119,7 +137,7 @@ class Profile:
         solved at here, so L and R read it without evaluating Z again."""
         key = _z_key(params, pair)
         if self._z is None or self._z[0] != key:
-            self._z = (key, _z_on_grid(params, pair, self.grid, self.sample_points()))
+            self._z = (key, _z_on_grid(params, pair, self.grid, self.center, self.epsilon))
         return self._z[1]
 
 
@@ -136,7 +154,7 @@ def _nonlin(psi: np.ndarray, p: float) -> np.ndarray:
 
 
 def _decay_check(grid: Grid, values: np.ndarray):
-    peak = float(np.abs(values).max())
+    peak = float(max(values.max(), -values.min()))  # max |values|, with no temporary
     if peak == 0.0:
         raise NoConvergence("solver collapsed to zero")
     if grid.geometry == "radial":
@@ -158,8 +176,9 @@ def _peak_of(grid: Grid, values: np.ndarray) -> tuple:
     """Location of the largest |value|: the lowest index among the nodes
     within 1e-12 relative of the maximum, so a roundoff tie between two
     centre nodes always reports the same one."""
-    mag = np.abs(values).ravel()
-    first = int(np.flatnonzero(mag >= (1.0 - 1e-12) * mag.max())[0])
+    flat = values.ravel()
+    top = (1.0 - 1e-12) * max(flat.max(), -flat.min())  # of max |value|
+    first = int(np.flatnonzero((flat >= top) | (flat <= -top))[0])
     idx = np.unravel_index(first, values.shape)
     if grid.geometry == "radial":
         out = [grid.axis[idx[0]]] + [0.0] * (grid.dimension - 1)
@@ -312,10 +331,11 @@ def _z_key(params: ProblemParams, pair: PotentialPair) -> tuple:
     return params.m, params.omega, pair
 
 
-def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, x: np.ndarray):
-    """Z at the nodes' points x, shape (*grid.shape, N), on the interior
-    nodes, value only and read-only."""
-    z = grids.extract_interior(grid, eval_Z(params, pair, x, derivatives=False))
+def _z_on_grid(params: ProblemParams, pair: PotentialPair, grid: Grid, center, epsilon: float):
+    """Z(center + epsilon y) on the interior nodes, value only and
+    read-only, evaluated block by block (`grids.on_interior`)."""
+    c = np.asarray(center)
+    z = grids.on_interior(grid, lambda y: eval_Z(params, pair, c + epsilon * y, derivatives=False))
     z.flags.writeable = False
     return z
 
@@ -332,10 +352,15 @@ def even_axes(grid: Grid, z_int: np.ndarray):
     top = float(np.max(np.abs(z_int)))  # NaN or inf where z is not finite
     tol = 1e-12 * max(1.0, top)
     z = z_int.reshape((grid.n - 2,) * grid.dimension)
-    return tuple(
-        int(top < np.inf and float(np.max(np.abs(z - np.flip(z, a)))) <= tol)
-        for a in range(grid.dimension)
-    )
+
+    def asymmetry(a):
+        # max |z - flip(z)|, with one temporary where z is real
+        d = z - np.flip(z, a)
+        if np.iscomplexobj(d):
+            d = np.abs(d)
+        return float(max(d.max(), -d.min()))
+
+    return tuple(int(top < np.inf and asymmetry(a) <= tol) for a in range(grid.dimension))
 
 
 def factor_ldl(a):
@@ -394,7 +419,8 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     three bands (`grids.Fold.bands`), applied in O(n) and factored by
     `factor_banded`; box grids assemble the sparse matrix once
     (`_sparse_operator`), and `factor` gives a `SparseLDL` of it on
-    `parity`, which factors by `factor_ldl` at its first solve. `kind`
+    `parity`, which factors by `factor_ldl` at its first solve. A chain
+    of box Newton solves keeps its own (`SparseLDL.operator`). `kind`
     names the factorization for the log.
     """
     if grid.geometry == "box":
@@ -419,16 +445,31 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
 
 
 def _sparse_operator(a, parity):
-    """(apply, factor, kind) of `_operator` for the CSC matrix `a` on `parity`."""
+    """(apply, factor, kind) of `_operator` for the CSC matrix `a` on `parity`.
+
+    `factor(shift)` writes a's diagonal less `shift` on one Jacobian, a
+    matrix with a's structure sharing its index arrays, built at the
+    first such call, and wraps it in a new `SparseLDL`: a Jacobian older
+    than the last one no longer holds its values.
+    """
+    jac = None
 
     def factor_sparse(shift=None):
+        nonlocal jac
         if shift is None:
             return SparseLDL(a, parity)
-        jac = a.copy()
+        if jac is None:
+            jac = _with_data(a, a.data.copy())
         jac.setdiag(a.diagonal() - shift)
         return SparseLDL(jac, parity)
 
     return a.__matmul__, factor_sparse, "LDL^T"
+
+
+def _with_data(m, data: np.ndarray):
+    """A compressed sparse matrix with m's structure, sharing its index
+    arrays, and `data` as its values."""
+    return type(m)((data, m.indices, m.indptr), shape=m.shape)
 
 
 class SparseLDL:
@@ -443,26 +484,51 @@ class SparseLDL:
     error is at its roundoff floor `REFINE_FLOOR`, so each solve is exact
     to roundoff and the Newton path is that of a fresh factorization per
     Jacobian. A sweep that cuts that error by less than 4x, the chord
-    rule of `_newton`, or a Jacobian on another fold, drops the held
-    factorization, then takes `other`'s matrix and fold in its place and
-    factors them: no two are held at once. `factorizations` and `sweeps`
+    rule of `_newton`, a Jacobian on another fold, or `refine=False`
+    drops the held factorization, then takes `other`'s matrix and fold
+    in its place and factors them: no two are held at once.
+    `factorizations`, `sweeps` and `most_sweeps` (the most in one solve)
     count the work done.
+
+    The chain also keeps the operator its Newton solves build
+    (`operator`): one -lap + diag of its fold, whose diagonal each solve
+    overwrites, with the one Jacobian of its `factor`, and one |J| for
+    the backward error of the refinement.
     """
 
     def __init__(self, matrix=None, parity=None):
         self.matrix, self.parity = matrix, parity
         self._lu = None
-        self.factorizations = self.sweeps = 0
+        self._of = None  # the Jacobian whose matrix was factored
+        self._ops = None  # ((grid, parity), -lap's diagonal, -lap + diag, its operator)
+        self._mag = None  # (J, |J|) of the last refinement
+        self.factorizations = self.sweeps = self.most_sweeps = 0
 
-    def solve(self, b: np.ndarray, other: SparseLDL | None = None) -> np.ndarray:
+    def operator(self, grid: Grid, parity, diagonal: np.ndarray):
+        """(apply, factor, kind) of `_operator` on a box, kept for the
+        chain's later solves on the same fold. The first call on a fold
+        builds its -lap (`grids.neg_laplacian`) and its
+        `_sparse_operator`; each call writes -lap's diagonal plus
+        `diagonal` on that matrix's, with the sums of a fresh assembly:
+        the same matrix to the bit."""
+        if self._ops is None or self._ops[0] != (grid, parity):
+            self._ops = self._mag = None  # dropped before the new fold's are built
+            # -lap is symmetric to the bit: its transpose is its CSC form
+            a = grids.neg_laplacian(grid, parity).T
+            self._ops = (grid, parity), a.diagonal(), a, _sparse_operator(a, parity)
+        _, lap, a, ops = self._ops
+        a.setdiag(lap + diagonal)
+        return ops
+
+    def solve(self, b: np.ndarray, other: SparseLDL | None = None, refine: bool = True):
         """x with other.matrix x = b, or this matrix's where `other` is None."""
-        if other is not None and other.matrix is not self.matrix:
-            if self._lu is not None and other.parity == self.parity:
+        if other is not None and other is not self._of:
+            if refine and self._lu is not None and other.parity == self.parity:
                 x = self._refine(other.matrix, b)
                 if x is not None:
                     return x
-            self.release()  # drop it before factoring another
-            self.matrix, self.parity = other.matrix, other.parity
+            self._lu = None  # drop it before factoring another
+            self.matrix, self.parity, self._of = other.matrix, other.parity, other
         if self._lu is None:
             try:
                 self._lu = factor_ldl(self.matrix)
@@ -472,17 +538,25 @@ class SparseLDL:
         return self._lu.solve(b)
 
     def release(self):
-        """Drop the matrix and its factorization."""
-        self.matrix = self._lu = None
+        """Drop the matrices and the factorization."""
+        self.matrix = self._lu = self._of = self._ops = self._mag = None
 
     def _refine(self, jac, b: np.ndarray):
         """x by refinement against the held LDL^T, or None where a sweep stalls."""
-        mag, b_mag = abs(jac), np.abs(b)
+        if self._mag is None or self._mag[0] is not jac:
+            self._mag = None  # the last |J| goes before this one is built
+            self._mag = jac, _with_data(jac, np.abs(jac.data))
+        else:
+            np.abs(jac.data, out=self._mag[1].data)
+        mag, b_mag = self._mag[1], np.abs(b)
         x = np.zeros_like(b)
         r, err_prev = b, 1.0  # the backward error of x = 0
+        sweeps = 0
         while True:
             x = x + self._lu.solve(r)
+            sweeps += 1
             self.sweeps += 1
+            self.most_sweeps = max(self.most_sweeps, sweeps)
             r = b - jac @ x
             err = float(np.max(np.abs(r)) / np.max(mag @ np.abs(x) + b_mag))
             if err <= REFINE_FLOOR:
@@ -526,18 +600,22 @@ def _newton(
     through `held`, the chain's `SparseLDL` (an empty one when None): the
     first Jacobian of the chain is factored by `factor_ldl` and later
     ones refine against it, so a continuation that passes `held` from
-    solve to solve factors once. A DEBUG log line names the folding at
-    the start and, on return, the factorization kind, the iterations,
-    the factorizations, the refinement sweeps and the residual. Returns
-    (psi, res).
+    solve to solve factors once, unless one of its solves spends
+    `REFINE_BUDGET` sweeps against one factorization: its next Jacobian
+    is then factored afresh. The operator and the Jacobians are the
+    chain's matrices (`SparseLDL.operator`), assembled once per fold. A
+    DEBUG log line names the folding at the start and, on return, the
+    factorization kind, the iterations, the factorizations, the
+    refinement sweeps and the residual. Returns (psi, res).
     """
     fold = grids.fold(grid, parity)
     mu = fold.multiplicity
     folded = [a for a, s in enumerate(parity or ()) if s]
     log.debug("newton: %d of %d unknowns, folded axes %s", mu.size, psi.size, folded)
     weights = fold.weights
-    apply_Az, factor, kind = _operator(grid, parity, fold.restrict(z_int))
     held = held or SparseLDL()
+    operator = held.operator if grid.geometry == "box" else _operator
+    apply_Az, factor, kind = operator(grid, parity, fold.restrict(z_int))
     held_before = held.factorizations, held.sweeps
     psi = fold.restrict(psi) / mu
 
@@ -546,6 +624,7 @@ def _newton(
 
     jac = None
     factorizations = 0  # banded ones; `held` counts those of the box
+    spent = 0  # sweeps against the held LDL^T since this solve began or factored
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
@@ -559,7 +638,9 @@ def _newton(
             factorizations += fresh
             delta = jac.solve(-mu * f)
         else:
-            delta = held.solve(-mu * f, jac)
+            before = held.factorizations, held.sweeps
+            delta = held.solve(-mu * f, jac, refine=spent < REFINE_BUDGET)
+            spent = 0 if held.factorizations > before[0] else spent + held.sweeps - before[1]
         lam = 1.0
         for _ in range(25):
             trial = psi + lam * delta
@@ -626,9 +707,7 @@ def continue_profile(
     if limit.grid == grid:
         psi = grids.extract_interior(grid, limit.values)
     elif limit.grid.geometry == "radial":
-        radii = grid.radii()
-        vals = grids.interpolate_radial(limit.grid, limit.values, radii)
-        psi = grids.extract_interior(grid, vals)
+        psi = grids.transplant_radial(limit.grid, limit.values, grid)
     else:
         raise ValueError("limit profile lives on an incompatible grid")
 
@@ -637,17 +716,19 @@ def continue_profile(
     # settle on this grid's own discrete branch at epsilon = 0 first
     z0_int = np.full(grid.n_interior(), z.z0)
     psi, res = _newton(grid, z0_int, params.p, psi, tol, even_axes(grid, z0_int), held)
+    del z0_int  # the steps hold one Z field: their own
 
-    # once per solve, and only where a step runs: Z(x0 + eps y) at each step
-    y = grid.points() if target > 0.0 else None
-    z_int = None  # the Z field of the last accepted step
+    # Z(x0 + eps y) of the step tried, the one Z field held: at the end,
+    # that of the last step, at the target
+    z_try = None
     parity = None  # Z(x0 + eps y) is as even as Z about x0 at every eps > 0
     eps_now = 0.0
     step = target / 8.0
     min_step = abs(target) * 1e-4
     while eps_now < target:
         eps_try = min(eps_now + step, target)
-        z_try = _z_on_grid(params, pair, grid, np.asarray(center) + eps_try * y)
+        z_try = None  # dropped before the next one is built
+        z_try = _z_on_grid(params, pair, grid, center, eps_try)
         if parity is None:
             parity = even_axes(grid, z_try)
         try:
@@ -660,16 +741,18 @@ def continue_profile(
                     residual=getattr(exc, "residual", None),
                 ) from exc
             continue
-        if np.min(psi_new) < -1e-8 * np.max(np.abs(psi_new)):
+        low, high = np.min(psi_new), np.max(psi_new)
+        if low < -1e-8 * max(high, -low):  # max |psi_new|, with no temporary
             raise LostPositivity(f"profile changed sign at epsilon = {eps_try:.4g}")
-        psi, z_int = psi_new, z_try
+        psi = psi_new
         eps_now = eps_try
         step *= 1.5
 
-    profile = _profile(grid, np.maximum(psi, 0.0), res, target, params.p, center)
+    # psi is the last Newton solve's own array
+    profile = _profile(grid, np.maximum(psi, 0.0, out=psi), res, target, params.p, center)
     _decay_check(grid, profile.values)
-    if z_int is not None:
-        profile._z = (_z_key(params, pair), z_int)
+    if z_try is not None:
+        profile._z = (_z_key(params, pair), z_try)
     profile._held = held
     return profile
 
@@ -690,7 +773,7 @@ def resolve_at_omega(
     `SparseLDL` the profile holds, and the result holds it in turn.
     """
     grid = profile.grid
-    z_int = _z_on_grid(params, pair, grid, profile.sample_points())
+    z_int = _z_on_grid(params, pair, grid, profile.center, profile.epsilon)
     psi = grids.extract_interior(grid, profile.values)
     held = profile._held or SparseLDL()
     psi, res = _newton(grid, z_int, params.p, psi, tol, even_axes(grid, z_int), held)
@@ -698,6 +781,20 @@ def resolve_at_omega(
     out._z = (_z_key(params, pair), z_int)
     out._held = held
     return out
+
+
+def chain_counters(profile: Profile) -> dict | None:
+    """The work of the chain of box Newton solves that ends in `profile`,
+    from the chain's start: its LDL^T factorizations, its refinement
+    sweeps and the most sweeps in one solve. None off a box."""
+    held = profile._held
+    if held is None or profile.grid.geometry != "box":
+        return None
+    return {
+        "factorizations": held.factorizations,
+        "refinement_sweeps": held.sweeps,
+        "most_sweeps_per_solve": held.most_sweeps,
+    }
 
 
 def release_factorization(profile: Profile):
@@ -774,16 +871,17 @@ def compute_R_omega(profile: Profile, params: ProblemParams, pair: PotentialPair
     correction dR ("correction"), which prices the solve's error.
     """
     grid = profile.grid
+    release_factorization(profile)  # before L is built and factored
     w = grids.extract_interior(grid, grid.weights())
-    v = pair.V(profile.sample_points(), derivatives=False)
-    rhs = grids.extract_interior(grid, 2.0 * (params.omega + v) * profile.values)
+    c, eps = np.asarray(profile.center), profile.epsilon
+    v = grids.on_interior(grid, lambda y: pair.V(c + eps * y, derivatives=False))
+    rhs = 2.0 * (params.omega + v) * grids.extract_interior(grid, profile.values)
     diagonal = assemble_L(profile, params, pair).diagonal
     parity = tuple(map(min, even_axes(grid, diagonal), even_axes(grid, rhs)))
     fold = grids.fold(grid, parity)
     restrict, mu = fold.restrict, fold.multiplicity
     apply_L, factor, _ = _operator(grid, parity, restrict(diagonal))
     chi = restrict(rhs)
-    release_factorization(profile)
     lu = factor()
     r = lu.solve(chi)
     dr = lu.solve(chi - apply_L(r))

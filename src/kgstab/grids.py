@@ -26,9 +26,15 @@ spectrum and the time steps share its arrays. It is lazy: nothing is
 built at import, and a fold builds each of its arrays on first use. It
 is bounded: it keeps the FOLD_MEMO folds used last. Its arrays are
 read-only. It holds the index maps of the fold and arrays on its kept
-nodes (multiplicities, weights, line bands) only: the node coordinates
-of a box and its Z field are built by the solve that uses them and live
-no longer. `Grid.axis`, n numbers, is kept with its grid.
+nodes (multiplicities, weights, line bands) only: the Z field of a box
+is built by the solve that uses it and lives no longer. `Grid.axis`, n
+numbers, is kept with its grid.
+
+A pointwise function of the node coordinates, such as Z(x0 + eps y) or
+the radial spline, is evaluated on the interior nodes `BLOCK` at a time
+(`on_interior`), each block's coordinates built from `Grid.axis`: the
+values it has on `Grid.points()`, to the bit, with no temporary of the
+full grid's size.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ from .errors import SchemaError
 GEOMETRIES = ("line", "radial", "box")
 MAX_NODES = 2**24  # nodes in all, n ** dimension on a line or box: 128 MiB per float field
 FOLD_MEMO = 16  # folds `fold` keeps, the least recently used dropped first
+# Interior nodes per block of `on_interior`. A grid with at most BLOCK
+# interior nodes, as most lines are, is one block. On the 481^2 box a
+# block's coordinates take 128 KiB, against 1.8 MiB for one field of the
+# box.
+BLOCK = 8192
 
 
 def sphere_area(dim: int) -> float:
@@ -212,13 +223,16 @@ class Fold:
     @cached_property
     def _gather(self):
         """(source, sign) of E: interior node i is sign[i] times kept node
-        source[i]; None where nothing folds."""
+        source[i]; None where nothing folds. The signs, -1, 0 or 1, are
+        int8: a product with one is that with its float, an eighth of the
+        memory."""
         if not self.parity or not any(self.parity):
             return None
         kept, sources, signs = zip(*[_mirror(self.grid.n - 2, s) for s in self.parity])
         shape = tuple(k.size for k in kept)
         source = np.ravel_multi_index(np.ix_(*sources), shape).ravel()
-        return _readonly(source), _readonly(reduce(np.multiply.outer, signs).ravel())
+        sign = reduce(np.multiply.outer, [s.astype(np.int8) for s in signs]).ravel()
+        return _readonly(source), _readonly(sign)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """E^T v. bincount adds up a kept node's images in the order of
@@ -345,8 +359,39 @@ def insert_interior(grid: Grid, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of a radial profile onto arbitrary radii.
+def on_interior(grid: Grid, f) -> np.ndarray:
+    """f(y) on the interior nodes of `grid`, raveled as `extract_interior`
+    ravels them: f is called on the coordinates y of at most `BLOCK`
+    nodes at a time, shape (k, dimension), built from `Grid.axis`
+    (radial nodes on the first axis, as in `Grid.points`); on a line
+    they are a view of the axis. The blocks are of nearly equal
+    length. Where f acts on each node by itself, the values are those of
+    f(grid.points()) on the interior, to the bit."""
+    total = grid.n_interior()
+    out = np.empty(total)
+    count = -(-total // BLOCK)
+    bounds = [total * i // count for i in range(count + 1)]
+    radial = grid.geometry == "radial"
+    inner = grid.axis[:-1] if radial else grid.axis[1:-1]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if grid.dimension == 1:
+            # a line's coordinates are its read-only axis: no copy
+            y = inner[start:stop, None]
+        else:
+            y = np.zeros((stop - start, grid.dimension))
+            if radial:
+                y[:, 0] = inner[start:stop]
+            else:
+                nodes = np.arange(start, stop)
+                for a, index in enumerate(np.unravel_index(nodes, (inner.size,) * grid.dimension)):
+                    y[:, a] = inner[index]
+        out[start:stop] = f(y)
+    return out
+
+
+def radial_spline(radial_grid: Grid, values: np.ndarray):
+    """The clamped cubic spline of a radial profile, as a function of the
+    radii to evaluate it at.
 
     The clamped cubic spline (zero slope at both ends) of scipy's
     `CubicSpline(r, values, bc_type=((1, 0.0), (1, 0.0)))`, to the bit:
@@ -355,7 +400,8 @@ def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.n
     piece evaluated in PPoly's order, ascending powers of s = r - r_i.
     This keeps `scipy.interpolate` (about 12 MB and 0.2 to 0.4 s to
     import) out of the run. Radii beyond the radial extent map to zero
-    (the profile has decayed there by construction).
+    (the profile has decayed there by construction). The coefficients
+    are computed once; each radius is evaluated by itself.
     """
     from scipy.linalg import solve_banded
 
@@ -377,10 +423,20 @@ def interpolate_radial(radial_grid: Grid, values: np.ndarray, target_radii: np.n
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
-    r = np.clip(target_radii, 0.0, radial_grid.extent)
-    # the piece r lies in, [r_i, r_(i+1)), the last one closed
-    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, n - 2)
-    d = r - x[i]
-    d2 = d * d
-    spline = ((c3[i] + c2[i] * d) + c1[i] * d2) + c0[i] * (d2 * d)
-    return np.where(target_radii <= radial_grid.extent, spline, 0.0)
+    def evaluate(target_radii: np.ndarray) -> np.ndarray:
+        r = np.clip(target_radii, 0.0, radial_grid.extent)
+        # the piece r lies in, [r_i, r_(i+1)), the last one closed
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, n - 2)
+        d = r - x[i]
+        d2 = d * d
+        spline = ((c3[i] + c2[i] * d) + c1[i] * d2) + c0[i] * (d2 * d)
+        return np.where(target_radii <= radial_grid.extent, spline, 0.0)
+
+    return evaluate
+
+
+def transplant_radial(radial_grid: Grid, values: np.ndarray, grid: Grid) -> np.ndarray:
+    """A radial profile on the interior nodes of `grid`, raveled: its
+    `radial_spline` at each node's radius |y|, evaluated `on_interior`."""
+    spline = radial_spline(radial_grid, values)
+    return on_interior(grid, lambda y: spline(np.sqrt(np.sum(y**2, axis=-1))))

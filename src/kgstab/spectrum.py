@@ -391,10 +391,11 @@ def build_spectrum_report(
     limit: Profile,
 ) -> SpectrumReport:
     k = params.dimension + 3  # the dimension + 1 near-zero and negative ones, and two more
+    # before the blocks' own factorizations, and before L and its blocks are built
+    elliptic.release_factorization(profile)
     op = assemble_L(profile, params, pair)
     blocks = parity_blocks(op, elliptic.even_axes(op.grid, op.diagonal))
     log.debug("spectrum: parity blocks of %s unknowns", [b.diagonal.size for b in blocks])
-    elliptic.release_factorization(profile)  # before the blocks' own factorizations
     vals = eig_low(blocks, k)
     floor = 1e-10 * max(1.0, abs(float(vals[0])))
     n_neg = int(np.sum(vals < -floor))

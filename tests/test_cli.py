@@ -152,7 +152,7 @@ def test_round_trip(tmp_path):
 
 def test_run_scenario_report_shape(tmp_path):
     cfg = parse_scenario(cfg_file(tmp_path))
-    report, code, _ = run_scenario(cfg)
+    report, code, _, _ = run_scenario(cfg)
     assert code == 0
     assert report["assumptions"]["ok"]
     assert report["verdict"]["overall"] == "stable"
@@ -167,7 +167,7 @@ def test_eps_zero_block_analyses_the_finite_difference_state():
     # the eps = 0 block analysed the sine-collocation limit state with the
     # finite-difference L: the translation eigenvalue came out negative,
     # n(L) = 2 and the verdict "unstable" for a stable wave
-    report, code, _ = run_scenario(parse_scenario_dict(dict(BASE, epsilons=[0, 0.1])))
+    report, code, _, _ = run_scenario(parse_scenario_dict(dict(BASE, epsilons=[0, 0.1])))
     assert code == 0
     block = next(b for b in report["blocks"] if b["epsilon"] == 0.0)
     assert block["spectrum"]["n_negative"] == 1
@@ -212,7 +212,7 @@ SADDLE_2D = {
 def test_2d_asymptotic_only_run_has_no_profile():
     # these blocks continued on the radial limit grid, which samples Z
     # along one axis only: eps = 0.2 lost positivity and the run exited 1
-    report, code, _ = run_scenario(parse_scenario_dict(SADDLE_2D))
+    report, code, _, _ = run_scenario(parse_scenario_dict(SADDLE_2D))
     assert code == 0
     for block in report["blocks"]:
         assert "profile" not in block
@@ -226,7 +226,7 @@ def test_3d_asymptotic_only_run_has_no_profile():
     raw.update({"dimension": 3, "omega": 0.5, "analyses": {"slope_asymptotic": True}})
     raw["potentials"]["W"][0]["center"] = [0.0, 0.0, 0.0]
     del raw["grid"]
-    report, code, _ = run_scenario(parse_scenario_dict(raw))
+    report, code, _, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     block = report["blocks"][0]
     assert "profile" not in block
@@ -258,7 +258,7 @@ def test_cli_module_runs_without_a_runtime_warning():
 
 def test_run_scenario_assumption_failure(tmp_path):
     cfg = parse_scenario(cfg_file(tmp_path, {"omega": 1.2}))
-    report, code, _ = run_scenario(cfg)
+    report, code, _, _ = run_scenario(cfg)
     assert code == 1
     assert not report["assumptions"]["ok"]
     assert report["blocks"] == []
@@ -603,7 +603,7 @@ def test_dynamics_only_scenario_solves_no_scenario_limit_state(monkeypatch):
         "solve_limit_ground_state",
         lambda z0, p, grid, **kw: solved.append(grid) or solve(z0, p, grid, **kw),
     )
-    report, code, _ = run_scenario(parse_scenario_dict(raw))
+    report, code, _, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     # one limit state per dynamics run, on its own grid, and none reported
     assert [g.n for g in solved] == [801, 801]
@@ -631,11 +631,12 @@ def test_report_is_plain_data():
                 yield from keys(value)
 
     assert not [k for k in keys(report) if k.startswith("_")]
-    _, code, runs = result
+    _, code, runs, solver = result
     assert code == 0
     assert [timing["epsilon"] for _, timing in runs] == [0.1, 0.05]
     for block, (record, timing) in zip(report["blocks"], runs):
         assert block["dynamics"]["steps"] == record.steps == timing["steps"] > 0
+    assert solver == []  # a line run solves no box
 
 
 def test_epsilons_that_name_one_trajectory_file_are_a_config_error(tmp_path, capsys):
@@ -760,7 +761,7 @@ def test_capped_limit_grid_says_so(caplog):
     raw["potentials"] = {"W": [{"type": "quadratic", "matrix": [[-0.3, 0.0], [0.0, -0.3]]}]}
     del raw["grid"]
     with caplog.at_level(logging.WARNING, logger="kgstab"):
-        report, code, _ = run_scenario(parse_scenario_dict(raw))
+        report, code, _, _ = run_scenario(parse_scenario_dict(raw))
     assert code == 0
     limit = report["limit"]
     assert (limit["geometry"], limit["n"], limit["h_requested"]) == ("radial", 4001, 0.01)
@@ -1081,7 +1082,7 @@ def test_unpinned_2d_dynamics_grid_is_an_error_entry():
             "analyses": {"dynamics": True},
         }
     )
-    report, code, _ = run_scenario(cfg)
+    report, code, _, _ = run_scenario(cfg)
     assert code == 1
     err = report["blocks"][0]["dynamics"]["error"]
     assert err["type"] == "GridTooSmall"
@@ -1178,8 +1179,8 @@ def test_sweep_workers_run_scipy_openblas_at_one_thread_where_a_point_factors_a_
     run_scenario = cli.run_scenario
 
     def with_blas_threads(config):  # forked workers inherit the patch
-        report, code, runs = run_scenario(config)
-        return dict(report, blas_threads=_scipy_blas_threads()), code, runs
+        report, *rest = run_scenario(config)
+        return dict(report, blas_threads=_scipy_blas_threads()), *rest
 
     monkeypatch.setattr(cli, "run_scenario", with_blas_threads)
     path = tmp_path / "sweep.json"
@@ -1216,6 +1217,43 @@ def test_line_runs_load_neither_scipy_sparse_nor_scipy_fft(tmp_path):
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_sidecar_records_the_box_chain_counters(tmp_path, command):
+    # each epsilon block of a box run: the factorizations, sweeps and most
+    # sweeps in one solve of the chain of Newton solves its profile ends,
+    # counted from the scenario's epsilon = 0 state; a sweep point's reach
+    # its sidecar from the worker
+    raw = {
+        "dimension": 2,
+        "p": 3.0,
+        "m": 1.0,
+        "potentials": {"W": [{"type": "quadratic", "matrix": [[0.3, 0.0], [0.0, -0.3]]}]},
+        "epsilons": [0.1, 0.05],
+        "analyses": {"slope_asymptotic": True, "spectrum": True},
+        "grid": {"geometry": "box", "extent": 14.0, "n": 71},
+    }
+    raw.update({"omegas": [0.5, 0.55]} if command == "sweep" else {"omega": 0.5})
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 0
+    names = ["report_omega_0.5", "report_omega_0.55"] if command == "sweep" else ["report"]
+    for name in names:
+        meta = json.loads((out / f"{name}.meta.json").read_text())
+        counters = meta["solver"]
+        assert [c["epsilon"] for c in counters] == [0.1, 0.05]
+        for c in counters:
+            assert set(c) == {"epsilon", "factorizations", "refinement_sweeps", "most_sweeps_per_solve"}
+            assert c["factorizations"] >= 1 and c["refinement_sweeps"] >= c["most_sweeps_per_solve"] > 0
+        # the spectrum released the first block's LDL^T: the second factors again
+        assert counters[1]["factorizations"] > counters[0]["factorizations"]
+        assert counters[1]["refinement_sweeps"] > counters[0]["refinement_sweeps"]
+        assert "solver" not in (out / f"{name}.json").read_text()
+    # a line run factors no box, and its sidecar has no counters
+    assert main(["analyze", str(cfg_file(tmp_path)), "--out", str(tmp_path / "line")]) == 0
+    assert "solver" not in json.loads((tmp_path / "line" / "report.meta.json").read_text())
 
 
 def test_a_2d_analyze_does_not_import_scipy_interpolate(tmp_path):

@@ -487,6 +487,93 @@ def test_no_factorization_is_held_when_the_spectrum_factors(monkeypatch):
     assert len(dropped) >= 4 and all(dropped)
 
 
+def test_the_spectrum_releases_the_chain_before_it_builds_l(monkeypatch):
+    from kgstab import spectrum
+
+    params, pair, z, limit, grid = _small_saddle()
+    prof = _continued(params, pair, z, limit, grid)
+    held = prof._held
+    assert held._lu is not None and held._ops is not None
+    released = []
+    real = spectrum.assemble_L
+    monkeypatch.setattr(
+        spectrum, "assemble_L",
+        lambda *a: released.append(held._lu is None and held._ops is None) or real(*a),
+    )
+    build_spectrum_report(prof, params, pair, z, limit)
+    assert released == [True]
+
+
+def test_a_box_chain_builds_its_operator_once(monkeypatch):
+    # the settles at epsilon = 0 and every step run on the quarter box: one
+    # -lap for all of them, whose diagonal and the Jacobian's each solve
+    # overwrites
+    params, pair, z, limit, grid = _small_saddle()
+    calls = []
+    real = grids.neg_laplacian
+    monkeypatch.setattr(
+        grids, "neg_laplacian", lambda g, parity=None: calls.append(parity) or real(g, parity)
+    )
+    base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid)
+    ops, jac = base._held._ops, base._held._of.matrix  # the settle factored its Jacobian
+    prof = continue_profile(base, params, pair, z, grid)
+    assert calls == [(1, 1)]
+    assert prof._held._ops is ops and prof._held._mag[0] is jac
+
+
+def test_a_box_continuation_holds_no_full_box_temporaries():
+    # numpy's peak over a continuation of the small saddle from its
+    # epsilon = 0 state on a 201^2 box (five blocks of `grids.on_interior`),
+    # in full-box float fields: the profile it returns (values and Z
+    # field), the iterate and the Z field of the step tried, and the Newton
+    # solves' fold-sized arrays. Whole-box coordinates, their Z temporaries
+    # and a Jacobian copy per Newton solve took 16.
+    import tracemalloc
+
+    params, pair, z, limit, _ = _small_saddle()
+    grid = Grid(2, "box", 14.0, 201)
+    base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid)
+    field = grid.n**grid.dimension * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        prof = continue_profile(base, params, pair, z, grid)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert prof.epsilon == params.epsilon
+    assert peak <= 9 * field, f"peak of {peak / field:.1f} full-box fields"
+
+
+def test_a_newton_solve_past_its_refinement_budget_factors_afresh(monkeypatch):
+    # a 33^2 box whose z jumps from 0.81 to 0.85: the second Newton solve
+    # refined each of its 11 Jacobians in 11 sweeps against the first's
+    # last LDL^T, 121 sweeps where a factorization costs about 22
+    g = Grid(2, "box", 10.0, 33)
+    start = grids.extract_interior(g, 1.3 * np.exp(-0.4 * g.radii() ** 2))
+
+    def chain():
+        held, psi = elliptic.SparseLDL(), start
+        for c in (0.81, 0.85):
+            z = np.full(g.n_interior(), c)
+            before = held.factorizations, held.sweeps
+            psi, res = _newton(g, z, 3.0, psi, 1e-12, elliptic.even_axes(g, z), held)
+            assert res < 1e-12
+        return psi, held.factorizations - before[0], held.sweeps - before[1]
+
+    psi, factorizations, sweeps = chain()
+    assert factorizations == 1 and sweeps < elliptic.REFINE_BUDGET + 20
+    # the reference: refinement with no budget
+    monkeypatch.setattr(elliptic, "REFINE_BUDGET", np.inf)
+    ref, factorizations, sweeps = chain()
+    assert factorizations == 0 and sweeps > 100
+    assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(ref)
+
+
 def test_continuation_decides_its_fold_once(s1, monkeypatch):
     params, pair, z, _, _ = s1
     grid = Grid(1, "line", 30.0, 1201)

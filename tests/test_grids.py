@@ -286,8 +286,60 @@ def test_radial_interpolation_is_scipys_clamped_cubic_spline_to_the_bit(n):
     inside = rng.uniform(0.0, g.extent, 300 + n % 2)  # an even count in all
     radii = np.concatenate([inside, g.axis, [0.0, g.extent, np.nextafter(g.extent, 9.0), 9.0]])
     radii = radii.reshape(-1, 2)  # a 2d target, as a box's radii are
-    got = grids.interpolate_radial(g, values, radii)
+    got = grids.radial_spline(g, values)(radii)
     spline = CubicSpline(g.axis, values, bc_type=((1, 0.0), (1, 0.0)))
     want = np.where(radii <= g.extent, spline(np.clip(radii, 0.0, g.extent)), 0.0)
     assert got.shape == radii.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _saddle_pair(dim):
+    """A general-mode pair with a Gaussian and a coupled quadratic term in
+    each of V and W, off the origin."""
+    from kgstab.potentials import GaussianTerm, PotentialPair, PotentialSpec, QuadraticTerm
+
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim))
+
+    def spec(scale):
+        center = tuple(rng.uniform(-0.5, 0.5, dim))
+        matrix = tuple(map(tuple, scale * (a + a.T)))
+        return PotentialSpec(dim, (GaussianTerm(0.2, center, 1.3), QuadraticTerm(matrix, center)))
+
+    return PotentialPair(spec(0.05), spec(-0.1))
+
+
+BLOCKED_GRIDS = [
+    Grid(1, "line", 10.0, 2 * grids.BLOCK + 7),
+    Grid(2, "box", 6.0, 101),
+    Grid(3, "box", 4.0, 25),
+    Grid(2, "radial", 8.0, grids.BLOCK + 1001),
+]
+
+
+@pytest.mark.parametrize("g", BLOCKED_GRIDS, ids=lambda g: f"{g.geometry}{g.dimension}d-{g.n}")
+def test_blocked_z_is_the_whole_array_one_to_the_bit(g):
+    # Z(x0 + eps y), a block of interior nodes at a time, against Z on the
+    # whole grid's points; no interior count here is a multiple of BLOCK
+    from kgstab.elliptic import _z_on_grid
+    from kgstab.potentials import ProblemParams, eval_Z
+
+    assert g.n_interior() % grids.BLOCK
+    params, pair = ProblemParams(g.dimension, 3.0, 1.0, 0.4, 0.07), _saddle_pair(g.dimension)
+    center = tuple(np.linspace(-0.3, 0.2, g.dimension))
+    x = np.asarray(center) + params.epsilon * g.points()
+    whole = grids.extract_interior(g, eval_Z(params, pair, x, derivatives=False))
+    blocked = _z_on_grid(params, pair, g, center, params.epsilon)
+    assert blocked.tobytes() == whole.tobytes()
+    sizes = []
+    grids.on_interior(g, lambda y: sizes.append(len(y)) or y[:, 0])
+    assert len(sizes) > 1 and max(sizes) <= grids.BLOCK and sum(sizes) == g.n_interior()
+
+
+@pytest.mark.parametrize("g", [g for g in BLOCKED_GRIDS if g.geometry == "box"], ids=["2d", "3d"])
+def test_blocked_radial_transplant_is_the_whole_array_one_to_the_bit(g):
+    radial = Grid(g.dimension, "radial", 7.0, 301)
+    rng = np.random.default_rng(g.n)
+    values = np.exp(-radial.axis**2) + 1e-3 * rng.standard_normal(radial.n)
+    whole = grids.extract_interior(g, grids.radial_spline(radial, values)(g.radii()))
+    assert grids.transplant_radial(radial, values, g).tobytes() == whole.tobytes()
