@@ -51,7 +51,9 @@ solve's and each Jacobian's diagonal in place, and one |J|. The slope's
 R and the spectrum release it before they factor L
 (`release_factorization`). scipy.sparse is imported where a box
 operator is first built or factored (`grids.neg_laplacian`, `splu`), so
-a line run never loads it.
+a line run never loads it. Nor does a line run load the `scipy.linalg`
+package: LAPACK's ?gttrf, ?gttrs and ?stebz come from scipy's compiled
+`_flapack` extension, loaded from its file by itself (`flapack`).
 
 Besides the fields a solve returns and the Z field a profile keeps, no
 array of a box continuation grows with the full box: Z(x0 + eps y) and
@@ -61,11 +63,14 @@ the radial transplant are evaluated a block of nodes at a time
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import grids
 from .errors import GridTooSmall, LostPositivity, NoConvergence, SingularOperator
@@ -124,11 +129,6 @@ class Profile:
         """L^2 norm squared over R^N (in y coordinates)."""
         w = self.grid.weights()
         return float(np.sum(w * self.values**2))
-
-    def sample_points(self) -> np.ndarray:
-        """Physical x coordinates of the nodes, shape (*shape, N)."""
-        pts = self.grid.points()
-        return np.asarray(self.center) + self.epsilon * pts
 
     def z_field(self, params: ProblemParams, pair: PotentialPair) -> np.ndarray:
         """Z(center + epsilon y) on the interior nodes, for the m and omega
@@ -387,6 +387,40 @@ def splu(*args, **kwargs):
     return splu(*args, **kwargs)
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the `scipy.linalg._flapack`
+    extension that `scipy.linalg.lapack` itself wraps, loaded from its
+    file by itself and entered in `sys.modules` under its own name.
+
+    Importing it by name would first run the `scipy.linalg` package, whose
+    helpers (scipy 1.17's `scipy._lib._util`) clone numpy's namespace and
+    so load numpy.f2py, numpy.ma, numpy.testing and numpy.random: about
+    28 MB and 0.2 s that a line run, which calls only ?gttrf, ?gttrs and
+    ?stebz, never uses. A box run's later `import scipy.linalg` finds the
+    module in `sys.modules` and reuses it. Where scipy.linalg is already
+    loaded, its module is returned.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"scipy's _flapack extension is not in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# LAPACK: ?gttrf and ?gttrs here, ?stebz in `spectrum.eig_low`
+flapack = _load_flapack()
+
+
 @dataclass(frozen=True)
 class BandedLU:
     """LAPACK ?gttrf factors of a tridiagonal matrix, with SuperLU's `solve`."""
@@ -394,7 +428,7 @@ class BandedLU:
     factors: tuple
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return dgttrs(*self.factors, b)[0]
+        return flapack.dgttrs(*self.factors, b)[0]
 
 
 def factor_banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> BandedLU:
@@ -402,9 +436,12 @@ def factor_banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> Ban
 
     Line and radial grids factor here, in O(n) and with no sparse matrix:
     Newton's Jacobians, the limit operator and the folded L of
-    `compute_R_omega`. A zero pivot raises `SingularOperator`.
+    `compute_R_omega`. A zero pivot raises `SingularOperator`. LAPACK's
+    ?gttrf and ?gttrs come from `flapack`, scipy's compiled wrappers
+    loaded without the `scipy.linalg` package, to the bit the routines of
+    `scipy.linalg.lapack`.
     """
-    *factors, info = dgttrf(lower, main, upper)
+    *factors, info = flapack.dgttrf(lower, main, upper)
     if info > 0:
         raise SingularOperator(f"tridiagonal factorization: pivot {info} is exactly zero")
     return BandedLU(tuple(factors))

@@ -21,7 +21,11 @@ a line grid the blocks are tridiagonal.  Their bands, joined by zero
 couplings, make one tridiagonal matrix, and one bisection finds its k
 lowest eigenvalues: the Sturm counts of a split tridiagonal add across
 its blocks (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), so
-LAPACK bisects k eigenvalues in all, not k per block.
+LAPACK bisects k eigenvalues in all, not k per block.  Its ?stebz comes
+from scipy's compiled `_flapack` extension, loaded without the
+`scipy.linalg` package (`elliptic.flapack`), so a line run imports no
+`scipy.linalg`; the call and its guards are those of scipy's
+`eigh_tridiagonal`.
 On a box grid each block's spectrum is sliced at zero (Parlett): one
 symmetric LDL^T of the block gives the exact number of its negative
 eigenvalues by Sylvester's law of inertia, and the same factorization
@@ -69,7 +73,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import elliptic, grids, workers
 from .elliptic import LinearizedOperator, Profile, assemble_L
@@ -118,9 +121,12 @@ def eig_low(blocks, k: int) -> np.ndarray:
     spectra, ascending: `blocks` is `parity_blocks(L, ...)` or [L].
 
     On a line grid the blocks' bands, joined by zero couplings, go to one
-    call of the tridiagonal solver (LAPACK ?stebz, machine precision),
-    which splits the matrix there and bisects k eigenvalues in all; at
-    most one fewer than the unknowns.  On a box grid each block's
+    call of LAPACK's ?stebz (`elliptic.flapack`, machine precision), which
+    splits the matrix there and bisects k eigenvalues in all; at most one
+    fewer than the unknowns.  It is the call that scipy's
+    `eigh_tridiagonal(select="i", eigvals_only=True)` makes, with its
+    guards: bands that are not finite, or a nonzero LAPACK info, raise
+    `EigSolverFailure`.  On a box grid each block's
     spectrum is sliced at zero by inertia (`_eig_box`), and the results
     merge.  The box blocks run in forked workers, one per CPU and at most
     one per block, each with scipy's OpenBLAS at one thread; they run
@@ -133,8 +139,16 @@ def eig_low(blocks, k: int) -> np.ndarray:
         main = np.concatenate([m for m, _ in bands])
         off = np.concatenate([np.append(o, 0.0) for _, o in bands])[:-1]
         k = min(k, main.size - 1)
-        vals = eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-        return np.asarray(vals)
+        if not (np.isfinite(main).all() and np.isfinite(off).all()):
+            raise EigSolverFailure("tridiagonal eigensolve: the bands of L are not finite")
+        # by index (range 2), 1..k (vl, vu unused), absolute tolerance 0,
+        # ascending over the whole matrix ("E"): the call that
+        # eigh_tridiagonal(main, off, select="i", select_range=(0, k - 1),
+        # eigvals_only=True) makes
+        m, vals, _, _, info = elliptic.flapack.dstebz(main, off, 2, 0.0, 1.0, 1, k, 0.0, "E")
+        if info != 0:
+            raise EigSolverFailure(f"tridiagonal eigensolve: LAPACK ?stebz info={info}")
+        return vals[:m]
     # loaded before the pool forks, so that no worker imports it
     import scipy.sparse.linalg  # noqa: F401
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .elliptic import Profile, compute_R_omega
 # bench/tracing.py traces its target elliptic.resolve_at_omega under this name
 from .elliptic import resolve_at_omega  # noqa: F401
@@ -68,7 +69,11 @@ def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) 
     mass = float(np.sum(w * profile.values**2))
     if pair.spec_V.is_zero():
         return params.omega * mass
-    v = pair.V(profile.sample_points(), derivatives=False)
+    # V(center + eps y) a block of interior nodes at a time, zero on the walls
+    c, eps = np.asarray(profile.center), profile.epsilon
+    v = grids.insert_interior(
+        profile.grid, grids.on_interior(profile.grid, lambda y: pair.V(c + eps * y, derivatives=False))
+    )
     return params.omega * mass + float(np.sum(w * v * profile.values**2))
 
 

@@ -1196,27 +1196,67 @@ def test_sweep_workers_run_scipy_openblas_at_one_thread_where_a_point_factors_a_
     assert threads == ({1} if scenario == "box" else {_scipy_blas_threads()})
 
 
-LINE_FREE = ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")
+LINE_FREE = (
+    "scipy.fft", "scipy.special", "scipy.sparse", "scipy.sparse.linalg",
+    "scipy.linalg", "scipy._lib._util", "numpy.f2py",
+)
 
 
 def test_line_runs_load_neither_scipy_sparse_nor_scipy_fft(tmp_path):
-    # the sine limit solver transforms with numpy's FFT, and only box
-    # operators import scipy.sparse, at their first use
+    # the sine limit solver transforms with numpy's FFT, only box operators
+    # import scipy.sparse, at their first use, and LAPACK's tridiagonal
+    # routines come from scipy's _flapack extension, loaded without the
+    # scipy.linalg package; the sweep runs on one CPU, so that its points
+    # solve in this process
     analyze = cfg_file(tmp_path, {"grid": {"geometry": "line", "extent": 40.0, "n": 801}})
     evolve = tmp_path / "evolve.json"
     raw = dict(json.loads(analyze.read_text()), analyses={"dynamics": True})
     raw["dynamics"] = {"T_over_epsilon": 2.0, "grid": {"extent": 40.0, "n": 801}}
     evolve.write_text(json.dumps(raw))
-    code = (
-        "import sys, numpy, scipy.linalg; base = set(sys.modules); "
-        "from kgstab.cli import main; "
-        f"codes = [main(['analyze', {str(analyze)!r}, '--out', {str(tmp_path / 'a')!r}]), "
-        f"main(['evolve', {str(evolve)!r}, '--out', {str(tmp_path / 'e')!r}])]; "
-        f"print(codes, [m for m in {LINE_FREE!r} if m in sys.modules and m not in base])"
-    )
+    sweep = tmp_path / "sweep.json"
+    raw = dict(json.loads(analyze.read_text()), omegas=[0.85, 0.9])
+    del raw["omega"]
+    sweep.write_text(json.dumps(raw))
+    code = f"""
+import os, sys
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+from kgstab.cli import main
+codes = [
+    main(["analyze", {str(analyze)!r}, "--out", {str(tmp_path / "a")!r}]),
+    main(["evolve", {str(evolve)!r}, "--out", {str(tmp_path / "e")!r}]),
+    main(["sweep", {str(sweep)!r}, "--out", {str(tmp_path / "s")!r}]),
+]
+print(codes, [m for m in {LINE_FREE!r} if m in sys.modules])
+"""
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_scipy_linalg_after_the_cli_reuses_its_lapack():
+    # the _flapack extension the CLI loads by itself is the one a later
+    # import of scipy.linalg (and scipy.sparse.linalg, as a box run) finds
+    code = """
+import numpy as np
+import kgstab.cli
+from kgstab import elliptic
+import scipy.sparse, scipy.sparse.linalg
+import scipy.linalg.lapack as lapack
+assert lapack.dgttrf is elliptic.flapack.dgttrf and lapack.dstebz is elliptic.flapack.dstebz
+rng = np.random.default_rng(0)
+lower, upper = rng.standard_normal(29), rng.standard_normal(29)
+main, b = rng.standard_normal(30) + 4.0, rng.standard_normal(30)
+*factors, info = lapack.dgttrf(lower, main, upper)
+assert info == 0
+assert np.array_equal(elliptic.factor_banded(lower, main, upper).solve(b), lapack.dgttrs(*factors, b)[0])
+a = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="csc")
+assert np.allclose(a @ scipy.sparse.linalg.splu(a).solve(b), b)
+print("ok")
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 @pytest.mark.parametrize("command", ["analyze", "sweep"])

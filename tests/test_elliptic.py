@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.fft
 import scipy.sparse as sp
 from dataclasses import replace
@@ -311,6 +313,27 @@ def test_singular_tridiagonal_raises_singular_operator():
         factor()
     with pytest.raises(SingularOperator):
         elliptic.factor_banded(np.array([1.0, 0.0]), np.ones(3), np.array([1.0, 0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 40))
+def test_factor_banded_is_scipys_lapack_to_the_bit(data, n):
+    # `elliptic.flapack` is the extension scipy.linalg.lapack wraps: the
+    # same factors and solves, and the same zero pivots. From 3 unknowns:
+    # scipy's wrapper of ?gttrf rejects 2, and no grid factors fewer than 3
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    def vector(size):
+        return np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size)))
+
+    lower, main, upper, b = vector(n - 1), vector(n), vector(n - 1), vector(n)
+    *factors, info = dgttrf(lower, main, upper)
+    if info > 0:
+        with pytest.raises(SingularOperator):
+            elliptic.factor_banded(lower, main, upper)
+    else:
+        got = elliptic.factor_banded(lower, main, upper).solve(b)
+        assert np.array_equal(got, dgttrs(*factors, b)[0], equal_nan=True)
 
 
 _DONE = re.compile(

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from kgstab import elliptic, spectrum, workers
@@ -723,3 +724,47 @@ def test_joined_line_spectrum_ignores_block_order(data, sizes, k):
     shuffled = data.draw(st.permutations(blocks))
     atol = 1e-12 * _norm_bound(blocks)
     np.testing.assert_allclose(eig_low(shuffled, k), eig_low(blocks, k), rtol=0.0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(6, 30), min_size=1, max_size=4),
+    k=st.integers(1, 8),
+)
+def test_line_eig_low_is_eigh_tridiagonal_to_the_bit(data, sizes, k):
+    # the direct ?stebz call is the one eigh_tridiagonal makes on the
+    # blocks' bands joined by zero couplings
+    blocks = []
+    for m in sizes:
+        diagonal = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=m, max_size=m))
+        extent = data.draw(st.floats(1.0, 40.0))
+        blocks.append(LinearizedOperator(Grid(1, "line", extent, m + 2), np.array(diagonal)))
+    bands = [b.bands() for b in blocks]
+    main = np.concatenate([m for m, _ in bands])
+    off = np.concatenate([np.append(o, 0.0) for _, o in bands])[:-1]
+    top = min(k, main.size - 1)
+    want = eigh_tridiagonal(main, off, select="i", select_range=(0, top - 1), eigvals_only=True)
+    assert np.array_equal(eig_low(blocks, k), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_line_eig_low_rejects_a_non_finite_diagonal(bad, monkeypatch):
+    # the bands are checked before LAPACK sees them, as eigh_tridiagonal's
+    # check_finite did
+    calls = []
+    real = elliptic.flapack.dstebz
+    monkeypatch.setattr(elliptic, "flapack", SimpleNamespace(dstebz=lambda *a: calls.append(a) or real(*a)))
+    op = _line_operator(11, lambda x: 0.3 - 3.0 * np.exp(-(x**2)))
+    op.diagonal[4] = bad
+    with pytest.raises(EigSolverFailure, match="not finite"):
+        eig_low(parity_blocks(op, (0,)), 3)
+    assert calls == []
+
+
+def test_line_eig_low_raises_where_lapack_fails(monkeypatch):
+    # ?stebz's info != 0 raises and returns no eigenvalues
+    real = elliptic.flapack.dstebz
+    monkeypatch.setattr(elliptic, "flapack", SimpleNamespace(dstebz=lambda *a: (*real(*a)[:4], 2)))
+    with pytest.raises(EigSolverFailure, match="info=2"):
+        eig_low(_line_blocks(21), 3)

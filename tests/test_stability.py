@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from kgstab.elliptic import continue_profile, solve_limit_ground_state
+from kgstab import grids
+from kgstab.elliptic import Profile, continue_profile, solve_limit_ground_state
 from kgstab.grids import Grid
 from kgstab.potentials import (
     GaussianTerm,
     PotentialSpec,
     ProblemParams,
+    QuadraticTerm,
     find_critical_point,
     resolve_potentials,
 )
@@ -56,6 +58,40 @@ def test_charge_includes_potential_term():
     vv, _, _ = pair.V(params.epsilon * g.points())
     direct = params.omega * prof.mass() + float(np.sum(w * vv * prof.values**2))
     assert q_sc == pytest.approx(direct, rel=1e-12)
+
+
+def test_box_charge_evaluates_v_a_block_at_a_time():
+    # V(center + eps y) is evaluated on blocks of interior nodes
+    # (`grids.on_interior`): the charge is that of V on whole-box
+    # coordinates to the bit, and its numpy peak stays under 5 full-box
+    # float fields, where the whole-box coordinates and their V
+    # temporaries took 9
+    import tracemalloc
+
+    params = ProblemParams(2, 3.0, 1.0, 0.5, 0.1)
+    v_spec = PotentialSpec(2, (GaussianTerm(0.2, (0.3, -0.1), 1.5),))
+    w_spec = PotentialSpec(2, (QuadraticTerm(((0.3, 0.0), (0.0, -0.3)), (0.0, 0.0)),))
+    pair = resolve_potentials(params, v_spec, w_spec)
+    grid = Grid(2, "box", 14.0, 201)
+    values = grids.insert_interior(grid, grids.extract_interior(grid, np.exp(-0.5 * grid.radii() ** 2)))
+    prof = Profile(grid, values, params.epsilon, params.p, (0.05, -0.02), 0.0, (0.0, 0.0))
+    w = grid.weights()
+    v, _, _ = pair.V(np.asarray(prof.center) + prof.epsilon * grid.points())
+    direct = params.omega * prof.mass() + float(np.sum(w * v * values**2))
+    field = grid.n**grid.dimension * 8
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        q_sc = charge_scaled(prof, params, pair)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert q_sc == direct
+    assert peak <= 5 * field, f"peak of {peak / field:.1f} full-box fields"
 
 
 def test_regime_detection():
