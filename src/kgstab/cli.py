@@ -111,8 +111,8 @@ _POSITIVE = (lambda v: _is_number(v) and v > 0, "expected a number > 0")
 _DYNAMICS_FIELDS = {
     "delta": _NONNEGATIVE,
     "kind": (
-        lambda v: v in ("radial-bump", "random-smooth", "none"),
-        "expected radial-bump | random-smooth | none",
+        lambda v: v in dyn.PERTURBATION_KINDS,
+        "expected " + " | ".join(dyn.PERTURBATION_KINDS),
     ),
     "seed": (_is_int, "expected an integer"),
     "T_over_epsilon": _POSITIVE,

@@ -99,9 +99,13 @@ class FieldState:
         return np.asarray(self.center) + self.epsilon * self.grid.points()
 
 
+# what `Perturbation.kind` takes, in the order the schema's message lists them
+PERTURBATION_KINDS = ("radial-bump", "random-smooth", "none")
+
+
 @dataclass(frozen=True)
 class Perturbation:
-    kind: str = "none"  # "radial-bump" | "random-smooth" | "none"
+    kind: str = "none"  # one of PERTURBATION_KINDS
     delta: float = 0.0
     seed: int = 0
 

@@ -38,17 +38,17 @@ bands (`grids.Fold.bands`), applied in O(n) and factored by LAPACK ?gttrf
 (`factor_banded`), with no sparse matrix and no SuperLU; each Newton
 Jacobian is factored afresh, at about the cost of one solve. On box
 grids it is a sparse matrix, factored by a symmetric-mode SuperLU
-(`factor_ldl`), which costs as much as dozens of solves. Each box
-matrix is a `SparseLDL`, which carries its fold and is factored at its
-first solve. A chain of box Newton solves (the settle at epsilon = 0,
-then each continuation step and omega re-solve from it) holds one of
-them, factored at its first Jacobian: every later Jacobian on the same
-fold is solved by iterative refinement against it, to roundoff, so the
-Newton path is that of a fresh factorization per Jacobian. The chain
-also keeps the matrices its solves work on (`SparseLDL.operator`): one
--lap + diag of its fold and one Jacobian, assembled once and given each
-solve's and each Jacobian's diagonal in place, and one |J|. The slope's
-R and the spectrum release it before they factor L
+(`factor_ldl`), which costs as much as dozens of solves. Every box
+operator is built by a `SparseLDL`, the state of one chain of box
+solves: the box limit solve and R each run a chain of their own, and a
+chain of box Newton solves (the settle at epsilon = 0, then each
+continuation step and omega re-solve from it) runs one through all of
+them. A chain keeps one -lap + diag of its fold and one Jacobian,
+assembled once and given each solve's and each Jacobian's diagonal in
+place, and one LDL^T, of its first Jacobian: every later Jacobian on the
+same fold is solved by iterative refinement against it, to roundoff, so
+the Newton path is that of a fresh factorization per Jacobian. The
+slope's R and the spectrum release it before they factor L
 (`release_factorization`). scipy.sparse is imported where a box
 operator is first built or factored (`grids.neg_laplacian`, `splu`), so
 a line run never loads it. Nor does a line run load the `scipy.linalg`
@@ -122,7 +122,7 @@ class Profile:
     peak: tuple
     # ((m, omega, pair), Z(center + epsilon y) on the interior nodes)
     _z: tuple | None = field(default=None, init=False, repr=False)
-    # the LDL^T of the chain of box Newton solves this profile ends
+    # the chain of box Newton solves this profile ends
     _held: SparseLDL | None = field(default=None, init=False, repr=False)
 
     def mass(self) -> float:
@@ -240,6 +240,7 @@ def _solve_limit_fd(c: float, p: float, grid: Grid, tol: float):
     w = grids.extract_interior(grid, grid.weights())
     psi0 = grids.extract_interior(grid, sech_ground_state(c, p, grid.radii()))
     psi, res, _ = _petviashvili(apply_A, factor().solve, w, psi0, p, max(tol, 1e-9))
+    del factor  # on a box, its chain's LDL^T goes before Newton factors
     return _newton(grid, z, p, psi, tol, even_axes(grid, z))
 
 
@@ -368,8 +369,8 @@ def factor_ldl(a):
 
     Minimum-degree ordering on A + A^T and pivots taken from the
     diagonal, so P A P^T = L D L^T with D = diag(U) when perm_r == perm_c.
-    Box grids factor here: the `SparseLDL` a chain of Newton solves holds,
-    the parity block of L that `compute_R_omega` solves with, and the
+    Box grids factor here: the Jacobians of a `SparseLDL` chain, among
+    them the parity block of L that `compute_R_omega` solves with, and the
     shift-invert operators of `spectrum.eig_low`. It is the one caller
     of `splu`. SuperLU's panel is `SUPERLU_PANEL` columns wide.
     """
@@ -450,21 +451,16 @@ def factor_banded(lower: np.ndarray, main: np.ndarray, upper: np.ndarray) -> Ban
 def _operator(grid: Grid, parity, diagonal: np.ndarray):
     """-lap + diag(diagonal) on the kept nodes of `parity`: (apply, factor, kind).
 
-    `factor(shift)` factors the operator less diag(shift), the operator
-    itself when no shift is given, and raises `SingularOperator` where
-    that is singular. Line and radial grids keep the operator as its
-    three bands (`grids.Fold.bands`), applied in O(n) and factored by
-    `factor_banded`; box grids assemble the sparse matrix once
-    (`_sparse_operator`), and `factor` gives a `SparseLDL` of it on
-    `parity`, which factors by `factor_ldl` at its first solve. A chain
-    of box Newton solves keeps its own (`SparseLDL.operator`). `kind`
-    names the factorization for the log.
+    `factor(shift)` gives the operator less diag(shift), the operator
+    itself when no shift is given, to `solve` with. Line and radial grids
+    keep the operator as its three bands (`grids.Fold.bands`), applied in
+    O(n) and factored by `factor_banded` at `factor`; on a box it is the
+    operator of a new `SparseLDL` chain, whose `factor` returns the chain,
+    factored at its first `solve`. Either raises `SingularOperator` where
+    the matrix is singular. `kind` names the factorization for the log.
     """
     if grid.geometry == "box":
-        # -lap is symmetric to the bit: its transpose is its CSC form
-        a = grids.neg_laplacian(grid, parity).T
-        a.setdiag(a.diagonal() + diagonal)
-        return _sparse_operator(a, parity)
+        return SparseLDL().operator(grid, parity, diagonal)
     lower, main, upper = grids.fold(grid, parity).bands
     main = main + diagonal
 
@@ -481,28 +477,6 @@ def _operator(grid: Grid, parity, diagonal: np.ndarray):
     return apply, factor_line, "banded"
 
 
-def _sparse_operator(a, parity):
-    """(apply, factor, kind) of `_operator` for the CSC matrix `a` on `parity`.
-
-    `factor(shift)` writes a's diagonal less `shift` on one Jacobian, a
-    matrix with a's structure sharing its index arrays, built at the
-    first such call, and wraps it in a new `SparseLDL`: a Jacobian older
-    than the last one no longer holds its values.
-    """
-    jac = None
-
-    def factor_sparse(shift=None):
-        nonlocal jac
-        if shift is None:
-            return SparseLDL(a, parity)
-        if jac is None:
-            jac = _with_data(a, a.data.copy())
-        jac.setdiag(a.diagonal() - shift)
-        return SparseLDL(jac, parity)
-
-    return a.__matmul__, factor_sparse, "LDL^T"
-
-
 def _with_data(m, data: np.ndarray):
     """A compressed sparse matrix with m's structure, sharing its index
     arrays, and `data` as its values."""
@@ -510,82 +484,93 @@ def _with_data(m, data: np.ndarray):
 
 
 class SparseLDL:
-    """A sparse matrix on the kept nodes of a fold (`parity`) and its
-    LDL^T (`factor_ldl`), factored at the first solve; a failed
-    factorization raises `SingularOperator`. An empty one holds nothing.
+    """The state of one chain of box solves on one grid: the operator
+    -lap + diag of its fold, one Jacobian, one LDL^T (`factor_ldl`) and
+    the counters of the work done.
 
-    A chain of box Newton solves on one grid holds one, and `solve(b,
-    other)` solves each later Jacobian `other` on the same fold by
-    iterative refinement against it (Moler, J. ACM 14, 1967; Higham, IMA
-    J. Numer. Anal. 17, 1997): x += LU^-1 (b - J x) until the backward
-    error is at its roundoff floor `REFINE_FLOOR`, so each solve is exact
-    to roundoff and the Newton path is that of a fresh factorization per
-    Jacobian. A sweep that cuts that error by less than 4x, the chord
-    rule of `_newton`, a Jacobian on another fold, or `refine=False`
-    drops the held factorization, then takes `other`'s matrix and fold
-    in its place and factors them: no two are held at once.
-    `factorizations`, `sweeps` and `most_sweeps` (the most in one solve)
-    count the work done.
-
-    The chain also keeps the operator its Newton solves build
-    (`operator`): one -lap + diag of its fold, whose diagonal each solve
-    overwrites, with the one Jacobian of its `factor`, and one |J| for
-    the backward error of the refinement.
+    `operator` builds the operator and starts a Newton solve; `factor`
+    writes the Jacobian and `solve` solves with it. The LDL^T is of the
+    first Jacobian `solve` meets, and every later one on the same fold is
+    solved by iterative refinement against it (Moler, J. ACM 14, 1967;
+    Higham, IMA J. Numer. Anal. 17, 1997): x += LU^-1 (b - J x) until the
+    backward error is at its roundoff floor `REFINE_FLOOR`, so each solve
+    is exact to roundoff and the Newton path is that of a fresh
+    factorization per Jacobian. A sweep that cuts that error by less than
+    4x, the chord rule of `_newton`, a Jacobian on another fold, or a
+    Newton solve that has spent `REFINE_BUDGET` sweeps since it began or
+    last factored drops the LDL^T and factors the Jacobian in its place:
+    no two are held at once. A failed factorization raises
+    `SingularOperator`. `factorizations`, `sweeps` and `most_sweeps` (the
+    most in one solve) count the work from the chain's start.
     """
 
-    def __init__(self, matrix=None, parity=None):
-        self.matrix, self.parity = matrix, parity
+    def __init__(self):
+        self._ops = None  # ((grid, parity), -lap's diagonal, -lap + diag)
+        self._jac = None  # the Jacobian: -lap + diag itself, or a matrix sharing its index arrays
+        self._version = 0  # of the Jacobian, one more at each `factor`
         self._lu = None
-        self._of = None  # the Jacobian whose matrix was factored
-        self._ops = None  # ((grid, parity), -lap's diagonal, -lap + diag, its operator)
-        self._mag = None  # (J, |J|) of the last refinement
+        self._factored = None  # ((grid, parity), version) of the Jacobian the LDL^T is of
+        self._mag = None  # |J| of the refinement, on the Jacobian's index arrays
+        self._spent = 0  # sweeps since the Newton solve began or last factored
         self.factorizations = self.sweeps = self.most_sweeps = 0
 
     def operator(self, grid: Grid, parity, diagonal: np.ndarray):
-        """(apply, factor, kind) of `_operator` on a box, kept for the
-        chain's later solves on the same fold. The first call on a fold
-        builds its -lap (`grids.neg_laplacian`) and its
-        `_sparse_operator`; each call writes -lap's diagonal plus
-        `diagonal` on that matrix's, with the sums of a fresh assembly:
-        the same matrix to the bit."""
+        """(apply, factor, kind) of `_operator` on a box. The first call on
+        a fold builds its -lap (`grids.neg_laplacian`); each call writes
+        -lap's diagonal plus `diagonal` on that matrix's, with the sums of
+        a fresh assembly: the same matrix to the bit. A call starts a
+        Newton solve: its refinement budget is spent afresh."""
         if self._ops is None or self._ops[0] != (grid, parity):
-            self._ops = self._mag = None  # dropped before the new fold's are built
+            self._ops = self._jac = self._mag = None  # dropped before the new fold's are built
             # -lap is symmetric to the bit: its transpose is its CSC form
             a = grids.neg_laplacian(grid, parity).T
-            self._ops = (grid, parity), a.diagonal(), a, _sparse_operator(a, parity)
-        _, lap, a, ops = self._ops
+            self._ops = (grid, parity), a.diagonal(), a
+        _, lap, a = self._ops
         a.setdiag(lap + diagonal)
-        return ops
+        self._spent = 0
+        return a.__matmul__, self.factor, "LDL^T"
 
-    def solve(self, b: np.ndarray, other: SparseLDL | None = None, refine: bool = True):
-        """x with other.matrix x = b, or this matrix's where `other` is None."""
-        if other is not None and other is not self._of:
-            if refine and self._lu is not None and other.parity == self.parity:
-                x = self._refine(other.matrix, b)
+    def factor(self, shift=None):
+        """The chain, its Jacobian now the operator less diag(shift), or
+        the operator itself where `shift` is None."""
+        a = self._ops[2]
+        if shift is None:
+            self._jac = a
+        else:
+            if self._jac is None or self._jac is a:
+                self._jac = _with_data(a, a.data.copy())
+            self._jac.setdiag(a.diagonal() - shift)
+        self._version += 1
+        return self
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with J x = b, J the Jacobian of the last `factor`."""
+        key = self._ops[0], self._version
+        if self._lu is None or self._factored != key:
+            if self._lu is not None and self._factored[0] == key[0] and self._spent < REFINE_BUDGET:
+                x = self._refine(self._jac, b)
                 if x is not None:
                     return x
             self._lu = None  # drop it before factoring another
-            self.matrix, self.parity, self._of = other.matrix, other.parity, other
-        if self._lu is None:
             try:
-                self._lu = factor_ldl(self.matrix)
+                self._lu = factor_ldl(self._jac)
             except RuntimeError as exc:
                 raise SingularOperator(f"sparse factorization failed: {exc}") from exc
+            self._factored, self._spent = key, 0
             self.factorizations += 1
         return self._lu.solve(b)
 
     def release(self):
         """Drop the matrices and the factorization."""
-        self.matrix = self._lu = self._of = self._ops = self._mag = None
+        self._ops = self._jac = self._lu = self._factored = self._mag = None
 
     def _refine(self, jac, b: np.ndarray):
         """x by refinement against the held LDL^T, or None where a sweep stalls."""
-        if self._mag is None or self._mag[0] is not jac:
-            self._mag = None  # the last |J| goes before this one is built
-            self._mag = jac, _with_data(jac, np.abs(jac.data))
+        if self._mag is None:
+            self._mag = _with_data(jac, np.abs(jac.data))
         else:
-            np.abs(jac.data, out=self._mag[1].data)
-        mag, b_mag = self._mag[1], np.abs(b)
+            np.abs(jac.data, out=self._mag.data)
+        mag, b_mag = self._mag, np.abs(b)
         x = np.zeros_like(b)
         r, err_prev = b, 1.0  # the backward error of x = 0
         sweeps = 0
@@ -593,6 +578,7 @@ class SparseLDL:
             x = x + self._lu.solve(r)
             sweeps += 1
             self.sweeps += 1
+            self._spent += 1
             self.most_sweeps = max(self.most_sweeps, sweeps)
             r = b - jac @ x
             err = float(np.max(np.abs(r)) / np.max(mag @ np.abs(x) + b_mag))
@@ -633,17 +619,16 @@ def _newton(
     floor.
 
     On line and radial grids each Jacobian is three bands, factored by
-    `factor_banded`, O(n). On box grids each is a `SparseLDL`, solved
-    through `held`, the chain's `SparseLDL` (an empty one when None): the
-    first Jacobian of the chain is factored by `factor_ldl` and later
-    ones refine against it, so a continuation that passes `held` from
-    solve to solve factors once, unless one of its solves spends
-    `REFINE_BUDGET` sweeps against one factorization: its next Jacobian
-    is then factored afresh. The operator and the Jacobians are the
-    chain's matrices (`SparseLDL.operator`), assembled once per fold. A
-    DEBUG log line names the folding at the start and, on return, the
-    factorization kind, the iterations, the factorizations, the
-    refinement sweeps and the residual. Returns (psi, res).
+    `factor_banded`, O(n). On box grids the operator and the Jacobians
+    are those of `held`, the `SparseLDL` chain (a new one when None),
+    whose LDL^T is of its first Jacobian: later ones refine against it,
+    so a continuation that passes `held` from solve to solve factors
+    once, unless one of its solves spends `REFINE_BUDGET` sweeps against
+    one factorization. Either way each step is `solve` on the Jacobian
+    `factor` returns. A DEBUG log line names the folding at the start
+    and, on return, the factorization kind, the iterations, the
+    factorizations, the refinement sweeps and the residual. Returns
+    (psi, res).
     """
     fold = grids.fold(grid, parity)
     mu = fold.multiplicity
@@ -660,8 +645,7 @@ def _newton(
         return apply_Az(v) / mu - _nonlin(v, p)
 
     jac = None
-    factorizations = 0  # banded ones; `held` counts those of the box
-    spent = 0  # sweeps against the held LDL^T since this solve began or factored
+    banded = 0  # factorizations of the bands; `held` counts those of the box
     res_prev = np.inf
     f = residual(psi)
     res = float(np.sqrt(np.sum(weights * f**2)))
@@ -671,13 +655,8 @@ def _newton(
         fresh = jac is None or res > 0.25 * res_prev
         if fresh:
             jac = factor(mu * p * np.abs(psi) ** (p - 1.0))
-        if kind == "banded":
-            factorizations += fresh
-            delta = jac.solve(-mu * f)
-        else:
-            before = held.factorizations, held.sweeps
-            delta = held.solve(-mu * f, jac, refine=spent < REFINE_BUDGET)
-            spent = 0 if held.factorizations > before[0] else spent + held.sweeps - before[1]
+            banded += kind == "banded"
+        delta = jac.solve(-mu * f)
         lam = 1.0
         for _ in range(25):
             trial = psi + lam * delta
@@ -701,7 +680,7 @@ def _newton(
             raise NoConvergence("Newton did not converge", residual=res, iterations=it)
     log.debug(
         "newton done: %s, %d iterations, %d factorizations, %d refinement sweeps, residual %.3e",
-        kind, it, factorizations + held.factorizations - held_before[0],
+        kind, it, banded + held.factorizations - held_before[0],
         held.sweeps - held_before[1], res,
     )
     return fold.extend(psi), res

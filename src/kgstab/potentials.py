@@ -59,7 +59,9 @@ class QuadraticTerm:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise SchemaError("/potential/matrix", "quadratic matrix must be square")
-        if not np.allclose(a, a.T, atol=1e-12):
+        # max |A - A^T| <= 1e-12 max(1, max |A|); a NaN fails
+        top = np.max(np.abs(a), initial=1.0)
+        if not np.max(np.abs(a - a.T), initial=0.0) <= 1e-12 * top:
             raise SchemaError("/potential/matrix", "quadratic matrix must be symmetric")
 
 

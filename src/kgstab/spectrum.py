@@ -17,37 +17,11 @@ The count and the low eigenvalues come from one `eig_low` call on the
 parity blocks of L, split where its diagonal Z - p |phi|^(p-1) is even
 in some axes (`elliptic.even_axes`, `parity_blocks`): the block counts
 add up to n(L), and the blocks' lowest eigenvalues merge into L's.  On
-a line grid the blocks are tridiagonal.  Their bands, joined by zero
-couplings, make one tridiagonal matrix, and one bisection finds its k
-lowest eigenvalues: the Sturm counts of a split tridiagonal add across
-its blocks (Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), so
-LAPACK bisects k eigenvalues in all, not k per block.  Its ?stebz comes
-from scipy's compiled `_flapack` extension, loaded without the
-`scipy.linalg` package (`elliptic.flapack`), so a line run imports no
-`scipy.linalg`; the call and its guards are those of scipy's
-`eigh_tridiagonal`.
-On a box grid each block's spectrum is sliced at zero (Parlett): one
-symmetric LDL^T of the block gives the exact number of its negative
-eigenvalues by Sylvester's law of inertia, and the same factorization
-drives shift-invert Lanczos at zero for the eigenvalues around the zero
-cluster.  Where that run does not reach every negative eigenvalue, a
-second Lanczos run on the same factorization finds them all: they are
-the negative eigenvalues theta = 1/lambda of the inverse (spectral
-transformation; Ericsson and Ruhe, Math. Comp. 35, 1980), so a block
-is factored once.  Only a block with more negatives than eigenvalues
-asked for is factored again, shifted below its spectrum.  The
-blocks do not depend on each other: they run in forked worker
-processes (`workers.worker_map`), one per CPU in the affinity mask and
-at most one per block, each with scipy's bundled OpenBLAS (the BLAS
-under SuperLU and ARPACK) set to one thread, so that the workers do not
-oversubscribe the cores.  A run stays in-process, one block after
-another, for a single block, on one CPU (`taskset -c 0`), off Linux,
-inside a worker (a sweep point) and where no scipy OpenBLAS thread
-setter is found.  The blocks' eigenvalues then merge.  Lanczos stops
-at the residual bound `LANCZOS_RTOL`, not at machine precision: a Ritz
-value's error is at most the square of its residual over its gap
-(Kato-Temple; Parlett), so the eigenvalues are as exact as the
-factorization allows.
+a line grid one LAPACK bisection takes the blocks' bands at once, with
+no `scipy.linalg` import; on a box grid one LDL^T per block slices its
+spectrum at zero by inertia and drives shift-invert Lanczos there
+(`_eig_box`), the blocks running in forked workers.  `eig_low` and
+`_eig_box` say how.
 
 The semiclassical structure pins the low spectrum: a single O(1)
 negative eigenvalue, then N eigenvalues that leave zero like c_j eps^2
@@ -122,8 +96,10 @@ def eig_low(blocks, k: int) -> np.ndarray:
 
     On a line grid the blocks' bands, joined by zero couplings, go to one
     call of LAPACK's ?stebz (`elliptic.flapack`, machine precision), which
-    splits the matrix there and bisects k eigenvalues in all; at most one
-    fewer than the unknowns.  It is the call that scipy's
+    splits the matrix there and bisects k eigenvalues in all, the Sturm
+    counts of a split tridiagonal adding across its blocks (Parlett, *The
+    Symmetric Eigenvalue Problem*, ch. 3); at most one fewer than the
+    unknowns.  It is the call that scipy's
     `eigh_tridiagonal(select="i", eigvals_only=True)` makes, with its
     guards: bands that are not finite, or a nonzero LAPACK info, raise
     `EigSolverFailure`.  On a box grid each block's
@@ -387,9 +363,9 @@ def parity_blocks(op: LinearizedOperator, even: tuple) -> list:
 
 def predicted_shifts(limit: Profile, z: EffectiveZ) -> np.ndarray:
     """c_1..c_N: the eps^2 rates at which the zero eigenvalues move."""
+    mass = limit.mass()
     w = limit.grid.weights()
     psi = limit.values
-    mass = float(np.sum(w * psi**2))
     pth = float(np.sum(w * np.abs(psi) ** (limit.p + 1.0)))
     grad2 = pth - z.z0 * mass  # by parts on the limit equation
     n = limit.grid.dimension

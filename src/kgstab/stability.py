@@ -65,8 +65,7 @@ class SlopeReport:
 
 def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) -> float:
     """eps^(-N) Q: the quantity with a finite limit as eps -> 0."""
-    w = profile.grid.weights()
-    mass = float(np.sum(w * profile.values**2))
+    mass = profile.mass()
     if pair.spec_V.is_zero():
         return params.omega * mass
     # V(center + eps y) a block of interior nodes at a time, zero on the walls
@@ -74,7 +73,7 @@ def charge_scaled(profile: Profile, params: ProblemParams, pair: PotentialPair) 
     v = grids.insert_interior(
         profile.grid, grids.on_interior(profile.grid, lambda y: pair.V(c + eps * y, derivatives=False))
     )
-    return params.omega * mass + float(np.sum(w * v * profile.values**2))
+    return params.omega * mass + float(np.sum(profile.grid.weights() * v * profile.values**2))
 
 
 def slope_numeric(
@@ -92,8 +91,8 @@ def slope_numeric(
     cancel where the slope changes sign.
     """
     r, info = compute_R_omega(profile, params, pair)
+    mass = profile.mass()
     w = profile.grid.weights()
-    mass = float(np.sum(w * profile.values**2))
     chi_r = float(np.sum(w * info["rhs"] * r))
     chi_dr = float(np.sum(w * info["rhs"] * info["correction"]))
     err = abs(chi_dr) + 1e-12 * (mass + abs(chi_r))
@@ -103,9 +102,9 @@ def slope_numeric(
 
 def limit_norms(limit: Profile) -> tuple[float, float]:
     """(||psi||^2, |||y| psi||^2) of the limit state by grid quadrature."""
+    mass = limit.mass()
     w = limit.grid.weights()
     y2 = np.sum(limit.grid.points() ** 2, axis=-1)
-    mass = float(np.sum(w * limit.values**2))
     ymom = float(np.sum(w * y2 * limit.values**2))
     return mass, ymom
 

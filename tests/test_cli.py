@@ -111,6 +111,23 @@ def test_schema_error_pointers(tmp_path):
         assert pointer_of(lambda: parse_scenario_dict(raw)) == "/tol"
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.0, 100000.5], [100000.0, 1.0]], [[0.3, 0.1000009], [0.1, -0.3]]],
+    ids=["large-entries", "small-entries"],
+)
+def test_quadratic_matrix_must_be_symmetric_to_roundoff(matrix):
+    # numpy's allclose, at its default rtol of 1e-5, took both for symmetric
+    raw = json.loads(json.dumps(BASE))
+    raw.update(dimension=2, grid={"geometry": "box", "extent": 15.0, "n": 65})
+    raw["potentials"] = {"W": [{"type": "quadratic", "matrix": matrix}]}
+    assert pointer_of(lambda: parse_scenario_dict(raw)) == "/potentials/W/0/matrix"
+    (a, b), (_, d) = matrix
+    raw["potentials"]["W"][0]["matrix"] = [[a, b], [b, d]]
+    cfg = parse_scenario_dict(raw)
+    assert cfg.pair.spec_W.terms[0].matrix == ((a, b), (b, d))
+
+
 def test_supercritical_p_rejected_in_3d(tmp_path):
     raw = json.loads(json.dumps(BASE))
     raw.update({"dimension": 3, "p": 6.0, "analyses": {"slope_asymptotic": True}})
@@ -951,6 +968,8 @@ BAD_DYNAMICS = {
 
 def test_every_dynamics_field_has_a_rejection_case():
     assert set(BAD_DYNAMICS) == set(_DYNAMICS_FIELDS)
+    # the kinds come from `dynamics.PERTURBATION_KINDS`, the message with them
+    assert _DYNAMICS_FIELDS["kind"][1] == "expected radial-bump | random-smooth | none"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -241,11 +243,14 @@ def test_folded_newton_matches_full_box_newton(grid):
 
 def _sparse_newton(monkeypatch):
     """Newton on line and radial grids as box grids run it: a sparse
-    -lap + diag and `factor_ldl` (the reference for the bands)."""
+    -lap + diag in a `SparseLDL` chain, factored by `factor_ldl` (the
+    reference for the bands)."""
 
     def operator(grid, parity, diagonal):
+        chain = elliptic.SparseLDL()
         a = (grids.neg_laplacian(grid, parity) + sp.diags_array(diagonal)).tocsc()
-        return elliptic._sparse_operator(a, parity)
+        chain._ops = (grid, parity), None, a
+        return a.__matmul__, chain.factor, "LDL^T"
 
     monkeypatch.setattr(elliptic, "_operator", operator)
 
@@ -276,8 +281,8 @@ def test_box_jacobians_are_the_shifted_sparse_sum_to_the_bit(dim, n):
         diagonal, shift = rng.standard_normal((2, grids.fold(g, parity).multiplicity.size))
         a = (kronecker_sum_laplacian(g, parity) + sp.diags_array(diagonal)).tocsc()
         _, factor, _ = elliptic._operator(g, parity, diagonal)
-        assert_same_sparse(factor().matrix, a)
-        assert_same_sparse(factor(shift).matrix, (a - sp.diags_array(shift)).tocsc())
+        assert_same_sparse(factor()._jac, a)
+        assert_same_sparse(factor(shift)._jac, (a - sp.diags_array(shift)).tocsc())
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["folded", "unfolded"])
@@ -447,11 +452,13 @@ def test_a_released_chain_factors_once_more_then_refines_again(monkeypatch):
     assert np.max(np.abs(held.values - fresh.values)) <= 1e-12 * np.max(fresh.values)
 
 
-def _box_system(diagonal, parity=(0, 0)):
-    """A SparseLDL of -lap + diag on a 9 x 9 box, labelled with `parity`."""
+def _box_chain(parity=(0, 0)):
+    """A `SparseLDL` chain of -lap on the `parity` fold of a 9 x 9 box, and
+    its `factor`: `factor(-d)` is the Jacobian -lap + diag(d)."""
+    held = elliptic.SparseLDL()
     g = Grid(2, "box", 4.0, 11)
-    a = (grids.neg_laplacian(g) + sp.diags_array(diagonal)).tocsc()
-    return elliptic.SparseLDL(a, parity)
+    _, factor, _ = held.operator(g, parity, np.zeros(grids.fold(g, parity).multiplicity.size))
+    return held, factor
 
 
 def test_a_far_off_held_factorization_leads_to_one_fresh_one(monkeypatch):
@@ -459,39 +466,40 @@ def test_a_far_off_held_factorization_leads_to_one_fresh_one(monkeypatch):
     real = elliptic.factor_ldl
     monkeypatch.setattr(elliptic, "factor_ldl", lambda a: calls.append(1) or real(a))
     b = np.linspace(1.0, 2.0, 81)
-    held = elliptic.SparseLDL()
-    near = _box_system(np.full(81, 1.0))
-    held.solve(b, near)
+    held, factor = _box_chain()
+    factor(np.full(81, -1.0)).solve(b)
+    near = held._factored
     # a nearby Jacobian refines against the held factorization
-    x = held.solve(b, _box_system(np.full(81, 1.1)))
-    assert calls == [1] and held.matrix is near.matrix and held.sweeps > 1
-    far = _box_system(np.full(81, -30.0))
-    x = held.solve(b, far)
-    assert calls == [1, 1] and held.matrix is far.matrix
-    assert np.max(np.abs(far.matrix @ x - b)) <= 1e-12 * np.max(np.abs(b))
-    # the held matrix itself solves with the held factorization
-    held.solve(b, far)
-    assert calls == [1, 1] and held.factorizations == 2
+    x = factor(np.full(81, -1.1)).solve(b)
+    assert calls == [1] and held._factored == near and held.sweeps > 1
+    x = factor(np.full(81, 30.0)).solve(b)
+    far = held._factored
+    assert calls == [1, 1] and far == (near[0], held._version)
+    assert np.max(np.abs(held._jac @ x - b)) <= 1e-12 * np.max(np.abs(b))
+    # the held Jacobian itself solves with the held factorization
+    held.solve(b)
+    assert calls == [1, 1] and held.factorizations == 2 and held._factored == far
     # another fold never refines against it: it is factored afresh
-    held.solve(b, _box_system(np.full(81, -30.0), parity=(1, 1)))
-    assert calls == [1, 1, 1] and held.parity == (1, 1)
+    _, factor, _ = held.operator(near[0][0], (1, 1), np.zeros(25))
+    factor(np.full(25, 30.0)).solve(np.ones(25))
+    assert calls == [1, 1, 1] and held._factored[0][1] == (1, 1)
 
 
 def test_a_singular_jacobian_raises_singular_operator():
-    held = elliptic.SparseLDL()
+    held, factor = _box_chain()
     b = np.ones(81)
-    held.solve(b, _box_system(np.ones(81)))
+    factor(np.full(81, -1.0)).solve(b)
     # zero diagonal: symmetric-mode SuperLU meets an exactly zero pivot
-    singular = _box_system(np.full(81, -4.0 / 0.8**2))
-    assert np.all(singular.matrix.diagonal() == 0.0)
+    factor(np.full(81, 4.0 / 0.8**2))
+    assert np.all(held._jac.diagonal() == 0.0)
     with pytest.raises(SingularOperator):
-        held.solve(b, singular)
+        held.solve(b)
     assert held._lu is None  # dropped before the factorization
     # and the next Jacobian is factored afresh, with no refinement
     sweeps = held.sweeps
-    x = held.solve(b, _box_system(np.full(81, 2.0)))
+    x = factor(np.full(81, -2.0)).solve(b)
     assert held.factorizations == 2 and held.sweeps == sweeps
-    assert np.max(np.abs(held.matrix @ x - b)) <= 1e-12
+    assert np.max(np.abs(held._jac @ x - b)) <= 1e-12
 
 
 def test_no_factorization_is_held_when_the_spectrum_factors(monkeypatch):
@@ -504,7 +512,7 @@ def test_no_factorization_is_held_when_the_spectrum_factors(monkeypatch):
     real = elliptic.factor_ldl
     monkeypatch.setattr(
         elliptic, "factor_ldl",
-        lambda a: dropped.append(held._lu is None and held.matrix is None) or real(a),
+        lambda a: dropped.append(held._lu is None and held._jac is None) or real(a),
     )
     build_spectrum_report(prof, params, pair, z, limit)
     assert len(dropped) >= 4 and all(dropped)
@@ -538,10 +546,28 @@ def test_a_box_chain_builds_its_operator_once(monkeypatch):
         grids, "neg_laplacian", lambda g, parity=None: calls.append(parity) or real(g, parity)
     )
     base = continue_profile(limit, replace(params, epsilon=0.0), pair, z, grid)
-    ops, jac = base._held._ops, base._held._of.matrix  # the settle factored its Jacobian
+    ops, jac = base._held._ops, base._held._jac  # the settle factored its Jacobian
     prof = continue_profile(base, params, pair, z, grid)
     assert calls == [(1, 1)]
-    assert prof._held._ops is ops and prof._held._mag[0] is jac
+    assert prof._held._ops is ops and prof._held._jac is jac
+    # and one |J| for every refinement, on the Jacobian's index arrays
+    mag = prof._held._mag
+    assert np.shares_memory(mag.indices, jac.indices) and np.shares_memory(mag.indptr, jac.indptr)
+
+
+def test_a_box_chain_is_one_sparse_ldl(monkeypatch):
+    # from a radial limit state, the settle at epsilon = 0, the steps to
+    # epsilon and an omega re-solve: every Jacobian is the one chain's
+    params, pair, z, limit, grid = _small_saddle()
+    made = []
+    real = elliptic.SparseLDL.__init__
+    monkeypatch.setattr(
+        elliptic.SparseLDL, "__init__", lambda self, *a: made.append(1) or real(self, *a)
+    )
+    prof = _continued(params, pair, z, limit, grid)
+    prof = resolve_at_omega(prof, replace(params, omega=params.omega + 0.01), pair)
+    assert len(made) == 1
+    assert elliptic.chain_counters(prof)["factorizations"] == 1
 
 
 def test_a_box_continuation_holds_no_full_box_temporaries():
@@ -616,6 +642,29 @@ def test_box_limit_solve_seeds_with_the_radius():
     prof = solve_limit_ground_state(1.0, 3.0, Grid(2, "box", 14.0, 41))
     assert prof.residual < 1e-10
     assert prof.peak == (0.0, 0.0)
+
+
+def test_a_box_limit_solve_holds_one_factorization_at_a_time(monkeypatch):
+    # the fixed point's LDL^T of the whole box goes before Newton factors
+    # the quarter box
+    class Tracked:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    made, alive = [], []
+    real = elliptic.factor_ldl
+
+    def factor(a):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        lu = Tracked(real(a))
+        made.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(elliptic, "factor_ldl", factor)
+    prof = solve_limit_ground_state(1.0, 3.0, Grid(2, "box", 14.0, 41))
+    assert prof.residual < 1e-10
+    assert len(alive) >= 2 and not any(alive)
 
 
 @pytest.mark.parametrize(
